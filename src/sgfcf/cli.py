@@ -303,8 +303,14 @@ def _cmd_fit(resolved: dict) -> int:
     out = _run_dir(resolved)
     _write_json(md.model_summary(model), resolved, os.path.join(out, "model_summary.json"))
     spec.write_spectrum_csv(model.spectrum, os.path.join(out, "spectrum.csv"))
-    if model.homophily is not None and model.profile is not None:
-        ft.write_homophily_csv(model.homophily, model.profile, os.path.join(out, "homophily.csv"))
+    if model.profile is not None:
+        homophily = model.homophily
+        if homophily is None:  # fit skips it when beta1 == beta2; the artifact still reports it
+            config = model.config
+            homophily = ft.homophilic_ratio_all(
+                gr.build_graph(dataset), delta=config.delta, mode=config.homo_mode, seed=config.seed
+            )
+        ft.write_homophily_csv(homophily, model.profile, os.path.join(out, "homophily.csv"))
     if resolved.get("recommend_k"):
         md.write_recommendations_csv(
             model,

@@ -23,10 +23,14 @@ STRATEGIES = ("per_user", "global")
 
 @dataclass(frozen=True)
 class InteractionLog:
-    """Deduplicated (user_token, item_token) pairs in file order."""
+    """Deduplicated (user_token, item_token) pairs in file order, with the
+    dense ids assigned to their tokens and the same pairs as an (n, 2)
+    array of (user_id, item_id)."""
 
     records: list[tuple[str, str]]
     source_path: str
+    id_maps: IdMaps
+    pairs: np.ndarray = field(repr=False, compare=False)
     duplicates_dropped: int = 0
 
     def __len__(self) -> int:
@@ -115,16 +119,22 @@ class InteractionDataset:
 def ingest(path: str, format: str = "tsv_pairs") -> InteractionLog:
     """Read an interaction file, dropping duplicate pairs (first kept).
 
-    Raises MissingFile if the path does not exist and MalformedLine for
-    any non-empty line with fewer than two fields or an empty token.
-    Fields beyond the first two (e.g. timestamps) are ignored.
+    User and item tokens get dense zero-based ids in order of first
+    appearance as they are read. Raises MissingFile if the path does not
+    exist and MalformedLine for any non-empty line with fewer than two
+    fields or an empty token. Fields beyond the first two (e.g.
+    timestamps) are ignored.
     """
     if format not in FORMATS:
         raise ConfigError(f"unknown format {format!r}, expected one of {FORMATS}")
     if not os.path.isfile(path):
         raise MissingFile(f"no such file: {path}")
     sep = "," if format == "csv_pairs" else None
+    user_index: dict[str, int] = {}
+    item_index: dict[str, int] = {}
     records: list[tuple[str, str]] = []
+    user_ids: list[int] = []
+    item_ids: list[int] = []
     seen: set[tuple[str, str]] = set()
     dropped = 0
     with open(path, "r", encoding="utf-8") as fh:
@@ -144,19 +154,22 @@ def ingest(path: str, format: str = "tsv_pairs") -> InteractionLog:
                 continue
             seen.add(pair)
             records.append(pair)
-    return InteractionLog(records=records, source_path=path, duplicates_dropped=dropped)
+            user_ids.append(user_index.setdefault(user, len(user_index)))
+            item_ids.append(item_index.setdefault(item, len(item_index)))
+    return InteractionLog(
+        records=records,
+        source_path=path,
+        id_maps=IdMaps(user_index=user_index, item_index=item_index),
+        pairs=np.column_stack(
+            [np.array(user_ids, dtype=np.int64), np.array(item_ids, dtype=np.int64)]
+        ),
+        duplicates_dropped=dropped,
+    )
 
 
 def build_id_maps(log: InteractionLog) -> IdMaps:
-    """Assign dense ids in order of first appearance."""
-    user_index: dict[str, int] = {}
-    item_index: dict[str, int] = {}
-    for user, item in log.records:
-        if user not in user_index:
-            user_index[user] = len(user_index)
-        if item not in item_index:
-            item_index[item] = len(item_index)
-    return IdMaps(user_index=user_index, item_index=item_index)
+    """Dense ids in order of first appearance (assigned by ``ingest``)."""
+    return log.id_maps
 
 
 def _round_half_up(x: float) -> int:
@@ -174,45 +187,35 @@ def split(log: InteractionLog, cfg: SplitConfig) -> InteractionDataset:
     """
     if len(log) == 0:
         raise DegenerateSplit("cannot split an empty interaction log")
-    id_maps = build_id_maps(log)
-    pairs = np.array(
-        [(id_maps.user_index[u], id_maps.item_index[i]) for u, i in log.records],
-        dtype=np.int64,
-    )
+    pairs = log.pairs
     rng = np.random.default_rng(cfg.seed)
 
     if cfg.strategy == "global":
         perm = rng.permutation(len(pairs))
         n_train = max(1, _round_half_up(cfg.train_ratio * len(pairs)))
         n_val = min(_round_half_up(cfg.val_ratio * len(pairs)), len(pairs) - n_train)
-        train_idx = perm[:n_train]
-        val_idx = perm[n_train : n_train + n_val]
-        test_idx = perm[n_train + n_val :]
+        # rank[p] = the place of pair p in the shuffled order
+        rank = np.empty(len(pairs), dtype=np.int64)
+        rank[perm] = np.arange(len(pairs))
     else:
         order = np.argsort(pairs[:, 0], kind="stable")
-        boundaries = np.searchsorted(pairs[order, 0], np.arange(id_maps.n_users + 1))
-        train_parts, val_parts, test_parts = [], [], []
-        for u in range(id_maps.n_users):
-            idx = order[boundaries[u] : boundaries[u + 1]]
-            n = len(idx)
-            perm = idx[rng.permutation(n)]
-            n_train = _round_half_up(cfg.train_ratio * n)
-            if n_train == 0:
-                n_train = 1
-            n_train = min(n_train, n)
-            n_val = min(_round_half_up(cfg.val_ratio * n), n - n_train)
-            train_parts.append(perm[:n_train])
-            val_parts.append(perm[n_train : n_train + n_val])
-            test_parts.append(perm[n_train + n_val :])
-        train_idx = np.concatenate(train_parts)
-        val_idx = np.concatenate(val_parts) if val_parts else np.empty(0, dtype=np.int64)
-        test_idx = np.concatenate(test_parts) if test_parts else np.empty(0, dtype=np.int64)
+        counts = np.bincount(pairs[:, 0], minlength=log.id_maps.n_users)
+        # first[j]: where the user block holding sorted pair j starts
+        first = np.repeat(np.cumsum(counts) - counts, counts)
+        # One permutation per user, drawn in user order from the one
+        # stream; pair order[first + perm_u[j]] takes place j of user u.
+        local = np.concatenate([rng.permutation(n) for n in counts.tolist()])
+        rank = np.empty(len(pairs), dtype=np.int64)
+        rank[order[first + local]] = np.arange(len(pairs)) - first
+        n_train = np.clip(np.floor(cfg.train_ratio * counts + 0.5).astype(np.int64), 1, counts)
+        n_val = np.minimum(np.floor(cfg.val_ratio * counts + 0.5).astype(np.int64), counts - n_train)
+        n_train, n_val = n_train[pairs[:, 0]], n_val[pairs[:, 0]]
 
     dataset = InteractionDataset(
-        train=pairs[np.sort(train_idx)],
-        val=pairs[np.sort(val_idx)],
-        test=pairs[np.sort(test_idx)],
-        id_maps=id_maps,
+        train=pairs[rank < n_train],
+        val=pairs[(rank >= n_train) & (rank < n_train + n_val)],
+        test=pairs[rank >= n_train + n_val],
+        id_maps=log.id_maps,
         seed=cfg.seed,
         split_config=cfg,
     )

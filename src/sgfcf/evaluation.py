@@ -19,7 +19,7 @@ from .dataset import InteractionDataset
 from .errors import ConfigError, EmptyTestSet, EmptyValidation, NoEvaluableUsers
 from .filters import IgfConfig
 from .graph import G2NConfig, build_graph, g2n_normalize
-from .model import RankedList, SgfcfConfig, fit, sgf_band_scores
+from .model import RankedList, SgfcfConfig, fit, sgf_band_scores, top_k
 from .spectral import truncated_svd
 
 GRID_AXES = ("alpha", "epsilon", "K", "beta", "beta1", "beta2", "gamma")
@@ -94,7 +94,9 @@ def evaluate(
 
     ``scorer`` is anything exposing score_users(users) -> matrix and a
     train_csr for exclusion (SgfcfModel, BandScorer). Users whose
-    held-out set is empty are skipped, not zero-scored.
+    held-out set is empty are skipped, not zero-scored. Each user's top k
+    comes from the same ``top_k`` as ``recommend``: score-descending,
+    ties broken by ascending item id.
     """
     if split not in ("val", "test"):
         raise ConfigError(f"split must be 'val' or 'test', got {split!r}")
@@ -113,8 +115,7 @@ def evaluate(
         scores = np.asarray(scorer.score_users(users), dtype=np.float64)
         for row, u in enumerate(users):
             scores[row, train.indices[train.indptr[u] : train.indptr[u + 1]]] = -np.inf
-        # Stable sort on negated scores: ties resolve to the lower item id.
-        top = np.argsort(-scores, axis=1, kind="stable")[:, :k]
+        top = top_k(scores, k)
         for row, u in enumerate(users):
             test_items = held_out[u]
             hit_mask = np.isin(top[row], test_items)
@@ -221,8 +222,10 @@ def grid_search(
     validation split and reporting the winner on test.
 
     The spectrum is computed once per (alpha, epsilon) pair at the
-    largest K and sliced for smaller K; homophily is computed once.
-    Combinations violating beta1 <= beta <= beta2 are skipped.
+    largest K and sliced for smaller K. Homophily is computed once, and
+    only when some combination has beta1 < beta2 (with beta1 == beta2
+    every node gets beta, see ``fit``). Combinations violating
+    beta1 <= beta <= beta2 are skipped.
     """
     if len(dataset.val) == 0:
         raise EmptyValidation("grid search needs a non-empty validation split")
@@ -242,16 +245,6 @@ def grid_search(
     for name in GRID_AXES:
         axes[name] = list(grid.axes.get(name, defaults[name]) or [])
 
-    graph = build_graph(dataset)
-    K_max = max(int(K) for K in axes["K"])
-    homophily = None
-    if base.filter is None:
-        from .filters import homophilic_ratio_all
-
-        homophily = homophilic_ratio_all(
-            graph, delta=base.delta, mode=base.homo_mode, seed=base.seed
-        )
-
     combos = []
     for alpha, epsilon, K, beta, beta1, beta2, gamma in itertools.product(
         axes["alpha"], axes["epsilon"], axes["K"],
@@ -265,6 +258,16 @@ def grid_search(
 
     if not combos:
         raise ConfigError("grid is empty after dropping invalid beta combinations")
+
+    graph = build_graph(dataset)
+    K_max = max(int(K) for K in axes["K"])
+    homophily = None
+    if base.filter is None and any(b1 < b2 for _, _, _, _, b1, b2, _ in combos):
+        from .filters import homophilic_ratio_all
+
+        homophily = homophilic_ratio_all(
+            graph, delta=base.delta, mode=base.homo_mode, seed=base.seed
+        )
 
     spectra = {}
     norms = {}

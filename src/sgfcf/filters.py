@@ -162,7 +162,7 @@ class IgfProfile:
     item_beta: np.ndarray
 
 
-def _validate_delta(delta: int, mode: str) -> None:
+def validate_delta(delta: int, mode: str) -> None:
     if delta < 2 or delta % 2 != 0:
         raise OddDelta(f"delta must be an even integer >= 2, got {delta}")
     if mode not in ("inclusive", "strict"):
@@ -296,7 +296,7 @@ def homophilic_pair_counts(
     are even, so the strict indicator at delta equals the inclusive one
     at delta - 2.
     """
-    _validate_delta(delta, mode)
+    validate_delta(delta, mode)
     effective = delta - 2 if mode == "strict" else delta
     if effective == 0:
         return graph.user_degrees.astype(np.int64).copy(), graph.item_degrees.astype(np.int64).copy()
@@ -331,7 +331,7 @@ def homophilic_ratio_all(
     switches to deterministic sampled-pair estimates beyond that.
     Degree-zero nodes score 1 by convention (nothing to compare).
     """
-    _validate_delta(delta, mode)
+    validate_delta(delta, mode)
     effective = delta - 2 if mode == "strict" else delta
     n = graph.n_users + graph.n_items
     if effective <= 2 or n <= HOMOPHILY_EXACT_CAP:

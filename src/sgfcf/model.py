@@ -30,6 +30,7 @@ from .filters import (
     homophilic_ratio_all,
     map_homo_to_beta,
     power_clamped,
+    validate_delta,
 )
 from .graph import (
     BipartiteGraph,
@@ -65,6 +66,8 @@ class SgfcfConfig:
             raise ConfigError(f"K must be >= 1, got {self.K}")
         if self.gamma < 0:
             raise ConfigError(f"gamma must be >= 0, got {self.gamma}")
+        if self.homo_scope not in ("per_side", "global"):
+            raise ConfigError(f"homo_scope must be 'per_side' or 'global', got {self.homo_scope!r}")
 
 
 @dataclass(frozen=True)
@@ -143,7 +146,10 @@ def fit(
 
     Precomputed stages can be passed in (grid search reuses spectra and
     homophily scores across configurations); anything omitted is derived
-    from the dataset.
+    from the dataset. Homophily is skipped, and ``model.homophily`` left
+    None, when an explicit filter is set or when beta1 == beta2 and no
+    scores are passed in: the exponent range is then the single point
+    beta, so every node gets beta whatever its homophilic ratio.
     """
     start = time.perf_counter()
     if graph is None:
@@ -167,11 +173,19 @@ def fit(
 
     profile = None
     if config.filter is None:
-        if homophily is None:
-            homophily = homophilic_ratio_all(
-                graph, delta=config.delta, mode=config.homo_mode, seed=config.seed
+        igf = config.igf
+        if homophily is None and igf.beta1 == igf.beta2:
+            validate_delta(config.delta, config.homo_mode)
+            profile = IgfProfile(
+                user_beta=np.full(graph.n_users, igf.beta),
+                item_beta=np.full(graph.n_items, igf.beta),
             )
-        profile = map_homo_to_beta(homophily, config.igf, scope=config.homo_scope)
+        else:
+            if homophily is None:
+                homophily = homophilic_ratio_all(
+                    graph, delta=config.delta, mode=config.homo_mode, seed=config.seed
+                )
+            profile = map_homo_to_beta(homophily, igf, scope=config.homo_scope)
 
     user_factors, item_factors = _factor_weights(spectrum, config, profile)
     return SgfcfModel(
@@ -198,22 +212,56 @@ def score_user(model: SgfcfModel, u: int) -> np.ndarray:
     scores = model.item_factors @ model.user_factors[u]
     if model.config.gamma > 0:
         W = model.norm.values
-        row = W[u] @ W.T @ W  # (r_u W^T) W, two sparse products
-        scores = scores + model.config.gamma * np.asarray(row.todense()).ravel()
+        # W^T (W r_u^T): two sparse matrix-vector products through a dense
+        # |U|-vector; the sparse row product r_u W^T W costs several times more.
+        row = W.T @ (W @ W[u].toarray().ravel())
+        scores = scores + model.config.gamma * row
     return scores
 
 
 def score_users(model: SgfcfModel, users) -> np.ndarray:
-    """Score rows for a batch of users (rows align with ``users``)."""
+    """Score rows for a batch of users (rows align with ``users``).
+
+    Memory is O(len(users) * max(|U|, |I|)); callers bound it by chunking.
+    """
     users = np.asarray(users, dtype=np.int64)
     if len(users) and (users.min() < 0 or users.max() >= model.n_users):
         raise UnknownUser("user id outside valid range in batch")
     scores = model.user_factors[users] @ model.item_factors.T
     if model.config.gamma > 0:
         W = model.norm.values
-        block = (W[users] @ W.T @ W).toarray()
-        scores = scores + model.config.gamma * block
+        # (W^T (W W_users^T))^T through a dense |U| x len(users) block; the
+        # sparse product W_users W^T W fills in to nearly dense and costs
+        # several times more.
+        block = W.T @ (W @ W[users].T).toarray()
+        scores += model.config.gamma * block.T
     return scores
+
+
+def top_k(scores: np.ndarray, k: int) -> np.ndarray:
+    """Column ids of each row's k largest scores, score-descending with
+    ties broken by ascending column id.
+
+    Row for row this equals ``np.argsort(-scores, axis=1, kind="stable")[:, :k]``
+    (so -inf entries come last and NaN after them), but only the entries
+    that tie with or beat each row's k-th score are sorted.
+    """
+    neg = -np.asarray(scores, dtype=np.float64)
+    n_rows, n_cols = neg.shape
+    k = min(k, n_cols)
+    if k <= 0:
+        return np.empty((n_rows, 0), dtype=np.intp)
+    kth = np.take_along_axis(neg, np.argpartition(neg, k - 1, axis=1)[:, k - 1 : k], axis=1)
+    # Every entry not worse than the k-th: at least k per row, more when
+    # ties straddle the k-th place. Testing "not greater" rather than "less
+    # or equal" keeps NaN entries, which sort last, so a row whose k-th
+    # value is NaN keeps all its entries.
+    rows, cols = np.nonzero(~(neg > kth))
+    # Rows come out ascending with ascending columns inside each row, so a
+    # stable sort keyed on (row, value) leaves ties in column order.
+    order = np.lexsort((neg[rows, cols], rows))
+    starts = np.searchsorted(rows, np.arange(n_rows))
+    return cols[order[starts[:, None] + np.arange(k)]]
 
 
 def _ranked_from_scores(
@@ -222,8 +270,7 @@ def _ranked_from_scores(
     scores = scores.astype(np.float64, copy=True)
     if exclude is not None and len(exclude):
         scores[exclude] = -np.inf
-    # Stable sort on the negated scores breaks ties by ascending item id.
-    order = np.argsort(-scores, kind="stable")[:k]
+    order = top_k(scores[None, :], k)[0]
     keep = np.isfinite(scores[order])
     order = order[keep]
     return RankedList(user_id=u, items=order, scores=scores[order])

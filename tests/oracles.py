@@ -75,3 +75,35 @@ def dense_rank_band(matrix, k_lo, k_hi):
     """Rating reconstruction from an inclusive 1-indexed singular band."""
     U, s, Vt = np.linalg.svd(matrix.toarray(), full_matrices=False)
     return U[:, k_lo - 1 : k_hi] @ Vt[k_lo - 1 : k_hi]
+
+
+def split_loop(records, train_ratio, val_ratio, seed, strategy):
+    """Per-record id lookup and a per-user Python loop: the reference that
+    ``dataset.split`` must reproduce exactly, rng stream included.
+    Returns the (train, val, test) pair arrays."""
+    user_index, item_index = {}, {}
+    for user, item in records:
+        user_index.setdefault(user, len(user_index))
+        item_index.setdefault(item, len(item_index))
+    pairs = np.array([(user_index[u], item_index[i]) for u, i in records], dtype=np.int64)
+    rng = np.random.default_rng(seed)
+
+    def round_half_up(x):
+        return int(np.floor(x + 0.5))
+
+    if strategy == "global":
+        perm = rng.permutation(len(pairs))
+        n_train = max(1, round_half_up(train_ratio * len(pairs)))
+        n_val = min(round_half_up(val_ratio * len(pairs)), len(pairs) - n_train)
+        parts = [perm[:n_train], perm[n_train : n_train + n_val], perm[n_train + n_val :]]
+    else:
+        parts = [[], [], []]
+        for u in range(len(user_index)):
+            idx = np.flatnonzero(pairs[:, 0] == u)
+            perm = idx[rng.permutation(len(idx))]
+            n_train = min(max(round_half_up(train_ratio * len(idx)), 1), len(idx))
+            n_val = min(round_half_up(val_ratio * len(idx)), len(idx) - n_train)
+            parts[0] += perm[:n_train].tolist()
+            parts[1] += perm[n_train : n_train + n_val].tolist()
+            parts[2] += perm[n_train + n_val :].tolist()
+    return tuple(pairs[np.sort(np.asarray(p, dtype=np.int64))] for p in parts)

@@ -2,11 +2,13 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sgfcf import SplitConfig, ingest, split, save_manifest, load_manifest
 from sgfcf.dataset import build_id_maps, dataset_from_pairs
 from sgfcf.errors import ConfigError, DegenerateSplit, MalformedLine, MissingFile
+
+from oracles import split_loop
 
 
 class TestIngest:
@@ -65,6 +67,17 @@ class TestIdMaps:
         assert maps.user_index == {"u1": 0, "u2": 1, "u3": 2}
         assert maps.item_index == {"i1": 0, "i2": 1, "i3": 2}
         assert maps.user_tokens() == ["u1", "u2", "u3"]
+
+    def test_pairs_are_records_in_ids(self, tmp_path):
+        path = tmp_path / "ids.tsv"
+        path.write_text("b x\na y\nb x\nc x\na z\nb y\n")
+        log = ingest(str(path))
+        maps = build_id_maps(log)
+        expected = [(maps.user_index[u], maps.item_index[i]) for u, i in log.records]
+        assert log.pairs.dtype == np.int64
+        assert log.pairs.tolist() == [list(p) for p in expected]
+        assert maps.user_index == {"b": 0, "a": 1, "c": 2}
+        assert maps.item_index == {"x": 0, "y": 1, "z": 2}
 
 
 class TestSplit:
@@ -176,6 +189,35 @@ def test_split_partition_invariants(tmp_path_factory, pairs, ratio, seed):
     # every user with >= 2 interactions keeps at least one train interaction
     train_users = set(dataset.train[:, 0].tolist())
     assert set(all_pairs[:, 0].tolist()) == train_users
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    lines=st.lists(st.tuples(st.integers(0, 9), st.integers(0, 15)), min_size=1, max_size=80),
+    # ratios that make x.5 products, where half-up rounding differs from round()
+    train_ratio=st.one_of(st.sampled_from([0.25, 0.5]), st.floats(0.1, 0.7)),
+    val_ratio=st.sampled_from([0.0, 0.1, 0.25]),
+    seed=st.integers(0, 2**32 - 1),
+    strategy=st.sampled_from(["per_user", "global"]),
+)
+@example(  # users with 10 and 5 pairs: 0.5 * 5 and 0.25 * 10 land on .5
+    lines=[(0, i) for i in range(10)] + [(1, i) for i in range(5)],
+    train_ratio=0.5, val_ratio=0.25, seed=1, strategy="per_user",
+)
+def test_split_matches_loop_reference(tmp_path_factory, lines, train_ratio, val_ratio, seed, strategy):
+    # duplicate lines included on purpose: they are dropped before ids matter
+    path = tmp_path_factory.mktemp("ref") / "log.tsv"
+    path.write_text("".join(f"u{u} i{i}\n" for u, i in lines))
+    log = ingest(str(path))
+    cfg = SplitConfig(train_ratio=train_ratio, val_ratio=val_ratio, seed=seed, strategy=strategy)
+    try:
+        dataset = split(log, cfg)
+    except DegenerateSplit:
+        return
+    want = split_loop(log.records, train_ratio, val_ratio, seed, strategy)
+    for got, expected in zip((dataset.train, dataset.val, dataset.test), want):
+        assert got.dtype == expected.dtype
+        assert got.reshape(-1, 2).tolist() == expected.reshape(-1, 2).tolist()
 
 
 class TestManifest:

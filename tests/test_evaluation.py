@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from sgfcf import (
@@ -169,6 +170,46 @@ class TestEvaluate:
             evaluate(model, dataset, k=2, split="train")
 
 
+def _tied_dataset():
+    """50 x 38 with eight duplicated item columns in train. A copy scores
+    exactly like its source, so top-k lists hold exact ties, several of them
+    straddling the k-th place; three random unseen items per user are held
+    out."""
+    rng = np.random.default_rng(2024)
+    R = random_bipartite_graph(rng, 50, 30, target_edges=300).tocsc()
+    popular = np.argsort(-np.diff(R.indptr), kind="stable")[:8]
+    train = sp.hstack([R, R[:, popular]]).tocsr()
+    n_items = train.shape[1]
+    test = []
+    for u in range(train.shape[0]):
+        unseen = np.setdiff1d(np.arange(n_items), train.indices[train.indptr[u] : train.indptr[u + 1]])
+        test += [(u, int(i)) for i in rng.choice(unseen, size=min(3, len(unseen)), replace=False)]
+    coo = train.tocoo()
+    return dataset_from_pairs(
+        list(zip(coo.row.tolist(), coo.col.tolist())), test=test, n_users=train.shape[0], n_items=n_items
+    )
+
+
+# Recorded from the full stable argsort and the sparse W_u W^T W product,
+# before evaluate switched to the partition-based top_k and the
+# reassociated gamma term; the metrics must not move by a bit.
+@pytest.mark.parametrize(
+    "igf, k, recall, ndcg",
+    [
+        (IgfConfig(beta=1.6, beta1=1.6, beta2=1.6), 5, 0.18749999999999992, 0.16442448185431352),
+        (IgfConfig(beta=1.6, beta1=1.6, beta2=1.6), 10, 0.3819444444444444, 0.2515446403273357),
+        (IgfConfig(beta=1.2, beta1=0.8, beta2=1.6), 5, 0.19444444444444442, 0.16160978034615295),
+        (IgfConfig(beta=1.2, beta1=0.8, beta2=1.6), 10, 0.36805555555555564, 0.23906872732275408),
+    ],
+)
+def test_golden_metrics_with_ties(igf, k, recall, ndcg):
+    dataset = _tied_dataset()
+    result = evaluate(fit(dataset, SgfcfConfig(K=12, gamma=0.3, igf=igf, seed=3)), dataset, k=k)
+    assert result.users_evaluated == 48
+    assert result.recall_at_k == recall
+    assert result.ndcg_at_k == ndcg
+
+
 def _sweep_dataset(rng, n_users=40, n_items=30):
     R = random_bipartite_graph(rng, n_users, n_items, target_edges=n_users * 6)
     coo = R.tocoo()
@@ -288,6 +329,23 @@ class TestGridSearch:
         grid = GridSpec(axes={"beta": [1.0], "beta1": [0.8, 1.2], "beta2": [1.2]})
         result = grid_search(dataset, grid, k=5)
         assert len(result.table) == 1  # beta1=1.2 > beta dropped
+
+    def test_shared_beta_grid_skips_homophily(self, monkeypatch):
+        import sgfcf.filters
+
+        rng = np.random.default_rng(9)
+        dataset = _grid_dataset(rng)
+        axes = {"K": [3, 4], "beta": [1.2], "gamma": [0.0, 0.2]}
+        # one beta1 < beta2 combination makes the grid compute homophily
+        # and hand it to every fit; its shared-beta rows must not change
+        mixed = grid_search(dataset, GridSpec(axes={**axes, "beta1": [1.0, 1.2], "beta2": [1.2]}), k=5)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("homophily computed for an all-shared-beta grid")
+
+        monkeypatch.setattr(sgfcf.filters, "homophilic_ratio_all", forbidden)
+        shared = grid_search(dataset, GridSpec(axes=axes), k=5)
+        assert shared.table == [row for row in mixed.table if row["beta1"] == row["beta2"]]
 
     def test_empty_validation_raises(self, toy_dataset):
         with pytest.raises(EmptyValidation):

@@ -3,6 +3,8 @@ import time
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from sgfcf import (
     G2NConfig,
@@ -19,7 +21,7 @@ from sgfcf import (
     sgf_band_scores,
 )
 from sgfcf.errors import BandOutOfRange, ConfigError, KTooLarge, UnknownUser
-from sgfcf.model import config_to_dict, model_summary
+from sgfcf.model import config_to_dict, model_summary, top_k
 from sgfcf.theory import random_bipartite_graph
 
 from conftest import random_graph
@@ -80,6 +82,30 @@ class TestFit:
         model = fit(dataset, SgfcfConfig(K=3, filter=MonomialFilter(beta=1.0)))
         assert model.profile is None
         assert model.homophily is None
+
+    def test_shared_beta_skips_homophily_bit_identically(self, monkeypatch):
+        import sgfcf.model
+        from sgfcf import build_graph, homophilic_ratio_all
+
+        rng = np.random.default_rng(30)
+        dataset = small_dataset(rng, 20, 16)
+        config = SgfcfConfig(K=5, gamma=0.2, igf=IgfConfig(beta=1.4, beta1=1.4, beta2=1.4))
+        with_homophily = fit(dataset, config, homophily=homophilic_ratio_all(build_graph(dataset)))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("homophily computed for a shared beta")
+
+        monkeypatch.setattr(sgfcf.model, "homophilic_ratio_all", forbidden)
+        skipped = fit(dataset, config)
+        assert skipped.homophily is None
+        for name in ("user_factors", "item_factors"):
+            assert np.array_equal(getattr(skipped, name), getattr(with_homophily, name))
+        assert np.array_equal(skipped.profile.user_beta, with_homophily.profile.user_beta)
+        assert np.array_equal(skipped.profile.item_beta, with_homophily.profile.item_beta)
+
+    def test_bad_homo_scope_rejected(self):
+        with pytest.raises(ConfigError):
+            SgfcfConfig(K=1, homo_scope="pooled")
 
 
 class TestScoreUser:
@@ -153,6 +179,21 @@ class TestScoreUser:
         for u in users:
             assert np.allclose(batch[u], score_user(model, int(u)))
 
+    def test_gamma_paths_match_sparse_triple_product(self):
+        # batch and row paths reassociate W W^T W; both must agree with the
+        # sparse product W_u W^T W to rounding
+        rng = np.random.default_rng(31)
+        dataset = small_dataset(rng, 120, 90)
+        gamma = 0.3
+        model = fit(dataset, SgfcfConfig(K=6, gamma=gamma))
+        W = model.norm.values
+        users = np.arange(model.n_users)
+        expected = model.user_factors @ model.item_factors.T + gamma * (W @ W.T @ W).toarray()
+        scale = np.abs(expected).max()
+        assert np.abs(score_users(model, users) - expected).max() <= 1e-12 * scale
+        for u in (0, 17, 119):
+            assert np.abs(score_user(model, u) - expected[u]).max() <= 1e-12 * scale
+
 
 class TestRecommend:
     def test_tie_break_by_item_id(self):
@@ -193,6 +234,39 @@ class TestRecommend:
         model = fit(small_dataset(rng), SgfcfConfig(K=2))
         with pytest.raises(ConfigError):
             recommend(model, 0, k=0)
+
+
+_score_values = st.one_of(
+    st.integers(-3, 3).map(float),
+    st.sampled_from([-np.inf, 0.5, -0.0]),
+)
+
+
+class TestTopK:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        scores=st.integers(1, 5).flatmap(
+            lambda rows: st.integers(1, 25).flatmap(
+                lambda cols: arrays(np.float64, (rows, cols), elements=_score_values)
+            )
+        ),
+        k=st.integers(1, 30),
+    )
+    def test_matches_stable_argsort(self, scores, k):
+        # few distinct values: ties straddle the k-th place, rows can be all
+        # ties or all -inf, hold fewer than k finite entries, or k >= width
+        expected = np.argsort(-scores, axis=1, kind="stable")[:, :k]
+        assert np.array_equal(top_k(scores, k), expected)
+
+    def test_all_tie_all_excluded_and_nan_rows(self):
+        scores = np.array([
+            [2.0] * 6,
+            [-np.inf] * 6,
+            [1.0, -np.inf, 1.0, 1.0, -np.inf, 0.0],
+            [np.nan, 1.0, np.nan, 2.0, np.nan, np.nan],
+        ])
+        assert top_k(scores, 3).tolist() == [[0, 1, 2], [0, 1, 2], [0, 2, 3], [3, 1, 0]]
+        assert top_k(scores, 9).tolist() == np.argsort(-scores, axis=1, kind="stable").tolist()
 
 
 class TestBandScores:
