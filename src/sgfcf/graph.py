@@ -106,6 +106,41 @@ def build_graph(dataset) -> BipartiteGraph:
     return graph_from_matrix(matrix)
 
 
+def duplicate_item_sources(graph: BipartiteGraph) -> np.ndarray:
+    """For each item, the lowest item id whose train column equals its own
+    (the item itself when no lower id shares its column). O(nnz).
+
+    Columns are grouped by degree and a seeded 64-bit hash of their user
+    sets, then each candidate is compared entry by entry with its group's
+    lowest id, so a hash collision never merges different columns (it
+    leaves the colliding item its own source).
+    """
+    col = graph.col_major if graph.col_major.has_sorted_indices else graph.col_major.sorted_indices()
+    n_items = graph.n_items
+    degrees = graph.item_degrees
+    keys = np.random.default_rng(0).integers(0, 2**63, size=graph.n_users, dtype=np.uint64)
+    hashes = np.zeros(n_items, dtype=np.uint64)
+    nonempty = np.flatnonzero(degrees)
+    if len(nonempty):
+        # uint64 sums wrap, which keeps the hash exact for any column length
+        hashes[nonempty] = np.add.reduceat(keys[col.indices], col.indptr[nonempty])
+    order = np.lexsort((np.arange(n_items), hashes, degrees))
+    new_group = np.ones(n_items, dtype=bool)
+    new_group[1:] = (np.diff(degrees[order]) != 0) | (hashes[order][1:] != hashes[order][:-1])
+    sources = np.empty(n_items, dtype=np.int64)
+    sources[order] = order[np.flatnonzero(new_group)[np.cumsum(new_group) - 1]]
+    copies = np.flatnonzero(sources != np.arange(n_items))
+    lengths = degrees[copies]
+    offsets = np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    same = (
+        col.indices[np.repeat(col.indptr[copies], lengths) + offsets]
+        == col.indices[np.repeat(col.indptr[sources[copies]], lengths) + offsets]
+    )
+    mismatches = np.bincount(np.repeat(np.arange(len(copies)), lengths), weights=~same, minlength=len(copies))
+    sources[copies[mismatches > 0]] = copies[mismatches > 0]
+    return sources
+
+
 def _degree_weights(degrees: np.ndarray, alpha: float, epsilon: float) -> np.ndarray:
     # Isolated nodes carry no stored entries; give them weight 0 instead of
     # evaluating 0^epsilon.

@@ -38,6 +38,7 @@ from .graph import (
     G2NConfig,
     NormalizedMatrix,
     build_graph,
+    duplicate_item_sources,
     g2n_normalize,
 )
 from .spectral import TruncatedSpectrum, dense_svd, truncated_svd
@@ -88,6 +89,8 @@ class SgfcfModel:
     train_csr: sp.csr_matrix
     user_factors: np.ndarray  # P weighted by per-user filter values
     item_factors: np.ndarray  # Q weighted by per-item filter values
+    duplicate_items: np.ndarray  # items whose train column equals a lower id's
+    duplicate_sources: np.ndarray  # the lowest id sharing each one's column
     homophily: HomophilyScores | None = None
     fit_seconds: float = 0.0
 
@@ -188,6 +191,8 @@ def fit(
             profile = map_homo_to_beta(homophily, igf, scope=config.homo_scope)
 
     user_factors, item_factors = _factor_weights(spectrum, config, profile)
+    sources = duplicate_item_sources(graph)
+    copies = np.flatnonzero(sources != np.arange(graph.n_items))
     return SgfcfModel(
         spectrum=spectrum,
         profile=profile,
@@ -196,6 +201,8 @@ def fit(
         train_csr=graph.row_major,
         user_factors=user_factors,
         item_factors=item_factors,
+        duplicate_items=copies,
+        duplicate_sources=sources[copies],
         homophily=homophily,
         fit_seconds=time.perf_counter() - start,
     )
@@ -204,6 +211,18 @@ def fit(
 def _check_user(model: SgfcfModel, u: int) -> None:
     if not 0 <= u < model.n_users:
         raise UnknownUser(f"user id {u} outside [0, {model.n_users})")
+
+
+def _tie_duplicates(model: SgfcfModel, scores: np.ndarray) -> np.ndarray:
+    """Give each duplicate item its source's score, bit for bit.
+
+    Identical train columns score equally in exact arithmetic, but BLAS
+    kernels round identical factor rows differently depending on where the
+    row falls, so without this roundoff rather than the ascending-id rule
+    would order the copies.
+    """
+    scores[..., model.duplicate_items] = scores[..., model.duplicate_sources]
+    return scores
 
 
 def score_user(model: SgfcfModel, u: int) -> np.ndarray:
@@ -216,7 +235,7 @@ def score_user(model: SgfcfModel, u: int) -> np.ndarray:
         # |U|-vector; the sparse row product r_u W^T W costs several times more.
         row = W.T @ (W @ W[u].toarray().ravel())
         scores = scores + model.config.gamma * row
-    return scores
+    return _tie_duplicates(model, scores)
 
 
 def score_users(model: SgfcfModel, users) -> np.ndarray:
@@ -235,7 +254,7 @@ def score_users(model: SgfcfModel, users) -> np.ndarray:
         # several times more.
         block = W.T @ (W @ W[users].T).toarray()
         scores += model.config.gamma * block.T
-    return scores
+    return _tie_duplicates(model, scores)
 
 
 def top_k(scores: np.ndarray, k: int) -> np.ndarray:

@@ -107,3 +107,12 @@ def split_loop(records, train_ratio, val_ratio, seed, strategy):
             parts[1] += perm[n_train : n_train + n_val].tolist()
             parts[2] += perm[n_train + n_val :].tolist()
     return tuple(pairs[np.sort(np.asarray(p, dtype=np.int64))] for p in parts)
+
+
+def duplicate_sources_bruteforce(dense):
+    """For each column, the lowest column index holding the same values."""
+    n_cols = dense.shape[1]
+    return np.array(
+        [next(i for i in range(n_cols) if np.array_equal(dense[:, i], dense[:, j])) for j in range(n_cols)],
+        dtype=np.int64,
+    )

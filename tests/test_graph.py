@@ -12,9 +12,10 @@ from sgfcf import (
     graph_from_matrix,
 )
 from sgfcf.errors import ConfigError, EmptyTrainSplit, SizeCapExceeded
-from sgfcf.graph import export_matrixmarket
+from sgfcf.graph import duplicate_item_sources, export_matrixmarket
 
 from conftest import random_graph
+from oracles import duplicate_sources_bruteforce
 
 
 class TestBuildGraph:
@@ -166,3 +167,37 @@ def test_matrixmarket_round_trip(tmp_path):
     export_matrixmarket(norm, str(path))
     back = mmread(str(path))
     assert np.allclose(back.toarray(), norm.values.toarray())
+
+
+def _pooled_columns(seed, n_users, n_items):
+    """0/1 matrix whose columns are drawn from a pool of four (one empty),
+    so most columns have exact duplicates."""
+    rng = np.random.default_rng(seed)
+    pool = (rng.random((n_users, 4)) < 0.5).astype(np.float64)
+    pool[:, 0] = 0.0
+    return pool[:, rng.integers(0, 4, size=n_items)]
+
+
+class TestDuplicateItemSources:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(1, 9), st.integers(1, 14))
+    def test_matches_bruteforce(self, seed, n_users, n_items):
+        dense = _pooled_columns(seed, n_users, n_items)
+        graph = graph_from_matrix(sp.csr_matrix(dense))
+        assert duplicate_item_sources(graph).tolist() == duplicate_sources_bruteforce(dense).tolist()
+
+    def test_hash_collisions_never_merge_different_columns(self, monkeypatch):
+        # all-zero keys hash every column of a given degree alike, so only
+        # the entry-by-entry comparison keeps different columns apart
+        class ZeroKeys:
+            def integers(self, low, high, size, dtype):
+                return np.zeros(size, dtype=dtype)
+
+        dense = _pooled_columns(3, 8, 40)
+        graph = graph_from_matrix(sp.csr_matrix(dense))
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: ZeroKeys())
+        sources = duplicate_item_sources(graph)
+        assert (sources <= np.arange(40)).all()
+        for item, source in enumerate(sources):
+            assert np.array_equal(dense[:, item], dense[:, source])
+        assert (sources != np.arange(40)).any()
