@@ -41,7 +41,7 @@ from .graph import (
     duplicate_item_sources,
     g2n_normalize,
 )
-from .spectral import TruncatedSpectrum, dense_svd, truncated_svd
+from .spectral import TruncatedSpectrum, dense_svd, svd_residual_max, truncated_svd
 
 
 @dataclass(frozen=True)
@@ -377,12 +377,13 @@ def sgf_band_scores(
 
 
 def model_summary(model: SgfcfModel) -> dict:
-    """JSON-ready digest: config echo, spectrum head, timing."""
+    """JSON-ready digest: config echo, spectrum head and quality, timing."""
     sigma_head = model.spectrum.sigma_normalized[:10]
     return {
         "config": config_to_dict(model.config),
         "K": len(model.spectrum),
         "sigma_normalized_head": [float(s) for s in sigma_head],
+        "svd_residual_max": svd_residual_max(model.norm, model.spectrum),
         "n_users": model.n_users,
         "n_items": model.n_items,
         "train_interactions": int(model.train_csr.nnz),

@@ -116,3 +116,25 @@ def duplicate_sources_bruteforce(dense):
         [next(i for i in range(n_cols) if np.array_equal(dense[:, i], dense[:, j])) for j in range(n_cols)],
         dtype=np.int64,
     )
+
+
+def ritz_svd_reference(matrix, K, oversample=8, power_iters=8, seed=0):
+    """The randomized Krylov basis of ``truncated_svd`` followed by a dense
+    SVD of the whole projection B = basis^T A (Halko, Martinsson & Tropp
+    2011, Alg. 5.1): the exact Rayleigh-Ritz step. Returns (sigma, P, Q)
+    cut to K triplets, with values below 1e-12 * sigma_1 dropped."""
+    A = matrix
+    m, n = A.shape
+    mindim = min(m, n)
+    rng = np.random.default_rng(seed)
+    s = min(K + oversample, mindim)
+    Q, _ = np.linalg.qr(A @ rng.standard_normal((n, s)))
+    blocks = [Q]
+    while len(blocks) <= power_iters and len(blocks) * s < mindim:
+        Z, _ = np.linalg.qr(A.T @ blocks[-1])
+        Q, _ = np.linalg.qr(A @ Z)
+        blocks.append(Q)
+    basis, _ = np.linalg.qr(np.hstack(blocks))
+    Ub, sigma, Vt = np.linalg.svd((A.T @ basis).T, full_matrices=False)
+    keep = min(K, int((sigma > 1e-12 * sigma[0]).sum()))
+    return sigma[:keep], (basis @ Ub)[:, :keep], Vt[:keep].T

@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -125,7 +126,7 @@ class TestSweepGridSpectrum:
         )
         assert code == 0
         run_dir = _only_run_dir(out)
-        lines = open(os.path.join(run_dir, "sweep.csv")).read().strip().splitlines()
+        lines = Path(run_dir, "sweep.csv").read_text().strip().splitlines()
         assert lines[0] == "K,fraction,recall,ndcg"
         assert len(lines) == 5
 
@@ -142,7 +143,7 @@ class TestSweepGridSpectrum:
         report = _load(os.path.join(run_dir, "grid_report.json"))
         assert report["configurations"] == 4
         assert report["best_config"]["K"] in (4, 6)
-        lines = open(os.path.join(run_dir, "grid.csv")).read().strip().splitlines()
+        lines = Path(run_dir, "grid.csv").read_text().strip().splitlines()
         assert len(lines) == 5
 
     def test_grid_requires_axes(self, data_file, tmp_path):
@@ -155,9 +156,9 @@ class TestSweepGridSpectrum:
         )
         assert code == 0
         run_dir = _only_run_dir(out)
-        spectrum_lines = open(os.path.join(run_dir, "spectrum.csv")).read().strip().splitlines()
+        spectrum_lines = Path(run_dir, "spectrum.csv").read_text().strip().splitlines()
         assert spectrum_lines[0] == "k,sigma,sigma_normalized"
-        stats_lines = open(os.path.join(run_dir, "stats.csv")).read().strip().splitlines()
+        stats_lines = Path(run_dir, "stats.csv").read_text().strip().splitlines()
         assert stats_lines[0] == "k,appro"
         # appro column is non-decreasing
         appro = [float(line.split(",")[1]) for line in stats_lines[1:]]
@@ -169,9 +170,7 @@ class TestSweepGridSpectrum:
         ]
         assert run_command(argv(str(tmp_path / "a"))) == 0
         assert run_command(argv(str(tmp_path / "b"))) == 0
-        read = lambda root: open(
-            os.path.join(_only_run_dir(str(tmp_path / root)), "sweep.csv"), "rb"
-        ).read()
+        read = lambda root: Path(_only_run_dir(str(tmp_path / root)), "sweep.csv").read_bytes()
         assert read("a") == read("b")
 
     def test_config_file_with_flag_override(self, data_file, tmp_path):

@@ -434,3 +434,23 @@ def test_model_summary_round_trips_config():
     assert summary["K"] == len(model.spectrum)
     assert len(summary["sigma_normalized_head"]) <= 10
     assert summary["fit_seconds"] >= 0.0
+
+
+def test_model_summary_reports_svd_residual():
+    def dense_residual_max(model):
+        W, spec = model.norm.values.toarray(), model.spectrum
+        return max(
+            np.linalg.norm(W @ spec.Q[:, k] - spec.sigma[k] * spec.P[:, k]) / spec.sigma[k]
+            for k in range(len(spec))
+        )
+
+    rng = np.random.default_rng(20)
+    # one power iteration on 80 x 60 leaves K=4 visibly inexact
+    rough = fit(small_dataset(rng, n_users=80, n_items=60), SgfcfConfig(K=4, svd_power_iters=1))
+    expected = dense_residual_max(rough)
+    assert expected > 1e-6
+    assert model_summary(rough)["svd_residual_max"] == pytest.approx(expected, rel=1e-9)
+    # 30 x 20 with K=12: the first block of K + 8 columns already spans
+    # all 20 item directions, so the triplets are exact to roundoff
+    exact = fit(small_dataset(rng, n_users=30, n_items=20), SgfcfConfig(K=12))
+    assert model_summary(exact)["svd_residual_max"] < 1e-10

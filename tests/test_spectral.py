@@ -18,6 +18,7 @@ from sgfcf.spectral import TruncatedSpectrum
 from sgfcf.theory import random_bipartite_graph
 
 from conftest import random_graph
+from oracles import ritz_svd_reference
 
 
 def normalized(graph):
@@ -88,6 +89,50 @@ class TestTruncatedSvd:
             truncated_svd(norm, K=2, oversample=2)
         with pytest.raises(ConfigError):
             truncated_svd(norm, K=2, power_iters=0)
+
+
+def _graded_matrix(n_rows, sigma, seed):
+    """n_rows x len(sigma) matrix with exactly the singular values sigma."""
+    rng = np.random.default_rng(seed)
+    U, _ = np.linalg.qr(rng.standard_normal((n_rows, len(sigma))))
+    V, _ = np.linalg.qr(rng.standard_normal((len(sigma), len(sigma))))
+    return (U * sigma) @ V.T
+
+
+def _ritz_cases():
+    rng = np.random.default_rng(21)
+    wide = random_bipartite_graph(rng, 60, 110, target_edges=700)
+    tall = random_bipartite_graph(rng, 120, 70, target_edges=800)
+    square = random_graph(rng, 30, 20).row_major
+    a, b = rng.standard_normal(40), rng.standard_normal(25)
+    rank_one = sp.csr_matrix(np.outer(a, b))
+    base = random_graph(rng, 35, 9).row_major
+    duplicated = sp.hstack([base, base, base[:, :4]]).tocsr()  # rank <= 9
+    graded = _graded_matrix(90, np.logspace(0, -11, 60), seed=22)
+    return [
+        pytest.param(wide, 12, 2, id="wide"),
+        pytest.param(tall, 12, 2, id="tall"),
+        pytest.param(square, 20, 8, id="K-is-min-dim"),
+        pytest.param(rank_one, 1, 8, id="rank-one"),
+        pytest.param(rank_one, 3, 8, id="rank-one-K-above-rank"),
+        pytest.param(duplicated, 14, 8, id="duplicated-columns-K-above-rank"),
+        *(pytest.param(graded, K, 8, id=f"logspace-K{K}") for K in (20, 35, 40)),
+    ]
+
+
+@pytest.mark.parametrize("matrix, K, power_iters", _ritz_cases())
+def test_matches_dense_rayleigh_ritz_reference(matrix, K, power_iters):
+    """Same basis, Rayleigh-Ritz through the Gram matrix against a dense
+    SVD of the whole projection: equal to roundoff, tiny singular values
+    included, so the sqrt(eps) guard must hold."""
+    sigma, P, Q = ritz_svd_reference(matrix, K, power_iters=power_iters, seed=4)
+    spec = truncated_svd(matrix, K, power_iters=power_iters, seed=4)
+    resolved = int((sigma >= 1e-10 * sigma[0]).sum())
+    assert len(spec) >= resolved
+    rel = np.abs(spec.sigma[:resolved] - sigma[:resolved]) / sigma[:resolved]
+    assert rel.max() <= 1e-12
+    reconstruction = (spec.P * spec.sigma) @ spec.Q.T
+    assert np.abs(reconstruction - (P * sigma) @ Q.T).max() <= 1e-12 * sigma[0]
 
 
 class TestDenseSvd:
