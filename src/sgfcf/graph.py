@@ -119,14 +119,16 @@ def duplicate_item_sources(graph: BipartiteGraph) -> np.ndarray:
     n_items = graph.n_items
     degrees = graph.item_degrees
     keys = np.random.default_rng(0).integers(0, 2**63, size=graph.n_users, dtype=np.uint64)
-    hashes = np.zeros(n_items, dtype=np.uint64)
-    nonempty = np.flatnonzero(degrees)
-    if len(nonempty):
-        # uint64 sums wrap, which keeps the hash exact for any column length
-        hashes[nonempty] = np.add.reduceat(keys[col.indices], col.indptr[nonempty])
-    order = np.lexsort((np.arange(n_items), hashes, degrees))
+    # uint64 sums wrap modulo 2**64, so differences of prefix sums give each
+    # column's key sum exactly, empty columns included
+    prefix = np.zeros(col.nnz + 1, dtype=np.uint64)
+    np.cumsum(keys[col.indices], out=prefix[1:])
+    hashes = prefix[col.indptr[1:]] - prefix[col.indptr[:-1]]
+    # lexsort is stable, so each (degree, hash) group lists its ids ascending
+    order = np.lexsort((hashes, degrees))
+    d, h = degrees[order], hashes[order]
     new_group = np.ones(n_items, dtype=bool)
-    new_group[1:] = (np.diff(degrees[order]) != 0) | (hashes[order][1:] != hashes[order][:-1])
+    new_group[1:] = (d[1:] != d[:-1]) | (h[1:] != h[:-1])
     sources = np.empty(n_items, dtype=np.int64)
     sources[order] = order[np.flatnonzero(new_group)[np.cumsum(new_group) - 1]]
     copies = np.flatnonzero(sources != np.arange(n_items))
