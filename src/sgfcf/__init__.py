@@ -20,6 +20,7 @@ from .dataset import (
 )
 from .errors import SgfcfError
 from .filters import (
+    BandFilter,
     ExponentialFilter,
     HomophilyScores,
     IgfConfig,
@@ -43,7 +44,6 @@ from .graph import (
     graph_from_matrix,
 )
 from .model import (
-    BandScorer,
     RankedList,
     SgfcfConfig,
     SgfcfModel,
@@ -51,7 +51,6 @@ from .model import (
     recommend,
     score_user,
     score_users,
-    sgf_band_scores,
 )
 from .evaluation import (
     GridSearchResult,

@@ -353,18 +353,13 @@ def _cmd_sweep(resolved: dict) -> int:
     dataset = _load_dataset(resolved)
     graph = gr.build_graph(dataset)
     norm = gr.g2n_normalize(graph, gr.G2NConfig(alpha=resolved["alpha"], epsilon=resolved["epsilon"]))
-    cap = min(graph.n_users, graph.n_items)
     if resolved.get("K_grid"):
         K_list = _parse_number_list(resolved["K_grid"], int)
     else:
+        cap = min(graph.n_users, graph.n_items)
         K_list = [max(1, int(cap * f)) for f in (0.01, 0.02, 0.05, 0.1, 0.2, 0.4, 0.7, 1.0)]
-    if cap <= gr.DENSE_ORACLE_CAP:
-        spectrum = spec.dense_svd(norm)
-    else:
-        spectrum = spec.truncated_svd(norm, min(max(K_list), cap), seed=resolved["seed"])
-    K_grid = sorted({min(int(K), len(spectrum)) for K in K_list})
     rows = ev.frequency_sweep(
-        dataset, norm, K_grid, metric_k=resolved["metric_k"], spectrum=spectrum
+        dataset, norm, K_list, metric_k=resolved["metric_k"], seed=resolved["seed"]
     )
     out = _run_dir(resolved)
     ev.write_sweep_csv(rows, os.path.join(out, "sweep.csv"))

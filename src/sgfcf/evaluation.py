@@ -17,10 +17,10 @@ import numpy as np
 
 from .dataset import InteractionDataset
 from .errors import ConfigError, EmptyTestSet, EmptyValidation, NoEvaluableUsers
-from .filters import IgfConfig
-from .graph import G2NConfig, build_graph, g2n_normalize
-from .model import RankedList, SgfcfConfig, fit, sgf_band_scores, top_k
-from .spectral import truncated_svd
+from .filters import BandFilter, IgfConfig
+from .graph import DENSE_ORACLE_CAP, G2NConfig, build_graph, g2n_normalize
+from .model import RankedList, SgfcfConfig, fit, top_k
+from .spectral import dense_svd, truncated_svd
 
 GRID_AXES = ("alpha", "epsilon", "K", "beta", "beta1", "beta2", "gamma")
 # Tuning lattices; axes must sit on multiples of these steps.
@@ -93,7 +93,7 @@ def evaluate(
     """Average Recall@k / nDCG@k over users with held-out interactions.
 
     ``scorer`` is anything exposing score_users(users) -> matrix and a
-    train_csr for exclusion (SgfcfModel, BandScorer). Users whose
+    train_csr for exclusion, such as an SgfcfModel. Users whose
     held-out set is empty are skipped, not zero-scored. Each user's top k
     comes from the same ``top_k`` as ``recommend``: score-descending,
     ties broken by ascending item id.
@@ -126,8 +126,8 @@ def evaluate(
                 ndcg_sum += min(dcg / idcg_table[min(k, len(test_items)) - 1], 1.0)
     n = len(evaluable)
     return MetricResult(
-        recall_at_k=recall_sum / n,
-        ndcg_at_k=ndcg_sum / n,
+        recall_at_k=float(recall_sum / n),
+        ndcg_at_k=float(ndcg_sum / n),
         k=k,
         users_evaluated=n,
     )
@@ -140,20 +140,33 @@ def frequency_sweep(
     metric_k: int = 20,
     spectrum=None,
     split: str = "test",
+    seed: int = 0,
 ) -> list[dict]:
     """Evaluate the uniform band filter [1, K] for each K in the grid.
 
-    Returns one row per K with the spectrum fraction and both metrics;
+    Each point is a ``fit`` with ``BandFilter(1, K)`` on one graph and
+    one spectrum. Without a spectrum, one is taken at the grid's largest
+    K: dense at oracle sizes, truncated with ``seed`` otherwise. Grid
+    values beyond the spectrum's length are clamped to it. Returns one
+    row per distinct K with the spectrum fraction and both metrics;
     K = 0 has no defined model and is not part of any grid.
     """
     K_grid = sorted({int(K) for K in K_grid})
-    if K_grid and K_grid[0] < 1:
+    if not K_grid:
+        return []
+    if K_grid[0] < 1:
         raise ConfigError("frequency sweep requires K >= 1")
+    graph = build_graph(dataset)
+    if spectrum is None:
+        if min(norm.shape) <= DENSE_ORACLE_CAP:
+            spectrum = dense_svd(norm)
+        else:
+            spectrum = truncated_svd(norm, min(K_grid[-1], min(norm.shape)), seed=seed)
     rows = []
-    for K in K_grid:
-        scorer = sgf_band_scores(norm, 1, K, spectrum=spectrum)
-        spectrum = scorer.spectrum  # reuse across grid points
-        result = evaluate(scorer, dataset, k=metric_k, split=split)
+    for K in sorted({min(K, len(spectrum)) for K in K_grid}):
+        config = SgfcfConfig(K=K, g2n=norm.config, filter=BandFilter(1, K))
+        model = fit(dataset, config, graph=graph, norm=norm, spectrum=spectrum)
+        result = evaluate(model, dataset, k=metric_k, split=split)
         rows.append(
             {
                 "K": K,

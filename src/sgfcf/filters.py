@@ -18,7 +18,7 @@ from typing import Union
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ConfigError, OddDelta, SizeCapExceeded
+from .errors import BandOutOfRange, ConfigError, OddDelta, SizeCapExceeded
 from .graph import BipartiteGraph
 
 # Exact distance computation with per-node removal is a verification-scale
@@ -75,7 +75,22 @@ class JacobiFilter:
             raise ConfigError(f"jacobi order must be >= 1, got {self.order}")
 
 
-FilterFamily = Union[MonomialFilter, ExponentialFilter, MarkovFilter, JacobiFilter]
+@dataclass(frozen=True)
+class BandFilter:
+    """Ideal band pass: weight 1 on components k_lo..k_hi (1-indexed, by
+    descending singular value) and 0 elsewhere. Both sides get the same
+    indicator, so the score is sum_{k in band} P[u,k] Q[i,k]; the band
+    [1, K] is the top-K reconstruction a frequency sweep ranks with."""
+
+    k_lo: int
+    k_hi: int
+
+    def __post_init__(self):
+        if not 1 <= self.k_lo <= self.k_hi:
+            raise BandOutOfRange(f"band [{self.k_lo}, {self.k_hi}] needs 1 <= k_lo <= k_hi")
+
+
+FilterFamily = Union[MonomialFilter, ExponentialFilter, MarkovFilter, JacobiFilter, BandFilter]
 
 
 def power_clamped(sigma: np.ndarray, beta) -> np.ndarray:
@@ -89,7 +104,8 @@ def power_clamped(sigma: np.ndarray, beta) -> np.ndarray:
 
 
 def eval_filter(family: FilterFamily, sigma_normalized: np.ndarray) -> np.ndarray:
-    """Evaluate a filter family on normalized singular values in [0, 1]."""
+    """Evaluate a filter family on normalized singular values in [0, 1],
+    given in descending order (the band filter reads their positions)."""
     s = np.asarray(sigma_normalized, dtype=np.float64)
     if isinstance(family, MonomialFilter):
         return power_clamped(s, family.beta)
@@ -104,6 +120,10 @@ def eval_filter(family: FilterFamily, sigma_normalized: np.ndarray) -> np.ndarra
         return acc / (family.order + 1)
     if isinstance(family, JacobiFilter):
         return _jacobi_sum(s, family.a, family.b, family.order)
+    if isinstance(family, BandFilter):
+        weights = np.zeros_like(s)
+        weights[family.k_lo - 1 : family.k_hi] = 1.0
+        return weights
     raise ConfigError(f"unknown filter family: {family!r}")
 
 

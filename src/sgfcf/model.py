@@ -22,6 +22,7 @@ import scipy.sparse as sp
 from .dataset import InteractionDataset
 from .errors import BandOutOfRange, ConfigError, KTooLarge, UnknownUser
 from .filters import (
+    BandFilter,
     FilterFamily,
     HomophilyScores,
     IgfConfig,
@@ -34,14 +35,13 @@ from .filters import (
 )
 from .graph import (
     BipartiteGraph,
-    DENSE_ORACLE_CAP,
     G2NConfig,
     NormalizedMatrix,
     build_graph,
     duplicate_item_sources,
     g2n_normalize,
 )
-from .spectral import TruncatedSpectrum, dense_svd, svd_residual_max, truncated_svd
+from .spectral import TruncatedSpectrum, svd_residual_max, truncated_svd
 
 
 @dataclass(frozen=True)
@@ -69,6 +69,8 @@ class SgfcfConfig:
             raise ConfigError(f"gamma must be >= 0, got {self.gamma}")
         if self.homo_scope not in ("per_side", "global"):
             raise ConfigError(f"homo_scope must be 'per_side' or 'global', got {self.homo_scope!r}")
+        if isinstance(self.filter, BandFilter) and self.filter.k_hi > self.K:
+            raise BandOutOfRange(f"band [{self.filter.k_lo}, {self.filter.k_hi}] exceeds K={self.K}")
 
 
 @dataclass(frozen=True)
@@ -123,17 +125,18 @@ def _factor_weights(
     """Row-wise filter values applied to P and Q.
 
     Individualized path: user u gets sigma^beta_u, item i gets
-    sigma^beta_i, so the score picks up sigma^(beta_u + beta_i).
-    Shared path: both sides get g(sigma), so the score sees g(sigma)^2.
+    sigma^beta_i, so the score picks up sigma^(beta_u + beta_i); each side
+    gets an (n, K) weight. Shared path: both sides get the (1, K) row
+    g(sigma), broadcast over nodes, so the score sees g(sigma)^2.
     """
     sigma = spectrum.sigma_normalized
     if config.filter is None:
         assert profile is not None
         user_w = power_clamped(sigma[None, :], profile.user_beta[:, None])
         item_w = power_clamped(sigma[None, :], profile.item_beta[:, None])
-        return spectrum.P * user_w, spectrum.Q * item_w
-    weights = eval_filter(config.filter, sigma)
-    return spectrum.P * weights[None, :], spectrum.Q * weights[None, :]
+    else:
+        user_w = item_w = eval_filter(config.filter, sigma)[None, :]
+    return spectrum.P * user_w, spectrum.Q * item_w
 
 
 def fit(
@@ -147,12 +150,14 @@ def fit(
     """Run the training-free pipeline: normalize, decompose, and build
     per-node filter factors.
 
-    Precomputed stages can be passed in (grid search reuses spectra and
-    homophily scores across configurations); anything omitted is derived
-    from the dataset. Homophily is skipped, and ``model.homophily`` left
-    None, when an explicit filter is set or when beta1 == beta2 and no
-    scores are passed in: the exponent range is then the single point
-    beta, so every node gets beta whatever its homophilic ratio.
+    Precomputed stages can be passed in (grid search and frequency sweeps
+    reuse spectra, grid search also homophily scores, across
+    configurations); a passed spectrum must hold at least K triplets and
+    is cut to K. Anything omitted is derived from the dataset. Homophily
+    is skipped, and ``model.homophily`` left None, when an explicit
+    filter is set or when beta1 == beta2 and no scores are passed in: the
+    exponent range is then the single point beta, so every node gets
+    beta whatever its homophilic ratio.
     """
     start = time.perf_counter()
     if graph is None:
@@ -171,7 +176,7 @@ def fit(
             power_iters=config.svd_power_iters,
             seed=config.seed,
         )
-    elif len(spectrum) > config.K:
+    else:
         spectrum = spectrum.truncate(config.K)
 
     profile = None
@@ -302,78 +307,6 @@ def recommend(model: SgfcfModel, u: int, k: int = 10, exclude_train: bool = True
     scores = score_user(model, u)
     exclude = model.train_items(u) if exclude_train else None
     return _ranked_from_scores(scores, u, k, exclude)
-
-
-@dataclass(frozen=True)
-class BandScorer:
-    """Uniform band filter over components [k_lo, k_hi] (1-indexed).
-
-    Scores are sum_{k in band} P[u,k] Q[i,k]; with the full band this is
-    the rank-restricted reconstruction P Q^T of the normalized matrix's
-    rating structure.
-    """
-
-    spectrum: TruncatedSpectrum
-    k_lo: int
-    k_hi: int
-    train_csr: sp.csr_matrix
-
-    @property
-    def n_users(self) -> int:
-        return self.train_csr.shape[0]
-
-    @property
-    def n_items(self) -> int:
-        return self.train_csr.shape[1]
-
-    def train_items(self, u: int) -> np.ndarray:
-        return self.train_csr.indices[self.train_csr.indptr[u] : self.train_csr.indptr[u + 1]]
-
-    def score_user(self, u: int) -> np.ndarray:
-        if not 0 <= u < self.n_users:
-            raise UnknownUser(f"user id {u} outside [0, {self.n_users})")
-        lo, hi = self.k_lo - 1, self.k_hi
-        return self.spectrum.Q[:, lo:hi] @ self.spectrum.P[u, lo:hi]
-
-    def score_users(self, users) -> np.ndarray:
-        users = np.asarray(users, dtype=np.int64)
-        lo, hi = self.k_lo - 1, self.k_hi
-        return self.spectrum.P[users, lo:hi] @ self.spectrum.Q[:, lo:hi].T
-
-    def recommend(self, u: int, k: int = 10, exclude_train: bool = True) -> RankedList:
-        scores = self.score_user(u)
-        exclude = self.train_items(u) if exclude_train else None
-        return _ranked_from_scores(scores, u, k, exclude)
-
-
-def sgf_band_scores(
-    norm: NormalizedMatrix,
-    k_lo: int,
-    k_hi: int,
-    spectrum: TruncatedSpectrum | None = None,
-    oversample: int = 8,
-    power_iters: int = 8,
-    seed: int = 0,
-) -> BandScorer:
-    """Scorer for the uniform band filter; used by frequency sweeps.
-
-    Computes a spectrum if one is not supplied: dense at oracle sizes,
-    truncated at k_hi otherwise.
-    """
-    if spectrum is None:
-        if min(norm.shape) <= DENSE_ORACLE_CAP:
-            spectrum = dense_svd(norm)
-        else:
-            spectrum = truncated_svd(
-                norm, k_hi, oversample=oversample, power_iters=power_iters, seed=seed
-            )
-    if not 1 <= k_lo <= k_hi <= len(spectrum):
-        raise BandOutOfRange(
-            f"band [{k_lo}, {k_hi}] invalid for a spectrum of length {len(spectrum)}"
-        )
-    train_csr = norm.values.copy()
-    train_csr.data = np.ones_like(train_csr.data)
-    return BandScorer(spectrum=spectrum, k_lo=k_lo, k_hi=k_hi, train_csr=train_csr.tocsr())
 
 
 def model_summary(model: SgfcfModel) -> dict:

@@ -129,6 +129,22 @@ class TestSweepGridSpectrum:
         lines = Path(run_dir, "sweep.csv").read_text().strip().splitlines()
         assert lines[0] == "K,fraction,recall,ndcg"
         assert len(lines) == 5
+        for line in lines[1:]:
+            assert all(np.isfinite(float(field)) for field in line.split(","))
+
+    def test_sweep_default_grid_stops_at_the_spectrum(self, tmp_path):
+        # 25 two-item users hold all their items in train and draw them from
+        # ten items, so the train matrix has rank <= 15 below min(|U|,|I|) = 30
+        lines = [f"user{u}\titem{i}" for u in range(25) for i in (u % 10, (u + 3) % 10)]
+        lines += [f"user{u}\titem{i}" for u in range(25, 30) for i in range(6 * u - 140, 6 * u - 130)]
+        data = tmp_path / "low_rank.tsv"
+        data.write_text("\n".join(lines) + "\n")
+        out = str(tmp_path / "runs")
+        assert run_command(["sweep", "--data", str(data), "--out", out]) == 0
+        rows = Path(_only_run_dir(out), "sweep.csv").read_text().strip().splitlines()[1:]
+        K, fraction = (float(field) for field in rows[-1].split(",")[:2])
+        assert fraction == 1.0  # K equals the spectrum's length
+        assert K < 30
 
     def test_grid(self, data_file, tmp_path):
         out = str(tmp_path / "runs")

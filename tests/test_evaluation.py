@@ -4,6 +4,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from sgfcf import (
+    BandFilter,
     G2NConfig,
     GridSpec,
     IgfConfig,
@@ -18,6 +19,7 @@ from sgfcf import (
     ndcg_at_k,
     recall_at_k,
 )
+from sgfcf import evaluation
 from sgfcf.errors import ConfigError, EmptyTestSet, EmptyValidation, NoEvaluableUsers
 from sgfcf.evaluation import write_grid_csv, write_sweep_csv
 from sgfcf.model import RankedList
@@ -212,13 +214,20 @@ def test_golden_metrics_with_ties(igf, k, recall, ndcg):
     assert result.ndcg_at_k == ndcg
 
 
-@pytest.mark.parametrize("gamma", [0.0, 0.3])
 @pytest.mark.parametrize(
-    "igf", [IgfConfig(beta=1.6, beta1=1.6, beta2=1.6), IgfConfig(beta=1.2, beta1=0.8, beta2=1.6)]
+    "config",
+    [
+        pytest.param(SgfcfConfig(K=12, gamma=gamma, igf=igf, seed=3), id=f"igf{i}-{gamma}")
+        for i, igf in enumerate(
+            [IgfConfig(beta=1.6, beta1=1.6, beta2=1.6), IgfConfig(beta=1.2, beta1=0.8, beta2=1.6)]
+        )
+        for gamma in (0.0, 0.3)
+    ]
+    + [pytest.param(SgfcfConfig(K=12, filter=BandFilter(1, 12)), id="band")],
 )
-def test_duplicate_items_score_bitwise_like_their_source(igf, gamma):
+def test_duplicate_items_score_bitwise_like_their_source(config):
     dataset = _tied_dataset()
-    model = fit(dataset, SgfcfConfig(K=12, gamma=gamma, igf=igf, seed=3))
+    model = fit(dataset, config)
     sources = duplicate_sources_bruteforce(model.train_csr.toarray())
     copies = np.flatnonzero(sources != np.arange(model.n_items))
     assert len(copies) >= 8
@@ -227,6 +236,20 @@ def test_duplicate_items_score_bitwise_like_their_source(igf, gamma):
     for u in range(model.n_users):
         row = model.score_user(u)
         assert np.array_equal(row[copies], row[sources[copies]])
+
+
+def test_golden_sweep_with_ties():
+    # Recorded once sweeps went through fit, whose duplicate items tie
+    # exactly with their source; before that, roundoff ordered the copies
+    # (K=2 gave recall 0.1875).
+    dataset = _tied_dataset()
+    norm = g2n_normalize(build_graph(dataset), G2NConfig())
+    rows = frequency_sweep(dataset, norm, [2, 8, 12], metric_k=5)
+    assert [(row["K"], row["recall"], row["ndcg"]) for row in rows] == [
+        (2, 0.18055555555555555, 0.15328704700057363),
+        (8, 0.19444444444444445, 0.16122169882790263),
+        (12, 0.19444444444444445, 0.15976779204800784),
+    ]
 
 
 def _sweep_dataset(rng, n_users=40, n_items=30):
@@ -248,6 +271,20 @@ class TestFrequencySweep:
         assert all(0 < row["fraction"] <= 1 for row in rows)
         with pytest.raises(ConfigError):
             frequency_sweep(dataset, norm, [0, 1])
+
+    def test_truncated_spectrum_serves_the_whole_grid(self, monkeypatch):
+        # above the dense cap the one spectrum is taken at the grid's largest K
+        monkeypatch.setattr(evaluation, "DENSE_ORACLE_CAP", 5)
+        rng = np.random.default_rng(3)
+        dataset = _sweep_dataset(rng)
+        norm = g2n_normalize(build_graph(dataset), G2NConfig())
+        rows = frequency_sweep(dataset, norm, [2, 4], seed=1)
+        assert [(row["K"], row["fraction"]) for row in rows] == [(2, 0.5), (4, 1.0)]
+        monkeypatch.undo()
+        dense = frequency_sweep(dataset, norm, [2, 4])
+        for row, exact in zip(rows, dense):
+            assert row["recall"] == pytest.approx(exact["recall"], abs=1e-12)
+            assert row["ndcg"] == pytest.approx(exact["ndcg"], abs=1e-12)
 
     def test_band_and_mirror_band_agree_on_metrics(self):
         # scores from band [1, K] and from the mirrored (n - K) eigenvector

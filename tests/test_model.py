@@ -7,10 +7,12 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from sgfcf import (
+    BandFilter,
     G2NConfig,
     IgfConfig,
     MonomialFilter,
     SgfcfConfig,
+    build_graph,
     dataset_from_pairs,
     dense_svd,
     fit,
@@ -18,7 +20,6 @@ from sgfcf import (
     recommend,
     score_user,
     score_users,
-    sgf_band_scores,
 )
 from sgfcf.errors import BandOutOfRange, ConfigError, KTooLarge, UnknownUser
 from sgfcf.model import config_to_dict, model_summary, top_k
@@ -69,6 +70,16 @@ class TestFit:
         dataset = small_dataset(rng, 6, 5)
         with pytest.raises(KTooLarge):
             fit(dataset, SgfcfConfig(K=6))
+
+    def test_precomputed_spectrum_shorter_than_K(self):
+        rng = np.random.default_rng(2)
+        dataset = small_dataset(rng)
+        spectrum = dense_svd(g2n_normalize(build_graph(dataset), G2NConfig())).truncate(5)
+        with pytest.raises(KTooLarge):
+            fit(dataset, SgfcfConfig(K=10), spectrum=spectrum)
+        model = fit(dataset, SgfcfConfig(K=4), spectrum=spectrum)
+        assert model.user_factors.shape[1] == 4
+        assert model_summary(model)["K"] == 4
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
@@ -269,29 +280,48 @@ class TestTopK:
         assert top_k(scores, 9).tolist() == np.argsort(-scores, axis=1, kind="stable").tolist()
 
 
+def _band_model(graph, k_lo, k_hi, K=None, spectrum=None):
+    """Fit the band filter [k_lo, k_hi] on a graph's own interactions, over
+    its dense spectrum unless one is given; K defaults to that spectrum's
+    length."""
+    coo = graph.row_major.tocoo()
+    dataset = dataset_from_pairs(
+        list(zip(coo.row.tolist(), coo.col.tolist())), n_users=graph.n_users, n_items=graph.n_items
+    )
+    norm = g2n_normalize(graph, G2NConfig())
+    spectrum = dense_svd(norm) if spectrum is None else spectrum
+    config = SgfcfConfig(K=K or len(spectrum), filter=BandFilter(k_lo, k_hi))
+    return fit(dataset, config, graph=graph, norm=norm, spectrum=spectrum)
+
+
 class TestBandScores:
     def test_full_band_reconstructs_rating_structure(self):
         rng = np.random.default_rng(14)
-        norm = g2n_normalize(random_graph(rng, 8, 6), G2NConfig())
-        scorer = sgf_band_scores(norm, 1, len(dense_svd(norm)))
-        spec = scorer.spectrum
+        graph = random_graph(rng, 8, 6)
+        spec = dense_svd(g2n_normalize(graph, G2NConfig()))
+        model = _band_model(graph, 1, len(spec))
         expected = spec.P @ spec.Q.T
-        got = scorer.score_users(np.arange(8))
+        got = model.score_users(np.arange(8))
         assert np.abs(got - expected).max() < 1e-12
 
     def test_band_matches_dense_oracle(self):
         rng = np.random.default_rng(15)
-        norm = g2n_normalize(random_graph(rng, 6, 4), G2NConfig())
-        scorer = sgf_band_scores(norm, 1, 2)
-        oracle = dense_rank_band(norm.values, 1, 2)
-        got = scorer.score_users(np.arange(6))
-        # compare through the reconstruction, which is sign-invariant
-        assert np.abs(got - oracle).max() < 1e-10
+        graph = random_graph(rng, 6, 4)
+        norm = g2n_normalize(graph, G2NConfig())
+        assert len(dense_svd(norm)) >= 3
+        # (2, 3) zero-weights the top component as well as the tail
+        for k_lo, k_hi in ((1, 2), (2, 3)):
+            model = _band_model(graph, k_lo, k_hi)
+            oracle = dense_rank_band(norm.values, k_lo, k_hi)
+            got = model.score_users(np.arange(6))
+            # compare through the reconstruction, which is sign-invariant
+            assert np.abs(got - oracle).max() < 1e-10
 
     def test_mirrored_band_equality(self):
         # top-K band score equals the complementary eigenvector construction
         rng = np.random.default_rng(16)
-        norm = g2n_normalize(random_graph(rng, 10, 7), G2NConfig())
+        graph = random_graph(rng, 10, 7)
+        norm = g2n_normalize(graph, G2NConfig())
         from sgfcf import assemble_adjacency
         from sgfcf.theory import _rating_from_eigenvectors
 
@@ -300,25 +330,26 @@ class TestBandScores:
         order = np.argsort(eigenvalues)[::-1]
         eigenvalues, V = eigenvalues[order], V[:, order]
         spec = dense_svd(norm)
-        positive = len(spec)
         gaps = np.diff(spec.sigma)
         K = 1 + int(np.argmax(np.abs(gaps) > 1e-8)) if len(gaps) else 1
-        scorer = sgf_band_scores(norm, 1, K, spectrum=spec)
-        band = scorer.score_users(np.arange(10))
+        band = _band_model(graph, 1, K, K=K, spectrum=spec).score_users(np.arange(10))
         n = A.shape[0]
         mirrored = _rating_from_eigenvectors(V[:, : n - K], 10)
         assert np.abs(band - mirrored).max() < 1e-8
 
     def test_band_out_of_range(self):
         rng = np.random.default_rng(17)
-        norm = g2n_normalize(random_graph(rng, 6, 5), G2NConfig())
-        spec = dense_svd(norm)
+        graph = random_graph(rng, 6, 5)
+        spec = dense_svd(g2n_normalize(graph, G2NConfig()))
         with pytest.raises(BandOutOfRange):
-            sgf_band_scores(norm, 0, 2, spectrum=spec)
+            BandFilter(0, 2)
         with pytest.raises(BandOutOfRange):
-            sgf_band_scores(norm, 3, 2, spectrum=spec)
+            BandFilter(3, 2)
         with pytest.raises(BandOutOfRange):
-            sgf_band_scores(norm, 1, len(spec) + 1, spectrum=spec)
+            SgfcfConfig(K=2, filter=BandFilter(1, 3))
+        # beyond the spectrum: K itself cannot be served
+        with pytest.raises(KTooLarge):
+            _band_model(graph, 1, 3, K=3, spectrum=spec.truncate(2))
 
 
 def test_complexity_linear_in_k():
