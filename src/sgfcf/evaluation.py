@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dataset import InteractionDataset
-from .errors import ConfigError, EmptyTestSet, EmptyValidation, NoEvaluableUsers
+from .errors import BandOutOfRange, ConfigError, EmptyTestSet, EmptyValidation, NoEvaluableUsers
 from .filters import BandFilter, IgfConfig
 from .graph import DENSE_ORACLE_CAP, G2NConfig, build_graph, g2n_normalize
 from .model import RankedList, SgfcfConfig, fit, top_k
@@ -144,12 +144,14 @@ def frequency_sweep(
 ) -> list[dict]:
     """Evaluate the uniform band filter [1, K] for each K in the grid.
 
-    Each point is a ``fit`` with ``BandFilter(1, K)`` on one graph and
-    one spectrum. Without a spectrum, one is taken at the grid's largest
-    K: dense at oracle sizes, truncated with ``seed`` otherwise. Grid
-    values beyond the spectrum's length are clamped to it. Returns one
-    row per distinct K with the spectrum fraction and both metrics;
-    K = 0 has no defined model and is not part of any grid.
+    Each point is a ``fit`` with ``BandFilter()`` on one graph and one
+    spectrum. A passed spectrum must hold the grid's largest K. Without
+    one, a spectrum is taken at the grid's largest K: dense at oracle
+    sizes, truncated with ``seed`` otherwise; grid values beyond its
+    length (a rank-deficient matrix has fewer dense triplets than
+    min(|U|,|I|)) are clamped to it. Returns one row per distinct K with
+    the spectrum fraction and both metrics; K = 0 has no defined model
+    and is not part of any grid.
     """
     K_grid = sorted({int(K) for K in K_grid})
     if not K_grid:
@@ -162,9 +164,14 @@ def frequency_sweep(
             spectrum = dense_svd(norm)
         else:
             spectrum = truncated_svd(norm, min(K_grid[-1], min(norm.shape)), seed=seed)
+        K_grid = sorted({min(K, len(spectrum)) for K in K_grid})
+    elif K_grid[-1] > len(spectrum):
+        raise BandOutOfRange(
+            f"band [1, {K_grid[-1]}] invalid for a spectrum of length {len(spectrum)}"
+        )
     rows = []
-    for K in sorted({min(K, len(spectrum)) for K in K_grid}):
-        config = SgfcfConfig(K=K, g2n=norm.config, filter=BandFilter(1, K))
+    for K in K_grid:
+        config = SgfcfConfig(K=K, g2n=norm.config, filter=BandFilter())
         model = fit(dataset, config, graph=graph, norm=norm, spectrum=spectrum)
         result = evaluate(model, dataset, k=metric_k, split=split)
         rows.append(

@@ -77,17 +77,17 @@ class JacobiFilter:
 
 @dataclass(frozen=True)
 class BandFilter:
-    """Ideal band pass: weight 1 on components k_lo..k_hi (1-indexed, by
-    descending singular value) and 0 elsewhere. Both sides get the same
-    indicator, so the score is sum_{k in band} P[u,k] Q[i,k]; the band
-    [1, K] is the top-K reconstruction a frequency sweep ranks with."""
+    """Ideal band pass over a model's K components: weight 1 on components
+    k_lo..K (1-indexed, by descending singular value) and 0 above k_lo.
+    Both sides get the same indicator, so the score is
+    sum_{k_lo <= k <= K} P[u,k] Q[i,k]; the default band [1, K] is the
+    top-K reconstruction a frequency sweep ranks with."""
 
-    k_lo: int
-    k_hi: int
+    k_lo: int = 1
 
     def __post_init__(self):
-        if not 1 <= self.k_lo <= self.k_hi:
-            raise BandOutOfRange(f"band [{self.k_lo}, {self.k_hi}] needs 1 <= k_lo <= k_hi")
+        if self.k_lo < 1:
+            raise BandOutOfRange(f"band start k_lo must be >= 1, got {self.k_lo}")
 
 
 FilterFamily = Union[MonomialFilter, ExponentialFilter, MarkovFilter, JacobiFilter, BandFilter]
@@ -121,8 +121,10 @@ def eval_filter(family: FilterFamily, sigma_normalized: np.ndarray) -> np.ndarra
     if isinstance(family, JacobiFilter):
         return _jacobi_sum(s, family.a, family.b, family.order)
     if isinstance(family, BandFilter):
+        if family.k_lo > len(s):
+            raise BandOutOfRange(f"band [{family.k_lo}, {len(s)}] is empty")
         weights = np.zeros_like(s)
-        weights[family.k_lo - 1 : family.k_hi] = 1.0
+        weights[family.k_lo - 1 :] = 1.0
         return weights
     raise ConfigError(f"unknown filter family: {family!r}")
 

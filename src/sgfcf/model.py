@@ -20,9 +20,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .dataset import InteractionDataset
-from .errors import BandOutOfRange, ConfigError, KTooLarge, UnknownUser
+from .errors import ConfigError, KTooLarge, UnknownUser
 from .filters import (
-    BandFilter,
     FilterFamily,
     HomophilyScores,
     IgfConfig,
@@ -69,8 +68,6 @@ class SgfcfConfig:
             raise ConfigError(f"gamma must be >= 0, got {self.gamma}")
         if self.homo_scope not in ("per_side", "global"):
             raise ConfigError(f"homo_scope must be 'per_side' or 'global', got {self.homo_scope!r}")
-        if isinstance(self.filter, BandFilter) and self.filter.k_hi > self.K:
-            raise BandOutOfRange(f"band [{self.filter.k_lo}, {self.filter.k_hi}] exceeds K={self.K}")
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ from sgfcf import (
     SgfcfConfig,
     build_graph,
     dataset_from_pairs,
+    dense_svd,
     evaluate,
     fit,
     frequency_sweep,
@@ -20,7 +21,7 @@ from sgfcf import (
     recall_at_k,
 )
 from sgfcf import evaluation
-from sgfcf.errors import ConfigError, EmptyTestSet, EmptyValidation, NoEvaluableUsers
+from sgfcf.errors import BandOutOfRange, ConfigError, EmptyTestSet, EmptyValidation, NoEvaluableUsers
 from sgfcf.evaluation import write_grid_csv, write_sweep_csv
 from sgfcf.model import RankedList
 from sgfcf.theory import random_bipartite_graph
@@ -223,7 +224,7 @@ def test_golden_metrics_with_ties(igf, k, recall, ndcg):
         )
         for gamma in (0.0, 0.3)
     ]
-    + [pytest.param(SgfcfConfig(K=12, filter=BandFilter(1, 12)), id="band")],
+    + [pytest.param(SgfcfConfig(K=12, filter=BandFilter()), id="band")],
 )
 def test_duplicate_items_score_bitwise_like_their_source(config):
     dataset = _tied_dataset()
@@ -272,6 +273,18 @@ class TestFrequencySweep:
         with pytest.raises(ConfigError):
             frequency_sweep(dataset, norm, [0, 1])
 
+    def test_clamps_only_a_spectrum_it_takes_itself(self):
+        rng = np.random.default_rng(2)
+        dataset = _sweep_dataset(rng, 20, 15)
+        norm = g2n_normalize(build_graph(dataset), G2NConfig())
+        spec = dense_svd(norm)
+        assert len(spec) == 15
+        rows = frequency_sweep(dataset, norm, [4, 15, 40])
+        assert [(row["K"], row["fraction"]) for row in rows] == [(4, 4 / 15), (15, 1.0)]
+        assert rows == frequency_sweep(dataset, norm, [4, 15], spectrum=spec)
+        with pytest.raises(BandOutOfRange):
+            frequency_sweep(dataset, norm, [4, 40], spectrum=spec)
+
     def test_truncated_spectrum_serves_the_whole_grid(self, monkeypatch):
         # above the dense cap the one spectrum is taken at the grid's largest K
         monkeypatch.setattr(evaluation, "DENSE_ORACLE_CAP", 5)
@@ -293,7 +306,7 @@ class TestFrequencySweep:
         dataset = _sweep_dataset(rng, 20, 15)
         graph = build_graph(dataset)
         norm = g2n_normalize(graph, G2NConfig())
-        from sgfcf import assemble_adjacency, dense_svd
+        from sgfcf import assemble_adjacency
         from sgfcf.theory import _rating_from_eigenvectors
 
         spec = dense_svd(norm)
@@ -402,6 +415,13 @@ class TestGridSearch:
         monkeypatch.setattr(sgfcf.filters, "homophilic_ratio_all", forbidden)
         shared = grid_search(dataset, GridSpec(axes=axes), k=5)
         assert shared.table == [row for row in mixed.table if row["beta1"] == row["beta2"]]
+
+    def test_band_filter_base_serves_every_K(self):
+        rng = np.random.default_rng(10)
+        dataset = _grid_dataset(rng)
+        base = SgfcfConfig(K=4, filter=BandFilter())
+        result = grid_search(dataset, GridSpec(axes={"K": [2, 4, 6]}), k=5, base=base)
+        assert [row["K"] for row in result.table] == [2, 4, 6]
 
     def test_empty_validation_raises(self, toy_dataset):
         with pytest.raises(EmptyValidation):

@@ -280,18 +280,16 @@ class TestTopK:
         assert top_k(scores, 9).tolist() == np.argsort(-scores, axis=1, kind="stable").tolist()
 
 
-def _band_model(graph, k_lo, k_hi, K=None, spectrum=None):
-    """Fit the band filter [k_lo, k_hi] on a graph's own interactions, over
-    its dense spectrum unless one is given; K defaults to that spectrum's
-    length."""
+def _band_model(graph, k_lo, K, spectrum=None):
+    """Fit the band filter [k_lo, K] on a graph's own interactions, over its
+    dense spectrum unless one is given."""
     coo = graph.row_major.tocoo()
     dataset = dataset_from_pairs(
         list(zip(coo.row.tolist(), coo.col.tolist())), n_users=graph.n_users, n_items=graph.n_items
     )
     norm = g2n_normalize(graph, G2NConfig())
     spectrum = dense_svd(norm) if spectrum is None else spectrum
-    config = SgfcfConfig(K=K or len(spectrum), filter=BandFilter(k_lo, k_hi))
-    return fit(dataset, config, graph=graph, norm=norm, spectrum=spectrum)
+    return fit(dataset, SgfcfConfig(K=K, filter=BandFilter(k_lo)), graph=graph, norm=norm, spectrum=spectrum)
 
 
 class TestBandScores:
@@ -332,7 +330,7 @@ class TestBandScores:
         spec = dense_svd(norm)
         gaps = np.diff(spec.sigma)
         K = 1 + int(np.argmax(np.abs(gaps) > 1e-8)) if len(gaps) else 1
-        band = _band_model(graph, 1, K, K=K, spectrum=spec).score_users(np.arange(10))
+        band = _band_model(graph, 1, K, spectrum=spec).score_users(np.arange(10))
         n = A.shape[0]
         mirrored = _rating_from_eigenvectors(V[:, : n - K], 10)
         assert np.abs(band - mirrored).max() < 1e-8
@@ -342,14 +340,13 @@ class TestBandScores:
         graph = random_graph(rng, 6, 5)
         spec = dense_svd(g2n_normalize(graph, G2NConfig()))
         with pytest.raises(BandOutOfRange):
-            BandFilter(0, 2)
+            BandFilter(0)
+        # the band [3, 2] is empty
         with pytest.raises(BandOutOfRange):
-            BandFilter(3, 2)
-        with pytest.raises(BandOutOfRange):
-            SgfcfConfig(K=2, filter=BandFilter(1, 3))
+            _band_model(graph, 3, 2, spectrum=spec)
         # beyond the spectrum: K itself cannot be served
         with pytest.raises(KTooLarge):
-            _band_model(graph, 1, 3, K=3, spectrum=spec.truncate(2))
+            _band_model(graph, 1, 3, spectrum=spec.truncate(2))
 
 
 def test_complexity_linear_in_k():
