@@ -1,10 +1,13 @@
 """Command-line pipeline: ingest, split, fit, eval, sweep, grid,
 spectrum, and theory-check subcommands.
 
-Every run resolves a full configuration (defaults, then an optional JSON
-config file, then explicit flags), writes its artifacts into a directory
-named by a content hash of that configuration, and embeds the resolved
-configuration and seed in each JSON report.
+Every run resolves its options (command-level defaults, then an optional
+JSON config file, then explicit flags) and builds the library's config
+dataclasses from the options given, so model, filter and split defaults
+are the library's. It writes its artifacts into a directory named by a
+content hash of its record (the configs it built, the command-level
+values and the data file's SHA-256) and embeds that record and the seed
+in each JSON report.
 """
 
 from __future__ import annotations
@@ -26,33 +29,37 @@ from . import spectral as spec
 from . import theory
 from .errors import ConfigError, SgfcfError
 
+# Command-level values that no config dataclass holds. Every model,
+# filter and split default comes from its dataclass: a key left out of
+# the flags and the config file takes the library's default.
 DEFAULTS = {
     "format": "tsv_pairs",
-    "x": 0.8,
+    "x": 0.8,  # x and val are the CLI's split protocol
     "val": 0.05,
-    "split_strategy": "per_user",
-    "seed": 42,
-    "K": 64,
-    "alpha": 0.0,
-    "epsilon": -0.5,
-    "beta": 1.0,
-    "beta1": None,  # defaults to beta
-    "beta2": None,
-    "gamma": 0.0,
-    "delta": 2,
-    "filter": "igf",
-    "filter_beta": 1.0,
-    "filter_order": 2,
-    "jacobi_a": 1.0,
-    "jacobi_b": 1.0,
-    "homo_mode": "inclusive",
-    "oversample": 8,
-    "power_iters": 8,
     "k": 10,
     "metric_k": 20,
     "threads": 0,
     "selection_metric": "ndcg",
 }
+FORMATS = {"tsv": "tsv_pairs", "csv": "csv_pairs"}
+
+# CLI key -> dataclass field, one table per config the CLI builds.
+SPLIT_FIELDS = {"x": "train_ratio", "val": "val_ratio", "seed": "seed", "split_strategy": "strategy"}
+G2N_FIELDS = {"alpha": "alpha", "epsilon": "epsilon"}
+IGF_FIELDS = {"beta": "beta", "beta1": "beta1", "beta2": "beta2"}
+MODEL_FIELDS = {
+    "K": "K", "gamma": "gamma", "delta": "delta", "homo_mode": "homo_mode",
+    "oversample": "svd_oversample", "power_iters": "svd_power_iters", "seed": "seed",
+}
+FILTERS = {
+    "monomial": (ft.MonomialFilter, {"filter_beta": "beta"}),
+    "exponential": (ft.ExponentialFilter, {"filter_beta": "beta"}),
+    "markov": (ft.MarkovFilter, {"filter_order": "order"}),
+    "jacobi": (ft.JacobiFilter, {"jacobi_a": "a", "jacobi_b": "b", "filter_order": "order"}),
+}
+# Keys a built config holds: a run's record carries them only inside it.
+CONFIG_KEYS = {"filter", *SPLIT_FIELDS, *G2N_FIELDS, *IGF_FIELDS, *MODEL_FIELDS}
+CONFIG_KEYS.update(key for _, fields in FILTERS.values() for key in fields)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -160,98 +167,110 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_config(args: argparse.Namespace) -> dict:
-    resolved = dict(DEFAULTS)
+def _config_keys(parser: argparse.ArgumentParser) -> set[str]:
+    """Keys a --config file may set: every subcommand option, plus the
+    grid axes table."""
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    keys = {a.dest for p in sub.choices.values() for a in p._actions}
+    return keys - {"help", "config"} | {"grid"}
+
+
+def _resolve_config(args: argparse.Namespace, known: set[str]) -> dict:
+    """DEFAULTS, then the --config file, then explicit flags. Null values
+    count as not given, so the dataclasses fill them in."""
+    file_config = {}
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as fh:
             file_config = json.load(fh)
-        unknown = set(file_config) - set(DEFAULTS) - {"data", "out", "grid", "K_grid", "recommend_k"}
+        unknown = set(file_config) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        resolved.update(file_config)
-    for key, value in vars(args).items():
-        if key in ("command", "config") or value is None:
-            continue
-        resolved[key.replace("-", "_")] = value
-    resolved["command"] = args.command
+    resolved = dict(DEFAULTS)
+    for source in (file_config, vars(args)):
+        resolved.update((k, v) for k, v in source.items() if v is not None and k != "config")
+    resolved["format"] = FORMATS.get(resolved["format"], resolved["format"])
     return resolved
 
 
-def _config_hash(resolved: dict) -> str:
-    canonical = json.dumps(resolved, sort_keys=True, default=str)
+def _given(resolved: dict, fields: dict[str, str]) -> dict:
+    """Keyword arguments for a dataclass from the keys that were given;
+    ``fields`` maps each CLI key to its field."""
+    return {field: resolved[key] for key, field in fields.items() if key in resolved}
+
+
+def _seed(resolved: dict) -> int:
+    return resolved.get("seed", md.SgfcfConfig.seed)
+
+
+def _config_hash(record: dict) -> str:
+    """Hash of a run's record without the data path; the record names
+    the data by its bytes' SHA-256."""
+    canonical = json.dumps({k: v for k, v in record.items() if k != "data"}, sort_keys=True)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
 
 
-def _run_dir(resolved: dict) -> str:
-    out = os.path.join(resolved.get("out", "runs"), f"{resolved['command']}-{_config_hash(resolved)}")
+def _run_dir(resolved: dict, **configs) -> tuple[str, dict]:
+    """Create the run directory and return it with the run's record.
+
+    The record holds the command-level values, the seed, the data file's
+    SHA-256 and each config the run built, serialized by
+    ``md.serialize_config``; a key that a built config holds appears only
+    inside it. The directory is named by ``_config_hash(record)``, so
+    the same run on the same bytes lands in the same directory under any
+    output root and through any path.
+    """
+    record = {k: v for k, v in resolved.items() if k not in CONFIG_KEYS and k != "out"}
+    record["seed"] = _seed(resolved)
+    record.update((name, md.serialize_config(config)) for name, config in configs.items())
+    out = os.path.join(resolved["out"], f"{resolved['command']}-{_config_hash(record)}")
     os.makedirs(out, exist_ok=True)
     # CSV artifacts cannot carry metadata, so the run directory itself
-    # records the resolved configuration next to them.
+    # records the run next to them.
     with open(os.path.join(out, "run_config.json"), "w", encoding="utf-8") as fh:
-        json.dump(resolved, fh, indent=2, sort_keys=True, default=str)
-    return out
+        json.dump(record, fh, indent=2, sort_keys=True)
+    return out, record
 
 
-def _write_json(payload: dict, resolved: dict, path: str) -> None:
+def _write_json(payload: dict, record: dict, path: str) -> None:
     payload = dict(payload)
-    payload["config"] = {k: v for k, v in resolved.items() if k != "out"}
-    payload["seed"] = resolved["seed"]
+    payload["config"] = record
+    payload["seed"] = record["seed"]
     payload["timestamp"] = datetime.now(timezone.utc).isoformat()
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, default=float)
 
 
-def _require_data(resolved: dict) -> str:
+def _ingest(resolved: dict) -> ds.InteractionLog:
+    """Read --data, and identify it by the SHA-256 of its bytes."""
     path = resolved.get("data")
     if not path:
         raise ConfigError("--data is required for this command")
-    return path
+    log = ds.ingest(path, resolved["format"])
+    with open(path, "rb") as fh:
+        resolved["data_sha256"] = hashlib.sha256(fh.read()).hexdigest()
+    return log
 
 
 def _load_dataset(resolved: dict) -> ds.InteractionDataset:
-    fmt = "csv_pairs" if resolved["format"] in ("csv", "csv_pairs") else "tsv_pairs"
-    log = ds.ingest(_require_data(resolved), fmt)
-    cfg = ds.SplitConfig(
-        train_ratio=resolved["x"],
-        val_ratio=resolved["val"],
-        seed=resolved["seed"],
-        strategy=resolved["split_strategy"],
-    )
-    return ds.split(log, cfg)
+    return ds.split(_ingest(resolved), ds.SplitConfig(**_given(resolved, SPLIT_FIELDS)))
 
 
 def _filter_family(resolved: dict) -> ft.FilterFamily | None:
-    name = resolved["filter"]
-    if name in (None, "igf"):
+    name = resolved.get("filter", "igf")
+    if name == "igf":  # the individualized filter, SgfcfConfig's filter=None
         return None
-    if name == "monomial":
-        return ft.MonomialFilter(beta=resolved["filter_beta"])
-    if name == "exponential":
-        return ft.ExponentialFilter(beta=resolved["filter_beta"])
-    if name == "markov":
-        return ft.MarkovFilter(order=resolved["filter_order"])
-    if name == "jacobi":
-        return ft.JacobiFilter(
-            a=resolved["jacobi_a"], b=resolved["jacobi_b"], order=resolved["filter_order"]
-        )
-    raise ConfigError(f"unknown filter {name!r}")
+    if name not in FILTERS:
+        raise ConfigError(f"unknown filter {name!r}")
+    family, fields = FILTERS[name]
+    return family(**_given(resolved, fields))
 
 
 def _model_config(resolved: dict) -> md.SgfcfConfig:
-    beta = resolved["beta"]
-    beta1 = beta if resolved["beta1"] is None else resolved["beta1"]
-    beta2 = beta if resolved["beta2"] is None else resolved["beta2"]
     return md.SgfcfConfig(
-        K=resolved["K"],
-        g2n=gr.G2NConfig(alpha=resolved["alpha"], epsilon=resolved["epsilon"]),
-        igf=ft.IgfConfig(beta=beta, beta1=beta1, beta2=beta2),
-        gamma=resolved["gamma"],
-        delta=resolved["delta"],
+        g2n=gr.G2NConfig(**_given(resolved, G2N_FIELDS)),
+        igf=ft.IgfConfig(**_given(resolved, IGF_FIELDS)),
         filter=_filter_family(resolved),
-        homo_mode=resolved["homo_mode"],
-        svd_oversample=resolved["oversample"],
-        svd_power_iters=resolved["power_iters"],
-        seed=resolved["seed"],
+        **_given(resolved, MODEL_FIELDS),
     )
 
 
@@ -260,18 +279,16 @@ def _parse_number_list(text: str, cast=float) -> list:
 
 
 def _cmd_ingest(resolved: dict) -> int:
-    fmt = "csv_pairs" if resolved["format"] in ("csv", "csv_pairs") else "tsv_pairs"
-    log = ds.ingest(_require_data(resolved), fmt)
-    maps = ds.build_id_maps(log)
-    out = _run_dir(resolved)
+    log = _ingest(resolved)
+    out, record = _run_dir(resolved)
     _write_json(
         {
             "records": len(log),
             "duplicates_dropped": log.duplicates_dropped,
-            "users": maps.n_users,
-            "items": maps.n_items,
+            "users": log.id_maps.n_users,
+            "items": log.id_maps.n_items,
         },
-        resolved,
+        record,
         os.path.join(out, "ingest.json"),
     )
     print(f"{len(log)} interactions ({log.duplicates_dropped} duplicates dropped) -> {out}")
@@ -280,7 +297,7 @@ def _cmd_ingest(resolved: dict) -> int:
 
 def _cmd_split(resolved: dict) -> int:
     dataset = _load_dataset(resolved)
-    out = _run_dir(resolved)
+    out, record = _run_dir(resolved, split=dataset.split_config)
     ds.save_manifest(dataset, os.path.join(out, "split.json"))
     _write_json(
         {
@@ -290,7 +307,7 @@ def _cmd_split(resolved: dict) -> int:
             "val": len(dataset.val),
             "test": len(dataset.test),
         },
-        resolved,
+        record,
         os.path.join(out, "split_summary.json"),
     )
     print(f"split {len(dataset.train)}/{len(dataset.val)}/{len(dataset.test)} -> {out}")
@@ -300,8 +317,8 @@ def _cmd_split(resolved: dict) -> int:
 def _cmd_fit(resolved: dict) -> int:
     dataset = _load_dataset(resolved)
     model = md.fit(dataset, _model_config(resolved))
-    out = _run_dir(resolved)
-    _write_json(md.model_summary(model), resolved, os.path.join(out, "model_summary.json"))
+    out, record = _run_dir(resolved, split=dataset.split_config, model=model.config)
+    _write_json(md.model_summary(model), record, os.path.join(out, "model_summary.json"))
     spec.write_spectrum_csv(model.spectrum, os.path.join(out, "spectrum.csv"))
     if model.profile is not None:
         homophily = model.homophily
@@ -329,7 +346,7 @@ def _cmd_eval(resolved: dict) -> int:
     fit_seconds = model.fit_seconds
     result = ev.evaluate(model, dataset, k=resolved["k"], split="test")
     eval_seconds = time.perf_counter() - start - fit_seconds
-    out = _run_dir(resolved)
+    out, record = _run_dir(resolved, split=dataset.split_config, model=model.config)
     _write_json(
         {
             "k": result.k,
@@ -339,7 +356,7 @@ def _cmd_eval(resolved: dict) -> int:
             "fit_seconds": fit_seconds,
             "eval_seconds": eval_seconds,
         },
-        resolved,
+        record,
         os.path.join(out, "report.json"),
     )
     print(
@@ -352,18 +369,18 @@ def _cmd_eval(resolved: dict) -> int:
 def _cmd_sweep(resolved: dict) -> int:
     dataset = _load_dataset(resolved)
     graph = gr.build_graph(dataset)
-    norm = gr.g2n_normalize(graph, gr.G2NConfig(alpha=resolved["alpha"], epsilon=resolved["epsilon"]))
+    norm = gr.g2n_normalize(graph, gr.G2NConfig(**_given(resolved, G2N_FIELDS)))
     if resolved.get("K_grid"):
         K_list = _parse_number_list(resolved["K_grid"], int)
     else:
         cap = min(graph.n_users, graph.n_items)
         K_list = [max(1, int(cap * f)) for f in (0.01, 0.02, 0.05, 0.1, 0.2, 0.4, 0.7, 1.0)]
     rows = ev.frequency_sweep(
-        dataset, norm, K_list, metric_k=resolved["metric_k"], seed=resolved["seed"]
+        dataset, norm, K_list, metric_k=resolved["metric_k"], seed=_seed(resolved)
     )
-    out = _run_dir(resolved)
+    out, record = _run_dir(resolved, split=dataset.split_config, g2n=norm.config)
     ev.write_sweep_csv(rows, os.path.join(out, "sweep.csv"))
-    _write_json({"points": rows}, resolved, os.path.join(out, "sweep.json"))
+    _write_json({"points": rows}, record, os.path.join(out, "sweep.json"))
     best = max(rows, key=lambda r: r["recall"])
     print(f"best K={best['K']} recall@{resolved['metric_k']}={best['recall']:.4f} -> {out}")
     return 0
@@ -385,11 +402,11 @@ def _cmd_grid(resolved: dict) -> int:
     grid = ev.GridSpec(axes=axes, selection_metric=resolved["selection_metric"])
     base = _model_config(resolved)
     result = ev.grid_search(dataset, grid, k=resolved["k"], base=base, threads=resolved["threads"])
-    out = _run_dir(resolved)
+    out, record = _run_dir(resolved, split=dataset.split_config, model=base)
     ev.write_grid_csv(result.table, os.path.join(out, "grid.csv"))
     _write_json(
         {
-            "best_config": md.config_to_dict(result.best_config),
+            "best_config": md.serialize_config(result.best_config),
             "validation": {
                 "recall": result.best_validation.recall_at_k,
                 "ndcg": result.best_validation.ndcg_at_k,
@@ -402,7 +419,7 @@ def _cmd_grid(resolved: dict) -> int:
             "k": resolved["k"],
             "configurations": len(result.table),
         },
-        resolved,
+        record,
         os.path.join(out, "grid_report.json"),
     )
     print(
@@ -415,22 +432,22 @@ def _cmd_grid(resolved: dict) -> int:
 def _cmd_spectrum(resolved: dict) -> int:
     dataset = _load_dataset(resolved)
     graph = gr.build_graph(dataset)
-    norm = gr.g2n_normalize(graph, gr.G2NConfig(alpha=resolved["alpha"], epsilon=resolved["epsilon"]))
-    K = min(resolved["K"], min(graph.n_users, graph.n_items))
+    config = _model_config(resolved)
+    norm = gr.g2n_normalize(graph, config.g2n)
     spectrum = spec.truncated_svd(
         norm,
-        K,
-        oversample=resolved["oversample"],
-        power_iters=resolved["power_iters"],
-        seed=resolved["seed"],
+        min(config.K, graph.n_users, graph.n_items),
+        oversample=config.svd_oversample,
+        power_iters=config.svd_power_iters,
+        seed=config.seed,
     )
     stats = spec.spectrum_stats(spectrum, norm.frobenius_sq())
-    out = _run_dir(resolved)
+    out, record = _run_dir(resolved, split=dataset.split_config, model=config)
     spec.write_spectrum_csv(spectrum, os.path.join(out, "spectrum.csv"))
     spec.write_stats_csv(stats, os.path.join(out, "stats.csv"))
     _write_json(
         {"K": len(spectrum), "sigma_1": float(spectrum.sigma[0])},
-        resolved,
+        record,
         os.path.join(out, "spectrum.json"),
     )
     print(f"spectrum K={len(spectrum)} -> {out}")
@@ -438,8 +455,8 @@ def _cmd_spectrum(resolved: dict) -> int:
 
 
 def _cmd_theory_check(resolved: dict) -> int:
-    out = _run_dir(resolved)
-    reports = theory.run_all_checks(seed=resolved["seed"])
+    out, record = _run_dir(resolved)
+    reports = theory.run_all_checks(seed=record["seed"])
     all_passed = True
     for report in reports:
         theory.write_report_json(report, os.path.join(out, f"theory_{report.check_name}.json"))
@@ -451,7 +468,7 @@ def _cmd_theory_check(resolved: dict) -> int:
         all_passed &= report.passed
     _write_json(
         {"passed": all_passed, "checks": [r.to_dict() for r in reports]},
-        resolved,
+        record,
         os.path.join(out, "theory_summary.json"),
     )
     return 0 if all_passed else 2
@@ -478,7 +495,7 @@ def run_command(argv: list[str]) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        resolved = _resolve_config(args)
+        resolved = _resolve_config(args, _config_keys(parser))
         return COMMANDS[args.command](resolved)
     except SgfcfError as exc:
         print(f"error: {exc}", file=sys.stderr)

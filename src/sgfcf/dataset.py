@@ -167,11 +167,6 @@ def ingest(path: str, format: str = "tsv_pairs") -> InteractionLog:
     )
 
 
-def build_id_maps(log: InteractionLog) -> IdMaps:
-    """Dense ids in order of first appearance (assigned by ``ingest``)."""
-    return log.id_maps
-
-
 def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 

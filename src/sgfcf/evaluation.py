@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dataset import InteractionDataset
-from .errors import BandOutOfRange, ConfigError, EmptyTestSet, EmptyValidation, NoEvaluableUsers
+from .errors import BandOutOfRange, ConfigError, EmptyTestSet, EmptyValidation, KTooLarge, NoEvaluableUsers
 from .filters import BandFilter, IgfConfig
 from .graph import DENSE_ORACLE_CAP, G2NConfig, build_graph, g2n_normalize
 from .model import RankedList, SgfcfConfig, fit, top_k
@@ -241,35 +241,34 @@ def grid_search(
     """Exhaustive search over the axis product, selecting on the
     validation split and reporting the winner on test.
 
-    The spectrum is computed once per (alpha, epsilon) pair at the
-    largest K and sliced for smaller K. Homophily is computed once, and
-    only when some combination has beta1 < beta2 (with beta1 == beta2
-    every node gets beta, see ``fit``). Combinations violating
-    beta1 <= beta <= beta2 are skipped.
+    An axis not in the grid takes the base's value. The beta1 and beta2
+    axes are the exception when the base has beta1 == beta == beta2:
+    they then follow each beta. The spectrum is computed once per
+    (alpha, epsilon) pair at the largest K and sliced for smaller K; a K
+    above min(|U|, |I|) raises ``KTooLarge`` before any work, as ``fit``
+    does. Homophily is computed once, and only when some combination has
+    beta1 < beta2 (with beta1 == beta2 every node gets beta, see
+    ``fit``). Combinations violating beta1 <= beta <= beta2 are skipped.
     """
     if len(dataset.val) == 0:
         raise EmptyValidation("grid search needs a non-empty validation split")
     if base is None:
-        base = SgfcfConfig(K=64)
+        base = SgfcfConfig()
 
-    axes = {}
+    follow = base.igf.beta1 == base.igf.beta2  # None: the end equals each beta
     defaults = {
         "alpha": [base.g2n.alpha],
         "epsilon": [base.g2n.epsilon],
         "K": [base.K],
         "beta": [base.igf.beta],
-        "beta1": None,  # follows beta unless given
-        "beta2": None,
+        "beta1": [None if follow else base.igf.beta1],
+        "beta2": [None if follow else base.igf.beta2],
         "gamma": [base.gamma],
     }
-    for name in GRID_AXES:
-        axes[name] = list(grid.axes.get(name, defaults[name]) or [])
+    axes = {name: list(grid.axes.get(name, defaults[name])) for name in GRID_AXES}
 
     combos = []
-    for alpha, epsilon, K, beta, beta1, beta2, gamma in itertools.product(
-        axes["alpha"], axes["epsilon"], axes["K"],
-        axes["beta"], axes["beta1"] or [None], axes["beta2"] or [None], axes["gamma"],
-    ):
+    for alpha, epsilon, K, beta, beta1, beta2, gamma in itertools.product(*axes.values()):
         b1 = beta if beta1 is None else beta1
         b2 = beta if beta2 is None else beta2
         if not b1 <= beta <= b2:
@@ -281,6 +280,8 @@ def grid_search(
 
     graph = build_graph(dataset)
     K_max = max(int(K) for K in axes["K"])
+    if K_max > min(graph.n_users, graph.n_items):
+        raise KTooLarge(f"K={K_max} exceeds min(|U|,|I|)={min(graph.n_users, graph.n_items)}")
     homophily = None
     if base.filter is None and any(b1 < b2 for _, _, _, _, b1, b2, _ in combos):
         from .filters import homophilic_ratio_all
@@ -298,7 +299,7 @@ def grid_search(
             norms[key] = g2n_normalize(graph, G2NConfig(alpha=alpha, epsilon=epsilon))
             spectra[key] = truncated_svd(
                 norms[key],
-                min(K_max, min(graph.n_users, graph.n_items)),
+                K_max,
                 oversample=base.svd_oversample,
                 power_iters=base.svd_power_iters,
                 seed=base.seed,
@@ -310,7 +311,7 @@ def grid_search(
         norm, spectrum = spectrum_for(alpha, epsilon)
         config = replace(
             base,
-            K=min(K, len(spectrum)),
+            K=K,
             g2n=G2NConfig(alpha=alpha, epsilon=epsilon),
             igf=IgfConfig(beta=beta, beta1=b1, beta2=b2),
             gamma=gamma,

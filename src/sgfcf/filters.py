@@ -165,13 +165,18 @@ class HomophilyScores:
 
 @dataclass(frozen=True)
 class IgfConfig:
-    """Anchor exponent beta and the individualized range [beta1, beta2]."""
+    """Anchor exponent beta and the individualized range [beta1, beta2];
+    an end left as None equals beta."""
 
     beta: float = 1.0
-    beta1: float = 1.0
-    beta2: float = 1.0
+    beta1: float | None = None
+    beta2: float | None = None
 
     def __post_init__(self):
+        if self.beta1 is None:
+            object.__setattr__(self, "beta1", self.beta)
+        if self.beta2 is None:
+            object.__setattr__(self, "beta2", self.beta)
         if not self.beta1 <= self.beta <= self.beta2:
             raise ConfigError(
                 f"require beta1 <= beta <= beta2, got {self.beta1}, {self.beta}, {self.beta2}"

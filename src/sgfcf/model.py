@@ -14,7 +14,7 @@ by gamma. There is no iterative training anywhere in the pipeline.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -49,7 +49,7 @@ class SgfcfConfig:
     individualized monomial filter driven by ``igf``; setting an explicit
     family instead applies that filter uniformly to all nodes."""
 
-    K: int
+    K: int = 64
     g2n: G2NConfig = field(default_factory=G2NConfig)
     igf: IgfConfig = field(default_factory=IgfConfig)
     gamma: float = 0.0
@@ -310,7 +310,7 @@ def model_summary(model: SgfcfModel) -> dict:
     """JSON-ready digest: config echo, spectrum head and quality, timing."""
     sigma_head = model.spectrum.sigma_normalized[:10]
     return {
-        "config": config_to_dict(model.config),
+        "config": serialize_config(model.config),
         "K": len(model.spectrum),
         "sigma_normalized_head": [float(s) for s in sigma_head],
         "svd_residual_max": svd_residual_max(model.norm, model.spectrum),
@@ -321,32 +321,16 @@ def model_summary(model: SgfcfModel) -> dict:
     }
 
 
-def filter_to_dict(family: FilterFamily | None) -> dict | None:
-    if family is None:
-        return None
-    name = type(family).__name__.replace("Filter", "").lower()
-    payload = {"family": name}
-    payload.update({k: v for k, v in family.__dict__.items()})
+def serialize_config(config) -> dict:
+    """JSON form of a config dataclass: ``dataclasses.asdict`` with a
+    filter family's name added, since asdict alone gives
+    MonomialFilter(2) and ExponentialFilter(2) the same dict."""
+    payload = asdict(config)
+    family = getattr(config, "filter", None)
+    if family is not None:
+        name = type(family).__name__.removesuffix("Filter").lower()
+        payload["filter"] = {"family": name, **payload["filter"]}
     return payload
-
-
-def config_to_dict(config: SgfcfConfig) -> dict:
-    return {
-        "K": config.K,
-        "alpha": config.g2n.alpha,
-        "epsilon": config.g2n.epsilon,
-        "beta": config.igf.beta,
-        "beta1": config.igf.beta1,
-        "beta2": config.igf.beta2,
-        "gamma": config.gamma,
-        "delta": config.delta,
-        "filter": filter_to_dict(config.filter),
-        "homo_mode": config.homo_mode,
-        "homo_scope": config.homo_scope,
-        "svd_oversample": config.svd_oversample,
-        "svd_power_iters": config.svd_power_iters,
-        "seed": config.seed,
-    }
 
 
 def write_recommendations_csv(model, users, k: int, path: str, exclude_train: bool = True) -> None:

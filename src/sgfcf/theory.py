@@ -10,7 +10,7 @@ worst observed error is within the check's tolerance.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -37,14 +37,7 @@ class TheoryReport:
     details: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "check_name": self.check_name,
-            "instances_run": self.instances_run,
-            "max_abs_error": self.max_abs_error,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "details": self.details,
-        }
+        return asdict(self)
 
 
 def _report(name: str, instances: int, max_err: float, tol: float, **details) -> TheoryReport:

@@ -1,11 +1,15 @@
 import json
 import os
+import shutil
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from sgfcf import JacobiFilter, MarkovFilter, SgfcfConfig, SplitConfig
 from sgfcf.cli import run_command
+from sgfcf.model import serialize_config
 
 
 @pytest.fixture
@@ -17,6 +21,15 @@ def data_file(tmp_path):
             lines.add(f"user{u}\titem{rng.integers(0, 40)}")
     path = tmp_path / "interactions.tsv"
     path.write_text("\n".join(sorted(lines)) + "\n")
+    return str(path)
+
+
+@pytest.fixture
+def roomy_file(tmp_path):
+    """80 users and 100 items, each user with 12: room for the default K of 64."""
+    lines = [f"user{u}\titem{(7 * u + 13 * j) % 100}" for u in range(80) for j in range(12)]
+    path = tmp_path / "roomy.tsv"
+    path.write_text("\n".join(lines) + "\n")
     return str(path)
 
 
@@ -71,7 +84,7 @@ class TestFitEval:
         run_dir = _only_run_dir(out)
         summary = _load(os.path.join(run_dir, "model_summary.json"))
         assert summary["K"] == 8
-        assert summary["config"]["K"] == 8
+        assert summary["config"]["model"]["K"] == 8
         assert os.path.exists(os.path.join(run_dir, "spectrum.csv"))
         assert os.path.exists(os.path.join(run_dir, "homophily.csv"))
 
@@ -88,7 +101,7 @@ class TestFitEval:
         assert set(report) >= {"k", "recall", "ndcg", "users_evaluated", "fit_seconds", "eval_seconds", "config", "seed"}
         assert 0.0 <= report["recall"] <= 1.0
         assert 0.0 <= report["ndcg"] <= 1.0
-        assert report["config"]["epsilon"] == -0.38
+        assert report["config"]["model"]["g2n"]["epsilon"] == -0.38
         assert report["seed"] == 42
 
     def test_eval_reproducible_modulo_timing(self, data_file, tmp_path):
@@ -110,6 +123,49 @@ class TestFitEval:
         (run_dir,) = os.listdir(out)
         assert run_dir.startswith("fit-")
         assert len(run_dir.split("-", 1)[1]) == 12
+
+    def test_run_dir_hash_ignores_out_root_and_data_path(self, data_file, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        shutil.copy(data_file, "d.tsv")
+        shutil.copy(data_file, "copy.tsv")
+        paths = ["d.tsv", "./d.tsv", "copy.tsv", str(tmp_path / "d.tsv")]
+        for n, path in enumerate(paths):
+            assert run_command(["eval", "--data", path, "--K", "4", "--out", f"root{n}"]) == 0
+        names = {name for n in range(len(paths)) for name in os.listdir(f"root{n}")}
+        assert len(names) == 1
+        # the directory follows the bytes, not the name
+        Path("copy.tsv").write_text(Path("d.tsv").read_text() + "userX\titemY\n")
+        assert run_command(["eval", "--data", "copy.tsv", "--K", "4", "--out", "root0"]) == 0
+        assert len(os.listdir("root0")) == 2
+
+    def test_library_defaults_given_explicitly_share_the_run_dir(self, roomy_file, tmp_path):
+        out = str(tmp_path / "runs")
+        assert run_command(["eval", "--data", roomy_file, "--out", out]) == 0
+        argv = ["eval", "--data", roomy_file, "--K", "64", "--seed", "0", "--alpha", "0", "--out", out]
+        assert run_command(argv) == 0
+        assert len(os.listdir(out)) == 1
+
+    def test_no_model_flags_records_the_library_defaults(self, roomy_file, tmp_path):
+        out = str(tmp_path / "runs")
+        assert run_command(["fit", "--data", roomy_file, "--out", out]) == 0
+        run_dir = _only_run_dir(out)
+        summary = _load(os.path.join(run_dir, "model_summary.json"))
+        assert summary["config"]["model"] == serialize_config(SgfcfConfig())
+        assert summary["config"] == _load(os.path.join(run_dir, "run_config.json"))
+        split = SplitConfig(train_ratio=0.8, val_ratio=0.05)
+        assert summary["config"]["split"] == asdict(split)
+        assert summary["seed"] == SgfcfConfig().seed == split.seed
+        assert run_command(["eval", "--data", roomy_file, "--out", out]) == 0
+        (eval_dir,) = [d for d in os.listdir(out) if d.startswith("eval-")]
+        report = _load(os.path.join(out, eval_dir, "report.json"))
+        assert report["config"]["model"] == serialize_config(SgfcfConfig())
+
+    @pytest.mark.parametrize("name, family", [("jacobi", JacobiFilter()), ("markov", MarkovFilter())])
+    def test_filter_without_order_records_the_family_default(self, data_file, tmp_path, name, family):
+        out = str(tmp_path / "runs")
+        assert run_command(["fit", "--data", data_file, "--K", "4", "--filter", name, "--out", out]) == 0
+        summary = _load(os.path.join(_only_run_dir(out), "model_summary.json"))
+        assert summary["config"]["model"]["filter"] == {"family": name, **asdict(family)}
 
     def test_invalid_k_flag(self, data_file, tmp_path):
         code = run_command(
@@ -198,8 +254,33 @@ class TestSweepGridSpectrum:
         )
         assert code == 0
         report = _load(os.path.join(_only_run_dir(out), "report.json"))
-        assert report["config"]["K"] == 4  # from file
-        assert report["config"]["gamma"] == 0.1  # flag wins
+        assert report["config"]["model"]["K"] == 4  # from file
+        assert report["config"]["model"]["gamma"] == 0.1  # flag wins
+        assert report["seed"] == 5
+
+    def test_grid_keeps_the_base_igf_range(self, data_file, tmp_path):
+        out = str(tmp_path / "runs")
+        argv = [
+            "grid", "--data", data_file, "--beta", "1.5", "--beta1", "1.2", "--beta2", "1.8",
+            "--grid-K", "4,6", "--k", "5", "--out", out,
+        ]
+        assert run_command(argv) == 0
+        run_dir = _only_run_dir(out)
+        rows = Path(run_dir, "grid.csv").read_text().strip().splitlines()
+        header = rows[0].split(",")
+        ends = {tuple(row.split(",")[header.index(c)] for c in ("beta1", "beta2")) for row in rows[1:]}
+        assert ends == {("1.2", "1.8")}
+        best = _load(os.path.join(run_dir, "grid_report.json"))["best_config"]
+        assert best["igf"] == {"beta": 1.5, "beta1": 1.2, "beta2": 1.8}
+
+    def test_config_file_takes_any_option(self, data_file, tmp_path):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"K": 4, "gamma": 0.3, "seed": 5, "grid_K": "4,6"}))
+        out = str(tmp_path / "runs")
+        assert run_command(["grid", "--data", data_file, "--config", str(config_path), "--out", out]) == 0
+        report = _load(os.path.join(_only_run_dir(out), "grid_report.json"))
+        assert report["configurations"] == 2
+        assert report["config"]["model"]["gamma"] == 0.3
         assert report["seed"] == 5
 
     def test_unknown_config_key(self, data_file, tmp_path):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from sgfcf import SplitConfig, ingest, split, save_manifest, load_manifest
-from sgfcf.dataset import build_id_maps, dataset_from_pairs
+from sgfcf.dataset import dataset_from_pairs
 from sgfcf.errors import ConfigError, DegenerateSplit, MalformedLine, MissingFile
 
 from oracles import split_loop
@@ -63,7 +63,7 @@ class TestIngest:
 
 class TestIdMaps:
     def test_dense_first_appearance(self, tiny_log_file):
-        maps = build_id_maps(ingest(tiny_log_file))
+        maps = ingest(tiny_log_file).id_maps
         assert maps.user_index == {"u1": 0, "u2": 1, "u3": 2}
         assert maps.item_index == {"i1": 0, "i2": 1, "i3": 2}
         assert maps.user_tokens() == ["u1", "u2", "u3"]
@@ -72,7 +72,7 @@ class TestIdMaps:
         path = tmp_path / "ids.tsv"
         path.write_text("b x\na y\nb x\nc x\na z\nb y\n")
         log = ingest(str(path))
-        maps = build_id_maps(log)
+        maps = log.id_maps
         expected = [(maps.user_index[u], maps.item_index[i]) for u, i in log.records]
         assert log.pairs.dtype == np.int64
         assert log.pairs.tolist() == [list(p) for p in expected]

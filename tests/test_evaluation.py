@@ -21,7 +21,7 @@ from sgfcf import (
     recall_at_k,
 )
 from sgfcf import evaluation
-from sgfcf.errors import BandOutOfRange, ConfigError, EmptyTestSet, EmptyValidation, NoEvaluableUsers
+from sgfcf.errors import BandOutOfRange, ConfigError, EmptyTestSet, EmptyValidation, KTooLarge, NoEvaluableUsers
 from sgfcf.evaluation import write_grid_csv, write_sweep_csv
 from sgfcf.model import RankedList
 from sgfcf.theory import random_bipartite_graph
@@ -395,7 +395,7 @@ class TestGridSearch:
     def test_invalid_beta_combos_skipped(self):
         rng = np.random.default_rng(6)
         dataset = _grid_dataset(rng)
-        grid = GridSpec(axes={"beta": [1.0], "beta1": [0.8, 1.2], "beta2": [1.2]})
+        grid = GridSpec(axes={"K": [4], "beta": [1.0], "beta1": [0.8, 1.2], "beta2": [1.2]})
         result = grid_search(dataset, grid, k=5)
         assert len(result.table) == 1  # beta1=1.2 > beta dropped
 
@@ -415,6 +415,35 @@ class TestGridSearch:
         monkeypatch.setattr(sgfcf.filters, "homophilic_ratio_all", forbidden)
         shared = grid_search(dataset, GridSpec(axes=axes), k=5)
         assert shared.table == [row for row in mixed.table if row["beta1"] == row["beta2"]]
+
+    def test_K_above_the_graph_raises_before_any_work(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        dataset = _grid_dataset(rng)  # min(|U|, |I|) = 24
+        fit(dataset, SgfcfConfig(K=24))
+        with pytest.raises(KTooLarge):
+            fit(dataset, SgfcfConfig(K=40))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("grid started work on an axis it cannot serve")
+
+        monkeypatch.setattr(evaluation, "truncated_svd", forbidden)
+        with pytest.raises(KTooLarge):
+            grid_search(dataset, GridSpec(axes={"K": [20, 24, 40]}), k=5)
+
+    def test_base_igf_range_is_kept(self):
+        rng = np.random.default_rng(6)
+        dataset = _grid_dataset(rng)
+        ranged = SgfcfConfig(K=4, igf=IgfConfig(beta=1.5, beta1=1.2, beta2=1.8))
+        result = grid_search(dataset, GridSpec(axes={"K": [4, 6]}), k=5, base=ranged)
+        assert [(row["beta1"], row["beta2"]) for row in result.table] == [(1.2, 1.8)] * 2
+        assert result.best_config.igf == ranged.igf
+        # a beta outside the base's range is skipped, as on an explicit beta1/beta2 axis
+        result = grid_search(dataset, GridSpec(axes={"K": [4], "beta": [1.0, 1.5, 2.0]}), k=5, base=ranged)
+        assert [row["beta"] for row in result.table] == [1.5]
+        # with beta1 == beta == beta2 the ends follow each beta
+        shared = SgfcfConfig(K=4, igf=IgfConfig(beta=1.5))
+        result = grid_search(dataset, GridSpec(axes={"beta": [1.0, 2.0]}), k=5, base=shared)
+        assert [(row["beta1"], row["beta2"]) for row in result.table] == [(1.0, 1.0), (2.0, 2.0)]
 
     def test_band_filter_base_serves_every_K(self):
         rng = np.random.default_rng(10)

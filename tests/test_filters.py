@@ -212,6 +212,12 @@ class TestIgfMapping:
         with pytest.raises(ConfigError):
             IgfConfig(beta=1.0, beta1=2.0, beta2=3.0)
 
+    def test_range_ends_default_to_beta(self):
+        assert IgfConfig(beta=1.5) == IgfConfig(1.5, 1.5, 1.5)
+        assert IgfConfig(beta=1.5, beta1=1.2) == IgfConfig(1.5, 1.2, 1.5)
+        with pytest.raises(ConfigError):
+            IgfConfig(beta=1.5, beta2=1.2)
+
 
 def test_homophily_csv_export(tmp_path):
     rng = np.random.default_rng(7)

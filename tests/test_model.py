@@ -22,7 +22,7 @@ from sgfcf import (
     score_users,
 )
 from sgfcf.errors import BandOutOfRange, ConfigError, KTooLarge, UnknownUser
-from sgfcf.model import config_to_dict, model_summary, top_k
+from sgfcf.model import model_summary, serialize_config, top_k
 from sgfcf.theory import random_bipartite_graph
 
 from conftest import random_graph
@@ -458,7 +458,7 @@ def test_model_summary_round_trips_config():
     config = SgfcfConfig(K=3, gamma=0.1, igf=IgfConfig(beta=1.0, beta1=0.8, beta2=1.2))
     model = fit(dataset, config)
     summary = model_summary(model)
-    assert summary["config"] == config_to_dict(config)
+    assert summary["config"] == serialize_config(config)
     assert summary["K"] == len(model.spectrum)
     assert len(summary["sigma_normalized_head"]) <= 10
     assert summary["fit_seconds"] >= 0.0
