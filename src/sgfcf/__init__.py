@@ -68,7 +68,9 @@ from .spectral import (
     appro_curve,
     appro_measure,
     dense_svd,
+    gram_svd,
     ratio_curve,
+    top_k_svd,
     truncated_svd,
 )
 from .theory import TheoryReport, random_bipartite_graph, run_all_checks

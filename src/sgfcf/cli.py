@@ -167,24 +167,40 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_keys(parser: argparse.ArgumentParser) -> set[str]:
-    """Keys a --config file may set: every subcommand option, plus the
-    grid axes table."""
+def _config_types(parser: argparse.ArgumentParser) -> dict:
+    """Keys a --config file may set, each with its option's type (None
+    for an untyped option): every subcommand option, plus the grid axes
+    table."""
     (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    keys = {a.dest for p in sub.choices.values() for a in p._actions}
-    return keys - {"help", "config"} | {"grid"}
+    types = {
+        a.dest: a.type
+        for p in sub.choices.values()
+        for a in p._actions
+        if a.dest not in ("help", "config")
+    }
+    return types | {"grid": None}
 
 
-def _resolve_config(args: argparse.Namespace, known: set[str]) -> dict:
+def _resolve_config(args: argparse.Namespace, types: dict) -> dict:
     """DEFAULTS, then the --config file, then explicit flags. Null values
-    count as not given, so the dataclasses fill them in."""
+    count as not given, so the dataclasses fill them in. A file value
+    goes through its option's type as the flag's text would, so
+    ``{"gamma": 0}`` and ``--gamma 0`` resolve alike."""
     file_config = {}
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as fh:
             file_config = json.load(fh)
-        unknown = set(file_config) - known
+        unknown = set(file_config) - set(types)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in file_config.items():
+            if value is not None and types[key] is not None:
+                try:
+                    file_config[key] = types[key](str(value))
+                except ValueError:
+                    raise ConfigError(
+                        f"config key {key!r}: {value!r} is not a valid {types[key].__name__}"
+                    ) from None
     resolved = dict(DEFAULTS)
     for source in (file_config, vars(args)):
         resolved.update((k, v) for k, v in source.items() if v is not None and k != "config")
@@ -434,9 +450,9 @@ def _cmd_spectrum(resolved: dict) -> int:
     graph = gr.build_graph(dataset)
     config = _model_config(resolved)
     norm = gr.g2n_normalize(graph, config.g2n)
-    spectrum = spec.truncated_svd(
+    spectrum = spec.top_k_svd(
         norm,
-        min(config.K, graph.n_users, graph.n_items),
+        config.K,
         oversample=config.svd_oversample,
         power_iters=config.svd_power_iters,
         seed=config.seed,
@@ -495,7 +511,7 @@ def run_command(argv: list[str]) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        resolved = _resolve_config(args, _config_keys(parser))
+        resolved = _resolve_config(args, _config_types(parser))
         return COMMANDS[args.command](resolved)
     except SgfcfError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -20,7 +20,7 @@ from .errors import BandOutOfRange, ConfigError, EmptyTestSet, EmptyValidation, 
 from .filters import BandFilter, IgfConfig
 from .graph import DENSE_ORACLE_CAP, G2NConfig, build_graph, g2n_normalize
 from .model import RankedList, SgfcfConfig, fit, top_k
-from .spectral import dense_svd, truncated_svd
+from .spectral import dense_svd, top_k_svd, truncated_svd
 
 GRID_AXES = ("alpha", "epsilon", "K", "beta", "beta1", "beta2", "gamma")
 # Tuning lattices; axes must sit on multiples of these steps.
@@ -297,7 +297,7 @@ def grid_search(
         key = (alpha, epsilon)
         if key not in spectra:
             norms[key] = g2n_normalize(graph, G2NConfig(alpha=alpha, epsilon=epsilon))
-            spectra[key] = truncated_svd(
+            spectra[key] = top_k_svd(
                 norms[key],
                 K_max,
                 oversample=base.svd_oversample,

@@ -40,7 +40,7 @@ from .graph import (
     duplicate_item_sources,
     g2n_normalize,
 )
-from .spectral import TruncatedSpectrum, svd_residual_max, truncated_svd
+from .spectral import TruncatedSpectrum, svd_residual_max, top_k_svd
 
 
 @dataclass(frozen=True)
@@ -57,6 +57,7 @@ class SgfcfConfig:
     filter: FilterFamily | None = None
     homo_mode: str = "inclusive"
     homo_scope: str = "per_side"
+    # used only when spectral.top_k_svd takes the Krylov path
     svd_oversample: int = 8
     svd_power_iters: int = 8
     seed: int = 0
@@ -166,7 +167,7 @@ def fit(
     if norm is None:
         norm = g2n_normalize(graph, config.g2n)
     if spectrum is None:
-        spectrum = truncated_svd(
+        spectrum = top_k_svd(
             norm,
             config.K,
             oversample=config.svd_oversample,

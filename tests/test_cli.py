@@ -236,6 +236,12 @@ class TestSweepGridSpectrum:
         appro = [float(line.split(",")[1]) for line in stats_lines[1:]]
         assert all(b >= a - 1e-15 for a, b in zip(appro, appro[1:]))
 
+    def test_spectrum_K_above_the_graph_fails_like_fit(self, data_file, tmp_path):
+        out = tmp_path / "runs"
+        for command in ("spectrum", "fit"):
+            assert run_command([command, "--data", data_file, "--K", "100000", "--out", str(out)]) == 1
+        assert not out.exists()
+
     def test_sweep_csv_byte_identical_across_runs(self, data_file, tmp_path):
         argv = lambda out: [
             "sweep", "--data", data_file, "--K-grid", "1,3,6", "--seed", "4", "--out", out,
@@ -282,6 +288,21 @@ class TestSweepGridSpectrum:
         assert report["configurations"] == 2
         assert report["config"]["model"]["gamma"] == 0.3
         assert report["seed"] == 5
+
+    def test_config_file_values_take_their_option_type(self, data_file, tmp_path):
+        out = str(tmp_path / "runs")
+        argv = ["eval", "--data", data_file, "--K", "4", "--out", out]
+        for name, value in (("int", 0), ("float", 0.0)):
+            config_path = tmp_path / f"{name}.json"
+            config_path.write_text(json.dumps({"gamma": value}))
+            assert run_command(argv + ["--config", str(config_path)]) == 0
+        assert run_command(argv + ["--gamma", "0"]) == 0
+        record = _load(os.path.join(_only_run_dir(out), "run_config.json"))
+        assert type(record["model"]["gamma"]) is float
+        # a value the flag would reject is rejected from the file too
+        config_path = tmp_path / "fractional_K.json"
+        config_path.write_text(json.dumps({"K": 4.5}))
+        assert run_command(["eval", "--data", data_file, "--config", str(config_path), "--out", out]) == 1
 
     def test_unknown_config_key(self, data_file, tmp_path):
         config_path = tmp_path / "config.json"

@@ -426,7 +426,7 @@ class TestGridSearch:
         def forbidden(*args, **kwargs):
             raise AssertionError("grid started work on an axis it cannot serve")
 
-        monkeypatch.setattr(evaluation, "truncated_svd", forbidden)
+        monkeypatch.setattr(evaluation, "top_k_svd", forbidden)
         with pytest.raises(KTooLarge):
             grid_search(dataset, GridSpec(axes={"K": [20, 24, 40]}), k=5)
 

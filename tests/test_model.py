@@ -20,6 +20,7 @@ from sgfcf import (
     recommend,
     score_user,
     score_users,
+    truncated_svd,
 )
 from sgfcf.errors import BandOutOfRange, ConfigError, KTooLarge, UnknownUser
 from sgfcf.model import model_summary, serialize_config, top_k
@@ -473,11 +474,16 @@ def test_model_summary_reports_svd_residual():
         )
 
     rng = np.random.default_rng(20)
+    dataset = small_dataset(rng, n_users=80, n_items=60)
+    config = SgfcfConfig(K=4, svd_power_iters=1)
     # one power iteration on 80 x 60 leaves K=4 visibly inexact
-    rough = fit(small_dataset(rng, n_users=80, n_items=60), SgfcfConfig(K=4, svd_power_iters=1))
+    norm = g2n_normalize(build_graph(dataset), config.g2n)
+    rough = fit(dataset, config, spectrum=truncated_svd(norm, 4, power_iters=1, seed=config.seed))
     expected = dense_residual_max(rough)
     assert expected > 1e-6
     assert model_summary(rough)["svd_residual_max"] == pytest.approx(expected, rel=1e-9)
+    # fit itself takes the exact Gram path at this size
+    assert model_summary(fit(dataset, config))["svd_residual_max"] < 1e-10
     # 30 x 20 with K=12: the first block of K + 8 columns already spans
     # all 20 item directions, so the triplets are exact to roundoff
     exact = fit(small_dataset(rng, n_users=30, n_items=20), SgfcfConfig(K=12))

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -9,10 +11,13 @@ from sgfcf import (
     appro_measure,
     dense_svd,
     g2n_normalize,
+    gram_svd,
     graph_from_matrix,
     ratio_curve,
+    top_k_svd,
     truncated_svd,
 )
+from sgfcf import spectral
 from sgfcf.errors import ConfigError, InvalidTotal, KTooLarge, LengthMismatch, SizeCapExceeded
 from sgfcf.spectral import TruncatedSpectrum
 from sgfcf.theory import random_bipartite_graph
@@ -133,6 +138,92 @@ def test_matches_dense_rayleigh_ritz_reference(matrix, K, power_iters):
     assert rel.max() <= 1e-12
     reconstruction = (spec.P * spec.sigma) @ spec.Q.T
     assert np.abs(reconstruction - (P * sigma) @ Q.T).max() <= 1e-12 * sigma[0]
+
+
+def _gram_cases():
+    """The Rayleigh-Ritz cases without their power iterations, plus the
+    graded matrix transposed, so the full basis also sits on the user side."""
+    graded = _graded_matrix(90, np.logspace(0, -11, 60), seed=22)
+    return [pytest.param(*case.values[:2], id=case.id) for case in _ritz_cases()] + [
+        pytest.param(graded.T.copy(), 35, id="logspace-transposed-K35")
+    ]
+
+
+@pytest.mark.parametrize("matrix, K", _gram_cases())
+def test_gram_path_matches_dense_svd_within_its_backward_error(matrix, K):
+    """Bounds from the method, not from a run. The Gram matrix and its
+    eigendecomposition carry a normwise backward error of at most
+    eta * sigma_1^2 with eta = max(m, n) * eps, so the top-K eigenvectors
+    span an invariant subspace whose angle to the exact one is at most
+    sin(theta) = eta * lambda_1 / (lambda_K - lambda_{K+1}); a Ritz value
+    then lies within lambda_1 sin^2(theta) / sigma_k of sigma_k, plus the
+    eta * sigma_1 of the final thin SVD. Where lambda_K <= sqrt(eps) *
+    lambda_1 that angle is not small and the basis must span the whole
+    smaller side: the step is then a backward-stable SVD, within
+    eta * sigma_1 absolutely, and values below roundoff are pruned."""
+    dense = matrix.toarray() if sp.issparse(matrix) else matrix
+    sigma = np.linalg.svd(dense, compute_uv=False)
+    eps = np.finfo(np.float64).eps
+    eta = max(dense.shape) * eps
+    lam = sigma**2
+    spec = gram_svd(matrix, K)
+
+    resolved = lam[K - 1] > np.sqrt(eps) * lam[0]
+    if resolved:
+        gap = lam[K - 1] - (lam[K] if K < len(lam) else 0.0)
+        sin_theta = min(1.0, eta * lam[0] / gap)
+        bound = eta * sigma[0] + lam[0] * sin_theta**2 / sigma[: len(spec)]
+        assert len(spec) == K
+    else:
+        bound = np.full(len(spec), eta * sigma[0])
+        assert len(spec) == min(K, int((sigma > 1e-12 * sigma[0]).sum()))
+    assert (np.abs(spec.sigma - sigma[: len(spec)]) <= bound).all()
+    residual = np.linalg.norm(dense @ spec.Q - spec.P * spec.sigma, axis=0)
+    assert (residual <= bound * sigma[0] / spec.sigma + eta * sigma[0]).all()
+
+
+def _bench_shapes():
+    # users, items, target edges and exponent of perfbench/workloads.py's
+    # graphs at its GRAPH_SEED 0, with each fit's K and power iterations
+    return [
+        pytest.param(5551, 16981, 210537, 2.5, 500, 2, "krylov", id="citeulike-shared"),
+        pytest.param(8000, 3200, 156000, 2.1, 256, 8, "gram", id="wide-igf"),
+        pytest.param(2000, 4000, 60000, 3.0, 128, 2, "krylov", id="grid-tune-K128"),
+        pytest.param(2000, 4000, 60000, 3.0, 64, 2, "krylov", id="grid-tune-K64"),
+    ]
+
+
+@pytest.mark.parametrize("users, items, edges, exponent, K, power_iters, path", _bench_shapes())
+def test_top_k_svd_picks_the_cheaper_path(monkeypatch, users, items, edges, exponent, K, power_iters, path):
+    R = random_bipartite_graph(np.random.default_rng(0), users, items, edges, exponent)
+    picked = []
+    monkeypatch.setattr(spectral, "gram_svd", lambda norm, K: picked.append("gram"))
+    monkeypatch.setattr(spectral, "truncated_svd", lambda norm, K, **kw: picked.append("krylov"))
+    top_k_svd(R, K, power_iters=power_iters)
+    assert picked == [path]
+
+
+def test_top_k_svd_never_forms_a_gram_above_the_byte_cap(monkeypatch):
+    rng = np.random.default_rng(14)
+    A = random_graph(rng, 40, 30).row_major
+    monkeypatch.setattr(spectral, "GRAM_MAX_BYTES", 30 * 30 * 8 - 1)
+    monkeypatch.setattr(spectral, "gram_svd", lambda norm, K: pytest.fail("Gram above the cap"))
+    spec = top_k_svd(A, 5, seed=3)
+    assert np.array_equal(spec.sigma, truncated_svd(A, 5, seed=3).sigma)
+
+
+def test_top_k_svd_logs_its_pick(caplog):
+    rng = np.random.default_rng(15)
+    A = random_graph(rng, 40, 30).row_major
+    with caplog.at_level(logging.DEBUG, logger="sgfcf"):
+        top_k_svd(A, 5)
+    (record,) = [r for r in caplog.records if r.name == "sgfcf"]
+    assert record.levelno == logging.DEBUG
+    message = record.getMessage()
+    assert "top-5 SVD of 40 x 30" in message
+    assert "krylov" in message and "gram" in message
+    assert message.endswith(("-> gram", "-> krylov"))
+    assert logging.getLogger("sgfcf").handlers == []
 
 
 class TestDenseSvd:
