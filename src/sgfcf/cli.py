@@ -1,13 +1,13 @@
 """Command-line pipeline: ingest, split, fit, eval, sweep, grid,
 spectrum, and theory-check subcommands.
 
-Every run resolves its options (command-level defaults, then an optional
-JSON config file, then explicit flags) and builds the library's config
-dataclasses from the options given, so model, filter and split defaults
-are the library's. It writes its artifacts into a directory named by a
-content hash of its record (the configs it built, the command-level
-values and the data file's SHA-256) and embeds that record and the seed
-in each JSON report.
+Every run resolves the options its command takes (command-level
+defaults, then an optional JSON config file, then explicit flags) and
+builds the library's config dataclasses from the options given, so model,
+filter and split defaults are the library's. It writes its artifacts into
+a directory named by a content hash of its record (the configs it built,
+its command-level values and the data file's SHA-256) and embeds that
+record and its seed in each JSON report.
 """
 
 from __future__ import annotations
@@ -29,11 +29,12 @@ from . import spectral as spec
 from . import theory
 from .errors import ConfigError, SgfcfError
 
-# Command-level values that no config dataclass holds. Every model,
-# filter and split default comes from its dataclass: a key left out of
-# the flags and the config file takes the library's default.
+# Command-level values that no config dataclass holds, each taken by the
+# commands whose parser defines it. Every model, filter and split default
+# comes from its dataclass: a key left out of the flags and the config
+# file takes the library's default.
 DEFAULTS = {
-    "format": "tsv_pairs",
+    "format": "tsv",
     "x": 0.8,  # x and val are the CLI's split protocol
     "val": 0.05,
     "k": 10,
@@ -66,11 +67,11 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="sgfcf", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, seed=True):
         p.add_argument("--out", default="runs", help="output root directory")
         p.add_argument("--config", default=None, help="JSON config file; flags override it")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=None, help="0 = all available")
+        if seed:
+            p.add_argument("--seed", type=int, default=None)
 
     def add_data(p):
         p.add_argument("--data", required=False, default=None, help="interaction file path")
@@ -105,7 +106,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--power-iters", type=int, default=None)
 
     p = sub.add_parser("ingest", help="read and deduplicate an interaction file")
-    add_common(p)
+    add_common(p, seed=False)
     add_data(p)
 
     p = sub.add_parser("split", help="ingest and write a split manifest")
@@ -150,6 +151,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-beta2", default=None)
     p.add_argument("--grid-gamma", default=None)
     p.add_argument("--selection-metric", choices=["ndcg", "recall"], default=None)
+    p.add_argument("--threads", type=int, default=None, help="0 = all available")
 
     p = sub.add_parser("spectrum", help="export singular values and the appro curve")
     add_common(p)
@@ -167,32 +169,28 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_types(parser: argparse.ArgumentParser) -> dict:
-    """Keys a --config file may set, each with its option's type (None
-    for an untyped option): every subcommand option, plus the grid axes
-    table."""
+def _config_types(parser: argparse.ArgumentParser, command: str) -> dict:
+    """Keys a --config file may set for ``command``, each with its
+    option's type (None for an untyped option): the command's options,
+    plus the axes table for ``grid``."""
     (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    types = {
-        a.dest: a.type
-        for p in sub.choices.values()
-        for a in p._actions
-        if a.dest not in ("help", "config")
-    }
-    return types | {"grid": None}
+    types = {a.dest: a.type for a in sub.choices[command]._actions if a.dest not in ("help", "config")}
+    return types | {"grid": None} if command == "grid" else types
 
 
 def _resolve_config(args: argparse.Namespace, types: dict) -> dict:
-    """DEFAULTS, then the --config file, then explicit flags. Null values
-    count as not given, so the dataclasses fill them in. A file value
-    goes through its option's type as the flag's text would, so
-    ``{"gamma": 0}`` and ``--gamma 0`` resolve alike."""
+    """DEFAULTS of the command's options, then the --config file, then
+    explicit flags. Null values count as not given, so the dataclasses
+    fill them in. A file key the command does not take is an error; a
+    file value goes through its option's type as the flag's text would,
+    so ``{"gamma": 0}`` and ``--gamma 0`` resolve alike."""
     file_config = {}
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as fh:
             file_config = json.load(fh)
         unknown = set(file_config) - set(types)
         if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+            raise ConfigError(f"config keys not taken by {args.command!r}: {sorted(unknown)}")
         for key, value in file_config.items():
             if value is not None and types[key] is not None:
                 try:
@@ -201,10 +199,9 @@ def _resolve_config(args: argparse.Namespace, types: dict) -> dict:
                     raise ConfigError(
                         f"config key {key!r}: {value!r} is not a valid {types[key].__name__}"
                     ) from None
-    resolved = dict(DEFAULTS)
+    resolved = {k: v for k, v in DEFAULTS.items() if k in types}
     for source in (file_config, vars(args)):
         resolved.update((k, v) for k, v in source.items() if v is not None and k != "config")
-    resolved["format"] = FORMATS.get(resolved["format"], resolved["format"])
     return resolved
 
 
@@ -228,15 +225,17 @@ def _config_hash(record: dict) -> str:
 def _run_dir(resolved: dict, **configs) -> tuple[str, dict]:
     """Create the run directory and return it with the run's record.
 
-    The record holds the command-level values, the seed, the data file's
-    SHA-256 and each config the run built, serialized by
+    The record holds the command's own command-level values, its seed
+    (for a command that takes one), the data file's SHA-256 and each
+    config the run built, serialized by
     ``md.serialize_config``; a key that a built config holds appears only
     inside it. The directory is named by ``_config_hash(record)``, so
     the same run on the same bytes lands in the same directory under any
     output root and through any path.
     """
     record = {k: v for k, v in resolved.items() if k not in CONFIG_KEYS and k != "out"}
-    record["seed"] = _seed(resolved)
+    if resolved["command"] != "ingest":  # the one command without --seed
+        record["seed"] = _seed(resolved)
     record.update((name, md.serialize_config(config)) for name, config in configs.items())
     out = os.path.join(resolved["out"], f"{resolved['command']}-{_config_hash(record)}")
     os.makedirs(out, exist_ok=True)
@@ -248,9 +247,9 @@ def _run_dir(resolved: dict, **configs) -> tuple[str, dict]:
 
 
 def _write_json(payload: dict, record: dict, path: str) -> None:
-    payload = dict(payload)
-    payload["config"] = record
-    payload["seed"] = record["seed"]
+    payload = dict(payload, config=record)
+    if "seed" in record:
+        payload["seed"] = record["seed"]
     payload["timestamp"] = datetime.now(timezone.utc).isoformat()
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, default=float)
@@ -261,7 +260,7 @@ def _ingest(resolved: dict) -> ds.InteractionLog:
     path = resolved.get("data")
     if not path:
         raise ConfigError("--data is required for this command")
-    log = ds.ingest(path, resolved["format"])
+    log = ds.ingest(path, FORMATS.get(resolved["format"], resolved["format"]))
     with open(path, "rb") as fh:
         resolved["data_sha256"] = hashlib.sha256(fh.read()).hexdigest()
     return log
@@ -290,8 +289,11 @@ def _model_config(resolved: dict) -> md.SgfcfConfig:
     )
 
 
-def _parse_number_list(text: str, cast=float) -> list:
-    return [cast(tok) for tok in str(text).split(",") if tok.strip() != ""]
+def _parse_number_list(text: str, option: str, cast=float) -> list:
+    try:
+        return [cast(tok) for tok in str(text).split(",") if tok.strip() != ""]
+    except ValueError:
+        raise ConfigError(f"{option}: {text!r} is not a comma-separated list of {cast.__name__}s") from None
 
 
 def _cmd_ingest(resolved: dict) -> int:
@@ -387,7 +389,7 @@ def _cmd_sweep(resolved: dict) -> int:
     graph = gr.build_graph(dataset)
     norm = gr.g2n_normalize(graph, gr.G2NConfig(**_given(resolved, G2N_FIELDS)))
     if resolved.get("K_grid"):
-        K_list = _parse_number_list(resolved["K_grid"], int)
+        K_list = _parse_number_list(resolved["K_grid"], "--K-grid", int)
     else:
         cap = min(graph.n_users, graph.n_items)
         K_list = [max(1, int(cap * f)) for f in (0.01, 0.02, 0.05, 0.1, 0.2, 0.4, 0.7, 1.0)]
@@ -410,7 +412,7 @@ def _cmd_grid(resolved: dict) -> int:
         flag = resolved.get(f"grid_{axis}")
         if flag is not None:
             cast = int if axis == "K" else float
-            axes[axis] = _parse_number_list(flag, cast)
+            axes[axis] = _parse_number_list(flag, f"--grid-{axis}", cast)
         elif axis in file_grid:
             axes[axis] = list(file_grid[axis])
     if not axes:
@@ -511,7 +513,7 @@ def run_command(argv: list[str]) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        resolved = _resolve_config(args, _config_types(parser))
+        resolved = _resolve_config(args, _config_types(parser, args.command))
         return COMMANDS[args.command](resolved)
     except SgfcfError as exc:
         print(f"error: {exc}", file=sys.stderr)

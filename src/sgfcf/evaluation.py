@@ -18,9 +18,9 @@ import numpy as np
 from .dataset import InteractionDataset
 from .errors import BandOutOfRange, ConfigError, EmptyTestSet, EmptyValidation, KTooLarge, NoEvaluableUsers
 from .filters import BandFilter, IgfConfig
-from .graph import DENSE_ORACLE_CAP, G2NConfig, build_graph, g2n_normalize
+from .graph import G2NConfig, build_graph, g2n_normalize
 from .model import RankedList, SgfcfConfig, fit, top_k
-from .spectral import dense_svd, top_k_svd, truncated_svd
+from .spectral import top_k_svd
 
 GRID_AXES = ("alpha", "epsilon", "K", "beta", "beta1", "beta2", "gamma")
 # Tuning lattices; axes must sit on multiples of these steps.
@@ -69,6 +69,11 @@ def ndcg_at_k(ranked, test_items) -> float:
     return min(float(dcg / idcg), 1.0)
 
 
+def _check_cutoff(k: int, name: str = "k") -> None:
+    if k < 1:
+        raise ConfigError(f"{name} must be >= 1, got {k}")
+
+
 def _held_out_by_user(dataset: InteractionDataset, split: str) -> list[np.ndarray]:
     pairs = getattr(dataset, split)
     per_user: list[np.ndarray] = [np.empty(0, dtype=np.int64)] * dataset.n_users
@@ -98,6 +103,7 @@ def evaluate(
     comes from the same ``top_k`` as ``recommend``: score-descending,
     ties broken by ascending item id.
     """
+    _check_cutoff(k)
     if split not in ("val", "test"):
         raise ConfigError(f"split must be 'val' or 'test', got {split!r}")
     held_out = _held_out_by_user(dataset, split)
@@ -146,13 +152,14 @@ def frequency_sweep(
 
     Each point is a ``fit`` with ``BandFilter()`` on one graph and one
     spectrum. A passed spectrum must hold the grid's largest K. Without
-    one, a spectrum is taken at the grid's largest K: dense at oracle
-    sizes, truncated with ``seed`` otherwise; grid values beyond its
-    length (a rank-deficient matrix has fewer dense triplets than
-    min(|U|,|I|)) are clamped to it. Returns one row per distinct K with
-    the spectrum fraction and both metrics; K = 0 has no defined model
-    and is not part of any grid.
+    one, the spectrum is ``top_k_svd`` at the grid's largest K (capped at
+    min(|U|,|I|)) with ``seed``, and grid values beyond its length (a
+    rank-deficient matrix yields fewer triplets) are clamped to it. Returns
+    one row per distinct K with ``fraction`` = K / len(spectrum) and both
+    metrics at ``metric_k``; K = 0 has no defined model and is not part of
+    any grid.
     """
+    _check_cutoff(metric_k, "metric_k")
     K_grid = sorted({int(K) for K in K_grid})
     if not K_grid:
         return []
@@ -160,10 +167,7 @@ def frequency_sweep(
         raise ConfigError("frequency sweep requires K >= 1")
     graph = build_graph(dataset)
     if spectrum is None:
-        if min(norm.shape) <= DENSE_ORACLE_CAP:
-            spectrum = dense_svd(norm)
-        else:
-            spectrum = truncated_svd(norm, min(K_grid[-1], min(norm.shape)), seed=seed)
+        spectrum = top_k_svd(norm, min(K_grid[-1], min(norm.shape)), seed=seed)
         K_grid = sorted({min(K, len(spectrum)) for K in K_grid})
     elif K_grid[-1] > len(spectrum):
         raise BandOutOfRange(
@@ -243,13 +247,16 @@ def grid_search(
 
     An axis not in the grid takes the base's value. The beta1 and beta2
     axes are the exception when the base has beta1 == beta == beta2:
-    they then follow each beta. The spectrum is computed once per
-    (alpha, epsilon) pair at the largest K and sliced for smaller K; a K
-    above min(|U|, |I|) raises ``KTooLarge`` before any work, as ``fit``
-    does. Homophily is computed once, and only when some combination has
-    beta1 < beta2 (with beta1 == beta2 every node gets beta, see
-    ``fit``). Combinations violating beta1 <= beta <= beta2 are skipped.
+    they then follow each beta. Each (alpha, epsilon) pair is visited
+    once, in sorted order; its spectrum is ``top_k_svd`` at the largest
+    K, sliced for smaller K, and outlives the pair only while the pair
+    holds the best validation score. A K above min(|U|, |I|) or a ``k``
+    below 1 raises before any work, as ``fit`` does. Homophily is
+    computed once, and only when some combination has beta1 < beta2 (with
+    beta1 == beta2 every node gets beta, see ``fit``). Combinations
+    violating beta1 <= beta <= beta2 are skipped.
     """
+    _check_cutoff(k)
     if len(dataset.val) == 0:
         raise EmptyValidation("grid search needs a non-empty validation split")
     if base is None:
@@ -290,25 +297,8 @@ def grid_search(
             graph, delta=base.delta, mode=base.homo_mode, seed=base.seed
         )
 
-    spectra = {}
-    norms = {}
-
-    def spectrum_for(alpha: float, epsilon: float):
-        key = (alpha, epsilon)
-        if key not in spectra:
-            norms[key] = g2n_normalize(graph, G2NConfig(alpha=alpha, epsilon=epsilon))
-            spectra[key] = top_k_svd(
-                norms[key],
-                K_max,
-                oversample=base.svd_oversample,
-                power_iters=base.svd_power_iters,
-                seed=base.seed,
-            )
-        return norms[key], spectra[key]
-
-    def run_combo(index_combo):
+    def run_combo(index_combo, norm, spectrum):
         index, (alpha, epsilon, K, beta, b1, b2, gamma) = index_combo
-        norm, spectrum = spectrum_for(alpha, epsilon)
         config = replace(
             base,
             K=K,
@@ -326,32 +316,36 @@ def grid_search(
         }
         return index, config, result, row
 
-    # Group combos by (alpha, epsilon) so each spectrum is built once and
-    # the per-filter work within a group can run concurrently.
+    # A group's combos share its stages and can run concurrently; only the
+    # best group so far keeps its stages past its turn, for the test refit.
     metric = grid.selection_metric
-    results: list = [None] * len(combos)
-    indexed = list(enumerate(combos))
-    indexed.sort(key=lambda ic: (ic[1][0], ic[1][1], ic[0]))
-    groups = itertools.groupby(indexed, key=lambda ic: (ic[1][0], ic[1][1]))
-    for (alpha, epsilon), group in groups:
+    table: list = [None] * len(combos)
+    best = None  # (key, config, validation, norm, spectrum)
+    indexed = sorted(enumerate(combos), key=lambda ic: (ic[1][0], ic[1][1], ic[0]))
+    for (alpha, epsilon), group in itertools.groupby(indexed, key=lambda ic: (ic[1][0], ic[1][1])):
         group = list(group)
-        spectrum_for(alpha, epsilon)  # materialize before fanning out
+        norm = g2n_normalize(graph, G2NConfig(alpha=alpha, epsilon=epsilon))
+        spectrum = top_k_svd(
+            norm,
+            K_max,
+            oversample=base.svd_oversample,
+            power_iters=base.svd_power_iters,
+            seed=base.seed,
+        )
         if threads == 1 or len(group) == 1:
-            outcomes = [run_combo(ic) for ic in group]
+            outcomes = [run_combo(ic, norm, spectrum) for ic in group]
         else:
             workers = threads if threads > 0 else None
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                outcomes = list(pool.map(run_combo, group))
+                outcomes = list(pool.map(lambda ic: run_combo(ic, norm, spectrum), group))
         for index, config, result, row in outcomes:
-            results[index] = (config, result, row)
+            table[index] = row
+            key = (_metric_value(result, metric), -index)
+            if best is None or key > best[0]:
+                best = (key, config, result, norm, spectrum)
+        del norm, spectrum
 
-    best_index = max(
-        range(len(results)),
-        key=lambda i: (_metric_value(results[i][1], metric), -i),
-    )
-    best_config, best_validation, _ = results[best_index]
-    table = [row for _, _, row in results]
-    norm, spectrum = spectrum_for(best_config.g2n.alpha, best_config.g2n.epsilon)
+    _, best_config, best_validation, norm, spectrum = best
     best_model = fit(
         dataset, best_config, graph=graph, norm=norm, spectrum=spectrum, homophily=homophily
     )

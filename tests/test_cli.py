@@ -310,6 +310,46 @@ class TestSweepGridSpectrum:
         assert run_command(["eval", "--data", data_file, "--config", str(config_path)]) == 1
 
 
+class TestRunRecord:
+    def test_a_run_records_only_what_its_command_takes(self, data_file, tmp_path):
+        out = tmp_path / "runs"
+        spectrum = ["spectrum", "--data", data_file, "--K", "4", "--out", str(out)]
+        config_path = tmp_path / "k.json"
+        config_path.write_text(json.dumps({"k": 5}))
+        # an option of another command is no option of this one, as a flag or a config key
+        assert run_command(["ingest", "--data", data_file, "--seed", "1", "--out", str(out)]) == 1
+        assert run_command(["ingest", "--data", data_file, "--threads", "3", "--out", str(out)]) == 1
+        assert run_command(spectrum + ["--threads", "7"]) == 1
+        assert run_command(spectrum + ["--config", str(config_path)]) == 1
+        assert not out.exists()
+        assert run_command(["ingest", "--data", data_file, "--out", str(out)]) == 0
+        assert run_command(spectrum) == 0
+        records = {name.split("-")[0]: _load(out / name / "run_config.json") for name in os.listdir(out)}
+        assert set(records["ingest"]) == {"command", "data", "data_sha256", "format"}
+        assert set(records["spectrum"]) == {"command", "data", "data_sha256", "format", "seed", "split", "model"}
+
+    def test_threads_is_a_grid_option(self, data_file, tmp_path):
+        out = str(tmp_path / "runs")
+        argv = ["grid", "--data", data_file, "--grid-K", "4,6", "--k", "5", "--threads", "1", "--out", out]
+        assert run_command(argv) == 0
+        record = _load(os.path.join(_only_run_dir(out), "run_config.json"))
+        assert (record["threads"], record["k"], record["selection_metric"]) == (1, 5, "ndcg")
+        assert "metric_k" not in record
+
+    @pytest.mark.parametrize(
+        "argv, option",
+        [(["sweep", "--K-grid", "2,x"], "--K-grid"), (["grid", "--grid-K", "4.5"], "--grid-K")],
+    )
+    def test_bad_number_list_fails_cleanly(self, data_file, tmp_path, capsys, argv, option):
+        assert run_command(argv + ["--data", data_file, "--out", str(tmp_path / "r")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {option}: ")
+
+    def test_eval_k_below_one_fails(self, data_file, tmp_path):
+        out = tmp_path / "r"
+        assert run_command(["eval", "--data", data_file, "--K", "4", "--k", "0", "--out", str(out)]) == 1
+        assert not out.exists()
+
+
 class TestTheoryCheck:
     def test_exit_zero_and_reports(self, tmp_path):
         out = str(tmp_path / "runs")

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -24,6 +27,7 @@ from sgfcf import evaluation
 from sgfcf.errors import BandOutOfRange, ConfigError, EmptyTestSet, EmptyValidation, KTooLarge, NoEvaluableUsers
 from sgfcf.evaluation import write_grid_csv, write_sweep_csv
 from sgfcf.model import RankedList
+from sgfcf.spectral import top_k_svd
 from sgfcf.theory import random_bipartite_graph
 
 from oracles import duplicate_sources_bruteforce
@@ -142,6 +146,13 @@ class TestEvaluate:
         model = fit(dataset, SgfcfConfig(K=2))
         with pytest.raises(NoEvaluableUsers):
             evaluate(model, dataset, k=2)
+
+    @pytest.mark.parametrize("k", [0, -3])
+    def test_k_below_one_raises(self, toy_dataset, k):
+        # as recommend does; a cutoff below 1 would score every user 0
+        model = fit(toy_dataset, SgfcfConfig(K=2))
+        with pytest.raises(ConfigError):
+            evaluate(model, toy_dataset, k=k)
 
     def test_rank_only_dependence(self, toy_dataset):
         # a strictly monotone transform of the scores leaves metrics unchanged
@@ -286,18 +297,56 @@ class TestFrequencySweep:
             frequency_sweep(dataset, norm, [4, 40], spectrum=spec)
 
     def test_truncated_spectrum_serves_the_whole_grid(self, monkeypatch):
-        # above the dense cap the one spectrum is taken at the grid's largest K
-        monkeypatch.setattr(evaluation, "DENSE_ORACLE_CAP", 5)
+        # the one spectrum is taken at the grid's largest K
+        calls = []
+
+        def spy(matrix, K, **kwargs):
+            calls.append((matrix, K, kwargs.get("seed")))
+            return top_k_svd(matrix, K, **kwargs)
+
+        monkeypatch.setattr(evaluation, "top_k_svd", spy)
         rng = np.random.default_rng(3)
         dataset = _sweep_dataset(rng)
         norm = g2n_normalize(build_graph(dataset), G2NConfig())
         rows = frequency_sweep(dataset, norm, [2, 4], seed=1)
+        assert len(calls) == 1 and calls[0][0] is norm and calls[0][1:] == (4, 1)
         assert [(row["K"], row["fraction"]) for row in rows] == [(2, 0.5), (4, 1.0)]
-        monkeypatch.undo()
-        dense = frequency_sweep(dataset, norm, [2, 4])
+        dense = frequency_sweep(dataset, norm, [2, 4], spectrum=dense_svd(norm))
         for row, exact in zip(rows, dense):
             assert row["recall"] == pytest.approx(exact["recall"], abs=1e-12)
             assert row["ndcg"] == pytest.approx(exact["ndcg"], abs=1e-12)
+
+    def test_fraction_is_of_the_spectrum_taken_at_an_oracle_size(self, monkeypatch):
+        # below the dense oracle's cap too, the spectrum comes from top_k_svd
+        # at the grid's largest K, not from a full decomposition
+        taken = []
+
+        def spy(matrix, K, **kwargs):
+            taken.append(top_k_svd(matrix, K, **kwargs))
+            return taken[-1]
+
+        monkeypatch.setattr(evaluation, "top_k_svd", spy)
+        rng = np.random.default_rng(4)
+        dataset = _sweep_dataset(rng)
+        norm = g2n_normalize(build_graph(dataset), G2NConfig())
+        assert len(dense_svd(norm)) > 6
+        rows = frequency_sweep(dataset, norm, [1, 3, 6])
+        assert [len(spectrum) for spectrum in taken] == [6]
+        assert [(row["K"], row["fraction"]) for row in rows] == [(1, 1 / 6), (3, 0.5), (6, 1.0)]
+
+    def test_metric_k_below_one_raises_before_any_work(self, monkeypatch):
+        rng = np.random.default_rng(2)
+        dataset = _sweep_dataset(rng)
+        norm = g2n_normalize(build_graph(dataset), G2NConfig())
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("sweep started work with a metric cutoff below 1")
+
+        monkeypatch.setattr(evaluation, "build_graph", forbidden)
+        monkeypatch.setattr(evaluation, "top_k_svd", forbidden)
+        for metric_k in (0, -3):
+            with pytest.raises(ConfigError):
+                frequency_sweep(dataset, norm, [1, 4], metric_k=metric_k)
 
     def test_band_and_mirror_band_agree_on_metrics(self):
         # scores from band [1, K] and from the mirrored (n - K) eigenvector
@@ -451,6 +500,50 @@ class TestGridSearch:
         base = SgfcfConfig(K=4, filter=BandFilter())
         result = grid_search(dataset, GridSpec(axes={"K": [2, 4, 6]}), k=5, base=base)
         assert [row["K"] for row in result.table] == [2, 4, 6]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_one_pass_keeps_only_the_best_group_alive(self, monkeypatch, threads):
+        rng = np.random.default_rng(11)
+        dataset = _grid_dataset(rng)
+        axes = {"alpha": [4.0, 0.0, 2.0], "epsilon": [-0.3, -0.5], "K": [3, 5], "gamma": [0.0, 0.2]}
+        calls = []  # (group, K, earlier groups whose spectrum is alive)
+        taken = []  # (group, weakrefs to its spectrum and singular vectors)
+
+        def spy(matrix, K, **kwargs):
+            gc.collect()
+            alive = [group for group, refs in taken if any(ref() is not None for ref in refs)]
+            group = (matrix.config.alpha, matrix.config.epsilon)
+            calls.append((group, K, alive))
+            spectrum = top_k_svd(matrix, K, **kwargs)
+            taken.append((group, [weakref.ref(spectrum), weakref.ref(spectrum.P), weakref.ref(spectrum.Q)]))
+            return spectrum
+
+        monkeypatch.setattr(evaluation, "top_k_svd", spy)
+        result = grid_search(dataset, GridSpec(axes=axes), k=5, threads=threads)
+        groups = sorted({(row["alpha"], row["epsilon"]) for row in result.table})
+        assert len(groups) == 6
+        assert [(group, K) for group, K, _ in calls] == [(group, 5) for group in groups]
+        rows = list(enumerate(result.table))
+        for n, (_, _, alive) in enumerate(calls):
+            earlier = [(i, row) for i, row in rows if (row["alpha"], row["epsilon"]) in groups[:n]]
+            if not earlier:
+                assert alive == []
+                continue
+            _, best = max(earlier, key=lambda ir: (ir[1]["val_ndcg"], -ir[0]))
+            assert alive == [(best["alpha"], best["epsilon"])]
+
+    def test_k_below_one_raises_before_any_work(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        dataset = _grid_dataset(rng)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("grid started work with a metric cutoff below 1")
+
+        monkeypatch.setattr(evaluation, "build_graph", forbidden)
+        monkeypatch.setattr(evaluation, "top_k_svd", forbidden)
+        for k in (0, -3):
+            with pytest.raises(ConfigError):
+                grid_search(dataset, GridSpec(axes={"K": [2, 4]}), k=k)
 
     def test_empty_validation_raises(self, toy_dataset):
         with pytest.raises(EmptyValidation):
