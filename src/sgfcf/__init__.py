@@ -63,7 +63,6 @@ from .evaluation import (
     recall_at_k,
 )
 from .spectral import (
-    SpectrumStats,
     TruncatedSpectrum,
     appro_curve,
     appro_measure,

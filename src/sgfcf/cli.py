@@ -333,6 +333,9 @@ def _cmd_split(resolved: dict) -> int:
 
 
 def _cmd_fit(resolved: dict) -> int:
+    recommend_k = resolved.get("recommend_k")
+    if recommend_k is not None and recommend_k < 1:
+        raise ConfigError(f"--recommend-k must be >= 1, got {recommend_k}")
     dataset = _load_dataset(resolved)
     model = md.fit(dataset, _model_config(resolved))
     out, record = _run_dir(resolved, split=dataset.split_config, model=model.config)
@@ -346,12 +349,9 @@ def _cmd_fit(resolved: dict) -> int:
                 gr.build_graph(dataset), delta=config.delta, mode=config.homo_mode, seed=config.seed
             )
         ft.write_homophily_csv(homophily, model.profile, os.path.join(out, "homophily.csv"))
-    if resolved.get("recommend_k"):
+    if recommend_k is not None:
         md.write_recommendations_csv(
-            model,
-            range(model.n_users),
-            int(resolved["recommend_k"]),
-            os.path.join(out, "recommendations.csv"),
+            model, range(model.n_users), recommend_k, os.path.join(out, "recommendations.csv")
         )
     print(f"fit in {model.fit_seconds:.2f}s -> {out}")
     return 0
@@ -408,13 +408,15 @@ def _cmd_grid(resolved: dict) -> int:
     dataset = _load_dataset(resolved)
     axes = {}
     file_grid = resolved.get("grid") or {}
+    if not isinstance(file_grid, dict):
+        raise ConfigError(f"config grid must map axis names to value lists, got {file_grid!r}")
     for axis in ev.GRID_AXES:
         flag = resolved.get(f"grid_{axis}")
         if flag is not None:
             cast = int if axis == "K" else float
             axes[axis] = _parse_number_list(flag, f"--grid-{axis}", cast)
         elif axis in file_grid:
-            axes[axis] = list(file_grid[axis])
+            axes[axis] = file_grid[axis]
     if not axes:
         raise ConfigError("grid search needs at least one --grid-<axis> or a config grid")
     grid = ev.GridSpec(axes=axes, selection_metric=resolved["selection_metric"])
@@ -459,10 +461,10 @@ def _cmd_spectrum(resolved: dict) -> int:
         power_iters=config.svd_power_iters,
         seed=config.seed,
     )
-    stats = spec.spectrum_stats(spectrum, norm.frobenius_sq())
+    curve = spec.appro_curve(spectrum, norm.frobenius_sq())
     out, record = _run_dir(resolved, split=dataset.split_config, model=config)
     spec.write_spectrum_csv(spectrum, os.path.join(out, "spectrum.csv"))
-    spec.write_stats_csv(stats, os.path.join(out, "stats.csv"))
+    spec.write_stats_csv(curve, os.path.join(out, "stats.csv"))
     _write_json(
         {"K": len(spectrum), "sigma_1": float(spectrum.sigma[0])},
         record,

@@ -10,10 +10,13 @@ from __future__ import annotations
 
 import csv
 import itertools
+import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.sparse as sp
 
 from .dataset import InteractionDataset
 from .errors import BandOutOfRange, ConfigError, EmptyTestSet, EmptyValidation, KTooLarge, NoEvaluableUsers
@@ -25,6 +28,8 @@ from .spectral import top_k_svd
 GRID_AXES = ("alpha", "epsilon", "K", "beta", "beta1", "beta2", "gamma")
 # Tuning lattices; axes must sit on multiples of these steps.
 AXIS_STEPS = {"alpha": 1.0, "epsilon": 0.02, "beta": 0.1, "beta1": 0.1, "beta2": 0.1, "gamma": 0.1}
+# Users scored at once by evaluate.
+EVAL_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -74,26 +79,11 @@ def _check_cutoff(k: int, name: str = "k") -> None:
         raise ConfigError(f"{name} must be >= 1, got {k}")
 
 
-def _held_out_by_user(dataset: InteractionDataset, split: str) -> list[np.ndarray]:
-    pairs = getattr(dataset, split)
-    per_user: list[np.ndarray] = [np.empty(0, dtype=np.int64)] * dataset.n_users
-    if len(pairs) == 0:
-        return per_user
-    order = np.argsort(pairs[:, 0], kind="stable")
-    users = pairs[order, 0]
-    items = pairs[order, 1]
-    bounds = np.searchsorted(users, np.arange(dataset.n_users + 1))
-    for u in range(dataset.n_users):
-        per_user[u] = items[bounds[u] : bounds[u + 1]]
-    return per_user
-
-
 def evaluate(
     scorer,
     dataset: InteractionDataset,
     k: int = 10,
     split: str = "test",
-    chunk: int = 1024,
 ) -> MetricResult:
     """Average Recall@k / nDCG@k over users with held-out interactions.
 
@@ -101,39 +91,41 @@ def evaluate(
     train_csr for exclusion, such as an SgfcfModel. Users whose
     held-out set is empty are skipped, not zero-scored. Each user's top k
     comes from the same ``top_k`` as ``recommend``: score-descending,
-    ties broken by ascending item id.
+    ties broken by ascending item id. Users are scored EVAL_CHUNK at a
+    time, which bounds memory at EVAL_CHUNK score rows.
     """
     _check_cutoff(k)
     if split not in ("val", "test"):
         raise ConfigError(f"split must be 'val' or 'test', got {split!r}")
-    held_out = _held_out_by_user(dataset, split)
-    evaluable = np.array([u for u in range(dataset.n_users) if len(held_out[u])], dtype=np.int64)
+    pairs = getattr(dataset, split)
+    held_out = sp.csr_array((np.ones(len(pairs)), pairs.T), shape=(dataset.n_users, dataset.n_items))
+    n_held = np.diff(held_out.indptr)
+    evaluable = np.flatnonzero(n_held)
     if len(evaluable) == 0:
         raise NoEvaluableUsers(f"no user has interactions in the {split} split")
 
     discounts = 1.0 / np.log2(np.arange(2, k + 2))
     idcg_table = np.cumsum(discounts)
-    train = scorer.train_csr
-    recall_sum = 0.0
-    ndcg_sum = 0.0
-    for start in range(0, len(evaluable), chunk):
-        users = evaluable[start : start + chunk]
+    recall, ndcg = [], []
+    for start in range(0, len(evaluable), EVAL_CHUNK):
+        users = evaluable[start : start + EVAL_CHUNK]
         scores = np.asarray(scorer.score_users(users), dtype=np.float64)
-        for row, u in enumerate(users):
-            scores[row, train.indices[train.indptr[u] : train.indptr[u + 1]]] = -np.inf
-        top = top_k(scores, k)
-        for row, u in enumerate(users):
-            test_items = held_out[u]
-            hit_mask = np.isin(top[row], test_items)
-            n_hits = int(hit_mask.sum())
-            recall_sum += n_hits / len(test_items)
-            if n_hits:
-                dcg = float(discounts[np.nonzero(hit_mask)[0]].sum())
-                ndcg_sum += min(dcg / idcg_table[min(k, len(test_items)) - 1], 1.0)
+        scores[scorer.train_csr[users].nonzero()] = -np.inf
+        hits = held_out[users[:, None], top_k(scores, k)].toarray() > 0
+        n_hits = hits.sum(axis=1)
+        # rows with equally many hits are summed together, so each user's
+        # DCG is numpy's sum over its own hits, as a per-user sum gives
+        dcg = np.zeros(len(users))
+        for m in np.unique(n_hits[n_hits > 0]):
+            rows = n_hits == m
+            dcg[rows] = discounts[np.nonzero(hits[rows])[1].reshape(-1, m)].sum(axis=1)
+        recall.append(n_hits / n_held[users])
+        ndcg.append(np.minimum(dcg / idcg_table[np.minimum(k, n_held[users]) - 1], 1.0))
     n = len(evaluable)
+    # cumsum adds the users left to right, as a running total does
     return MetricResult(
-        recall_at_k=float(recall_sum / n),
-        ndcg_at_k=float(ndcg_sum / n),
+        recall_at_k=float(np.cumsum(np.concatenate(recall))[-1] / n),
+        ndcg_at_k=float(np.cumsum(np.concatenate(ndcg))[-1] / n),
         k=k,
         users_evaluated=n,
     )
@@ -193,8 +185,10 @@ def frequency_sweep(
 class GridSpec:
     """Named axis lists over the tunable hyperparameters.
 
-    Axis values must sit on the canonical tuning lattices (alpha step 1,
-    epsilon step 0.02, filter/gamma steps 0.1); K is any positive int.
+    Each axis is a list (or tuple) of finite numbers, bools excluded.
+    Values must sit on the canonical tuning lattices (alpha step 1,
+    epsilon step 0.02, filter/gamma steps 0.1); K values are positive
+    integers (2.0 counts as 2, 2.5 is rejected).
     """
 
     axes: dict
@@ -206,11 +200,17 @@ class GridSpec:
         for name, values in self.axes.items():
             if name not in GRID_AXES:
                 raise ConfigError(f"unknown grid axis {name!r}, expected one of {GRID_AXES}")
-            values = list(values)
+            if not isinstance(values, (list, tuple)):
+                raise ConfigError(f"axis {name!r} must be a list of numbers, got {values!r}")
             if not values:
                 raise ConfigError(f"axis {name!r} is empty")
+            for v in values:
+                if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
+                    raise ConfigError(f"axis {name!r} value {v!r} is not a finite number")
             if name == "K":
-                if any(int(v) < 1 for v in values):
+                if any(v != int(v) for v in values):
+                    raise ConfigError(f"K axis values must be integers, got {list(values)}")
+                if any(v < 1 for v in values):
                     raise ConfigError("K axis values must be >= 1")
             else:
                 step = AXIS_STEPS[name]

@@ -132,14 +132,8 @@ def duplicate_item_sources(graph: BipartiteGraph) -> np.ndarray:
     sources = np.empty(n_items, dtype=np.int64)
     sources[order] = order[np.flatnonzero(new_group)[np.cumsum(new_group) - 1]]
     copies = np.flatnonzero(sources != np.arange(n_items))
-    lengths = degrees[copies]
-    offsets = np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    same = (
-        col.indices[np.repeat(col.indptr[copies], lengths) + offsets]
-        == col.indices[np.repeat(col.indptr[sources[copies]], lengths) + offsets]
-    )
-    mismatches = np.bincount(np.repeat(np.arange(len(copies)), lengths), weights=~same, minlength=len(copies))
-    sources[copies[mismatches > 0]] = copies[mismatches > 0]
+    differs = np.diff((col[copies] != col[sources[copies]]).indptr) > 0
+    sources[copies[differs]] = copies[differs]
     return sources
 
 

@@ -286,25 +286,19 @@ def top_k(scores: np.ndarray, k: int) -> np.ndarray:
     return cols[order[starts[:, None] + np.arange(k)]]
 
 
-def _ranked_from_scores(
-    scores: np.ndarray, u: int, k: int, exclude: np.ndarray | None
-) -> RankedList:
-    scores = scores.astype(np.float64, copy=True)
-    if exclude is not None and len(exclude):
-        scores[exclude] = -np.inf
-    order = top_k(scores[None, :], k)[0]
-    keep = np.isfinite(scores[order])
-    order = order[keep]
-    return RankedList(user_id=u, items=order, scores=scores[order])
-
-
 def recommend(model: SgfcfModel, u: int, k: int = 10, exclude_train: bool = True) -> RankedList:
-    """Top-k items by score, optionally excluding the user's train items."""
+    """Top-k items by score, optionally excluding the user's train items.
+
+    Ranks like ``evaluate``: excluded items score -inf, ``top_k`` orders
+    the row, and the list keeps only finite scores."""
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
     scores = score_user(model, u)
-    exclude = model.train_items(u) if exclude_train else None
-    return _ranked_from_scores(scores, u, k, exclude)
+    if exclude_train:
+        scores[model.train_items(u)] = -np.inf
+    order = top_k(scores[None, :], k)[0]
+    order = order[np.isfinite(scores[order])]
+    return RankedList(user_id=u, items=order, scores=scores[order])
 
 
 def model_summary(model: SgfcfModel) -> dict:

@@ -81,13 +81,6 @@ class TruncatedSpectrum:
         )
 
 
-@dataclass(frozen=True)
-class SpectrumStats:
-    frobenius_sq_total: float
-    appro_curve: np.ndarray
-    ratio_curve: np.ndarray | None = None
-
-
 def _as_matrix(norm) -> sp.csr_matrix | np.ndarray:
     if isinstance(norm, NormalizedMatrix):
         return norm.values
@@ -368,18 +361,6 @@ def ratio_curve(spec_a: TruncatedSpectrum, spec_b: TruncatedSpectrum) -> np.ndar
     return ratio
 
 
-def spectrum_stats(
-    spec: TruncatedSpectrum,
-    frobenius_sq_total: float,
-    reference: TruncatedSpectrum | None = None,
-) -> SpectrumStats:
-    return SpectrumStats(
-        frobenius_sq_total=frobenius_sq_total,
-        appro_curve=appro_curve(spec, frobenius_sq_total),
-        ratio_curve=None if reference is None else ratio_curve(spec, reference),
-    )
-
-
 def write_spectrum_csv(spec: TruncatedSpectrum, path: str) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -388,9 +369,10 @@ def write_spectrum_csv(spec: TruncatedSpectrum, path: str) -> None:
             writer.writerow([k + 1, repr(float(spec.sigma[k])), repr(float(spec.sigma_normalized[k]))])
 
 
-def write_stats_csv(stats: SpectrumStats, path: str) -> None:
+def write_stats_csv(curve: np.ndarray, path: str) -> None:
+    """Write an ``appro_curve`` as ``k,appro`` rows."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["k", "appro"])
-        for k, value in enumerate(stats.appro_curve, start=1):
+        for k, value in enumerate(curve, start=1):
             writer.writerow([k, repr(float(value))])

@@ -138,3 +138,34 @@ def ritz_svd_reference(matrix, K, oversample=8, power_iters=8, seed=0):
     Ub, sigma, Vt = np.linalg.svd((A.T @ basis).T, full_matrices=False)
     keep = min(K, int((sigma > 1e-12 * sigma[0]).sum()))
     return sigma[:keep], (basis @ Ub)[:, :keep], Vt[:keep].T
+
+
+def evaluate_reference(scorer, dataset, k=10, split="test", chunk=1024):
+    """Per-user Recall@k / nDCG@k loops, as ``evaluation.evaluate`` once
+    ran them: held-out items per user, train exclusion row by row, a
+    stable argsort for the top k and ``np.isin`` per user. Returns
+    (recall, ndcg, users_evaluated)."""
+    pairs = getattr(dataset, split)
+    held_out = [pairs[pairs[:, 0] == u, 1] for u in range(dataset.n_users)]
+    evaluable = np.array([u for u in range(dataset.n_users) if len(held_out[u])], dtype=np.int64)
+    discounts = 1.0 / np.log2(np.arange(2, k + 2))
+    idcg_table = np.cumsum(discounts)
+    train = scorer.train_csr
+    recall_sum = 0.0
+    ndcg_sum = 0.0
+    for start in range(0, len(evaluable), chunk):
+        users = evaluable[start : start + chunk]
+        scores = np.array(scorer.score_users(users), dtype=np.float64)
+        for row, u in enumerate(users):
+            scores[row, train.indices[train.indptr[u] : train.indptr[u + 1]]] = -np.inf
+        top = np.argsort(-scores, axis=1, kind="stable")[:, :k]
+        for row, u in enumerate(users):
+            test_items = held_out[u]
+            hit_mask = np.isin(top[row], test_items)
+            n_hits = int(hit_mask.sum())
+            recall_sum += n_hits / len(test_items)
+            if n_hits:
+                dcg = float(discounts[np.nonzero(hit_mask)[0]].sum())
+                ndcg_sum += min(dcg / idcg_table[min(k, len(test_items)) - 1], 1.0)
+    n = len(evaluable)
+    return float(recall_sum / n), float(ndcg_sum / n), n

@@ -1,0 +1,61 @@
+"""The benchmark's own output checks (perfbench/checks.py) on small fitted
+models, so that a divergence between ``recommend`` and ``evaluate``, or a
+library entry point the benchmark calls going missing, fails the test
+suite and not only a benchmark run. perfbench/ is only read."""
+
+import importlib
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from sgfcf import IgfConfig, SgfcfConfig, SplitConfig, fit, ingest, split
+from sgfcf.evaluation import evaluate
+from sgfcf.theory import random_bipartite_graph
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+K = 10
+
+
+@pytest.fixture(scope="module")
+def checks():
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(PERFBENCH))
+        yield importlib.import_module("checks")
+
+
+@pytest.fixture(scope="module")
+def dataset(tmp_path_factory):
+    """A skewed 150 x 120 graph written as a log and split as the benchmark
+    splits its inputs (train 0.8, validation 0.05)."""
+    R = random_bipartite_graph(np.random.default_rng(5), 150, 120, target_edges=1500, exponent=2.5).tocoo()
+    path = tmp_path_factory.mktemp("bench") / "interactions.tsv"
+    path.write_text("".join(f"u{u}\ti{i}\n" for u, i in zip(R.row, R.col)))
+    return split(ingest(str(path)), SplitConfig(train_ratio=0.8, val_ratio=0.05, seed=3))
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        SgfcfConfig(K=24, igf=IgfConfig(beta=1.6, beta1=1.2, beta2=2.0), seed=3),
+        SgfcfConfig(K=24, igf=IgfConfig(beta=1.6, beta1=1.6, beta2=1.6), gamma=0.2, seed=3),
+    ],
+    ids=["gamma0", "gamma0.2"],
+)
+def test_benchmark_checks_pass(checks, dataset, config):
+    model = fit(dataset, config)
+    users = np.unique(dataset.test[:, 0])
+    lists = {int(u): model.recommend(int(u), k=K) for u in users}
+    for u, ranked in lists.items():
+        assert checks.ranked_list_problems(ranked, model.train_items(u), K) == []
+    assert checks.cross_check_topk(model, dataset, lists, K) == []
+    for split_name in ("test", "val"):
+        result = evaluate(model, dataset, k=K, split=split_name)
+        assert checks.metric_problems(result, dataset, split_name, split_name) == []
+    assert np.isfinite(checks.svd_residual_max(model))
+
+    # the cross-check sees a recommend list that evaluate would not rank
+    u = next(u for u, ranked in lists.items() if ranked.scores[0] > ranked.scores[1])
+    swapped = replace(lists[u], items=lists[u].items[[1, 0, *range(2, K)]])
+    assert checks.cross_check_topk(model, dataset, {**lists, u: swapped}, K) != []

@@ -344,6 +344,28 @@ class TestRunRecord:
         assert run_command(argv + ["--data", data_file, "--out", str(tmp_path / "r")]) == 1
         assert capsys.readouterr().err.startswith(f"error: {option}: ")
 
+    @pytest.mark.parametrize(
+        "axes", [{"K": ["x"]}, {"gamma": ["a"]}, {"K": 4}, {"K": [2.5]}, {"alpha": [True]}, 5], ids=str
+    )
+    def test_malformed_config_grid_fails_cleanly(self, data_file, tmp_path, capsys, axes):
+        config_path = tmp_path / "grid.json"
+        config_path.write_text(json.dumps({"grid": axes}))
+        out = tmp_path / "r"
+        assert run_command(["grid", "--data", data_file, "--config", str(config_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("k", ["0", "-3"])
+    def test_fit_recommend_k_below_one_fails_before_any_work(self, data_file, tmp_path, capsys, k):
+        argv = ["fit", "--data", data_file, "--K", "4", "--out", str(tmp_path / "r")]
+        assert run_command(argv + ["--recommend-k", k]) == 1
+        assert capsys.readouterr().err.startswith("error: --recommend-k")
+        assert not (tmp_path / "r").exists()
+        assert run_command(argv + ["--recommend-k", "2"]) == 0
+        rows = Path(_only_run_dir(str(tmp_path / "r")), "recommendations.csv").read_text().splitlines()
+        assert rows[0] == "user_id,rank,item_id,score" and len(rows) == 1 + 2 * 30
+
     def test_eval_k_below_one_fails(self, data_file, tmp_path):
         out = tmp_path / "r"
         assert run_command(["eval", "--data", data_file, "--K", "4", "--k", "0", "--out", str(out)]) == 1

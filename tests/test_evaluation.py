@@ -4,7 +4,8 @@ import weakref
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from sgfcf import (
     BandFilter,
@@ -30,7 +31,7 @@ from sgfcf.model import RankedList
 from sgfcf.spectral import top_k_svd
 from sgfcf.theory import random_bipartite_graph
 
-from oracles import duplicate_sources_bruteforce
+from oracles import duplicate_sources_bruteforce, evaluate_reference
 
 
 class TestRecallAtK:
@@ -248,6 +249,86 @@ def test_duplicate_items_score_bitwise_like_their_source(config):
     for u in range(model.n_users):
         row = model.score_user(u)
         assert np.array_equal(row[copies], row[sources[copies]])
+
+
+class _RowScorer:
+    """A fixed score matrix and train matrix behind evaluate's interface."""
+
+    def __init__(self, scores, train):
+        self.scores = scores
+        self.train_csr = sp.csr_matrix(train)
+
+    def score_users(self, users):
+        return self.scores[users].copy()
+
+
+def _evaluate_both(scorer, dataset, k, chunk, split="test"):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evaluation, "EVAL_CHUNK", chunk)
+        result = evaluate(scorer, dataset, k=k, split=split)
+    got = (result.recall_at_k, result.ndcg_at_k, result.users_evaluated)
+    return got, evaluate_reference(scorer, dataset, k=k, split=split, chunk=chunk)
+
+
+@st.composite
+def _scored_splits(draw):
+    """Cells drawn as none, train or held out, so pairs are unique within a
+    split; integer scores make ties, and a boost on held-out cells makes
+    rows with many hits."""
+    n_users = draw(st.integers(1, 7))
+    n_items = draw(st.integers(1, 24))
+    cells = draw(arrays(np.int8, (n_users, n_items), elements=st.integers(0, 2)))
+    scores = draw(arrays(np.float64, (n_users, n_items), elements=st.integers(-3, 3).map(float)))
+    scores += draw(st.sampled_from([0.0, 10.0])) * (cells == 2)
+    held = np.argwhere(cells == 2)
+    held = held[draw(st.permutations(range(len(held))))]
+    k = draw(st.integers(1, n_items + 3))
+    chunk = draw(st.integers(1, n_users + 1))
+    return cells, scores, held, k, chunk
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_scored_splits())
+def test_evaluate_equals_the_per_user_reference(case):
+    cells, scores, held, k, chunk = case
+    assume(len(held) > 0)
+    dataset = dataset_from_pairs(np.argwhere(cells == 1), test=held, n_users=cells.shape[0], n_items=cells.shape[1])
+    got, want = _evaluate_both(_RowScorer(scores, cells == 1), dataset, k, chunk)
+    assert got == want
+
+
+def test_evaluate_sums_eight_or_more_hits_as_numpy_does():
+    # user 0 hits ranks 1-4 and 7-10 of 10 and holds 10 items out; numpy's
+    # pairwise sum of those discounts gives another nDCG than a left-to-right
+    # sum, or than a sum over all 10 ranks with zeros at the misses
+    ranks = [0, 1, 2, 3, 6, 7, 8, 9]
+    discounts = 1.0 / np.log2(np.arange(2, 12))
+    left_to_right = 0.0
+    for d in discounts[ranks]:
+        left_to_right += d
+    idcg = np.cumsum(discounts)[-1]
+    zero_padded = np.where(np.isin(np.arange(10), ranks), discounts, 0.0).sum()
+    # evaluate divides user 0's nDCG by its 3 users
+    assert discounts[ranks].sum() / idcg / 3 not in (left_to_right / idcg / 3, zero_padded / idcg / 3)
+    n_items = 14
+    scores = np.tile(-np.arange(n_items, dtype=np.float64), (3, 1))
+    # users 1 and 2 hit nothing, so user 0's nDCG alone sets the sum
+    held = [(0, i) for i in ranks + [12, 13]] + [(1, 12), (1, 13), (2, 13)]
+    train = np.zeros((3, n_items), dtype=bool)
+    train[2, [1, 2]] = True
+    dataset = dataset_from_pairs(np.argwhere(train), test=held, n_users=3, n_items=n_items)
+    for chunk in (1, 2, 1024):
+        got, want = _evaluate_both(_RowScorer(scores, train), dataset, 10, chunk)
+        assert got == want
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 1024])
+@pytest.mark.parametrize("k", [3, 10, 60])
+def test_evaluate_equals_the_reference_on_a_fitted_model(chunk, k):
+    dataset = _tied_dataset()
+    model = fit(dataset, SgfcfConfig(K=12, gamma=0.3, igf=IgfConfig(beta=1.2, beta1=0.8, beta2=1.6), seed=3))
+    got, want = _evaluate_both(model, dataset, k, chunk)
+    assert got == want
 
 
 def test_golden_sweep_with_ties():
@@ -584,6 +665,29 @@ class TestGridSpec:
         with pytest.raises(ConfigError):
             GridSpec(axes={"gamma": [0.05]})
         GridSpec(axes={"alpha": [0.0, 3.0, 16.0], "gamma": [0.0, 0.3]})
+
+    @pytest.mark.parametrize(
+        "axes",
+        [
+            {"K": 4},
+            {"gamma": "0.2"},
+            {"K": ["x"]},
+            {"gamma": ["a"]},
+            {"gamma": [None]},
+            {"K": [2.5]},
+            {"K": [float("nan")]},
+            {"alpha": [True]},
+            {"K": [np.True_]},
+            {"epsilon": [float("inf")]},
+        ],
+        ids=repr,
+    )
+    def test_malformed_axis_raises(self, axes):
+        with pytest.raises(ConfigError):
+            GridSpec(axes=axes)
+
+    def test_numeric_axis_types(self):
+        GridSpec(axes={"K": (2, 4.0, np.int64(6)), "alpha": [np.float64(2.0), 3]})
 
     def test_selection_metric(self):
         with pytest.raises(ConfigError):

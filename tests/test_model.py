@@ -209,11 +209,14 @@ class TestScoreUser:
 
 class TestRecommend:
     def test_tie_break_by_item_id(self):
-        from sgfcf.model import _ranked_from_scores
-
-        ranked = _ranked_from_scores(np.array([0.9, 0.1, 0.9]), 0, 2, None)
+        assert top_k(np.array([[0.9, 0.1, 0.9]]), 2).tolist() == [[0, 2]]
+        # items 0 and 2 share their train column, so they tie exactly for user 1
+        dataset = dataset_from_pairs(
+            [(0, 0), (0, 1), (0, 2), (1, 1), (2, 0), (2, 2)], n_users=3, n_items=3
+        )
+        ranked = recommend(fit(dataset, SgfcfConfig(K=2)), 1, k=2)
         assert ranked.items.tolist() == [0, 2]
-        assert ranked.scores.tolist() == [0.9, 0.9]
+        assert ranked.scores[0] == ranked.scores[1]
 
     def test_exclusion_soundness(self):
         rng = np.random.default_rng(11)
