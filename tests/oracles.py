@@ -65,6 +65,27 @@ def homophily_counts_bruteforce(graph, delta, mode="inclusive"):
     return user_counts, item_counts
 
 
+def cooccurrence_counts_reference(R, chunk=2048):
+    """The delta = 2 pair counts of the rows of R through the whole sparse
+    co-occurrence Gram R^T R, thresholded at >= 2 off the diagonal, as
+    ``filters._cooccurrence_counts`` once computed them."""
+    R = R.tocsr()
+    gram = (R.T @ R).tocsr()
+    gram.setdiag(0)
+    gram.eliminate_zeros()
+    reachable = gram.copy()
+    reachable.data = (reachable.data >= 2).astype(np.float64)
+    reachable.eliminate_zeros()
+    n_rows = R.shape[0]
+    degrees = np.diff(R.indptr)
+    counts = degrees.astype(np.int64).copy()  # diagonal pairs
+    for start in range(0, n_rows, chunk):
+        block = R[start : start + chunk]
+        pair_hits = (block @ reachable).multiply(block).sum(axis=1)
+        counts[start : start + chunk] += np.asarray(pair_hits).ravel().astype(np.int64)
+    return counts
+
+
 def dense_triple_product(W):
     """(W W^T W) as a dense array."""
     dense = W.toarray()

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import shutil
 from dataclasses import asdict
 from pathlib import Path
@@ -391,4 +392,7 @@ class TestArgErrors:
 
     def test_help_returns_zero(self, capsys):
         assert run_command(["--help"]) == 0
-        assert "subcommand" in capsys.readouterr().out or True
+        out = capsys.readouterr().out
+        # each subcommand heads its own line of the listing, with its help after it
+        for name in ("ingest", "split", "fit", "eval", "sweep", "grid", "spectrum", "theory-check"):
+            assert re.search(rf"^ +{name} +\S", out, re.MULTILINE), name

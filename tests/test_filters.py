@@ -1,3 +1,6 @@
+import logging
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -17,12 +20,36 @@ from sgfcf import (
     homophilic_ratio_all,
     map_homo_to_beta,
 )
+from sgfcf import filters
 from sgfcf.errors import ConfigError, OddDelta, SizeCapExceeded
 from sgfcf.filters import write_homophily_csv
 from sgfcf.theory import random_bipartite_graph
 
 from conftest import random_graph
-from oracles import homophily_counts_bruteforce
+from oracles import cooccurrence_counts_reference, homophily_counts_bruteforce
+
+
+@st.composite
+def interaction_matrices(draw):
+    """Dense 0/1 matrices, sometimes with a copy of one column, a row that
+    touches every column, an empty row and an empty column."""
+    n_rows, n_cols = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    cells = draw(st.lists(st.booleans(), min_size=n_rows * n_cols, max_size=n_rows * n_cols))
+    dense = np.array(cells, dtype=np.float64).reshape(n_rows, n_cols)
+    if draw(st.booleans()):
+        dense = np.hstack([dense, dense[:, [draw(st.integers(0, n_cols - 1))]]])
+    if draw(st.booleans()):
+        dense = np.vstack([dense, np.ones((1, dense.shape[1]))])
+    if draw(st.booleans()):
+        dense = np.vstack([dense, np.zeros((1, dense.shape[1]))])
+    if draw(st.booleans()):
+        dense = np.hstack([dense, np.zeros((dense.shape[0], 1))])
+    return dense
+
+
+def block_bytes(width, shape):
+    """The block budget that gives blocks of ``width`` float32 columns."""
+    return width * 4 * max(shape)
 
 
 class TestEvalFilter:
@@ -147,6 +174,48 @@ class TestHomophily:
         scores = homophilic_ratio_all(graph, delta=2)
         for vec in (scores.user_scores, scores.item_scores):
             assert ((vec > 0.0) & (vec <= 1.0)).all()
+
+    # one column per block, uneven blocks (3 columns over up to 11), one block
+    @pytest.mark.parametrize("width", [1, 3, None])
+    @given(dense=interaction_matrices())
+    @settings(max_examples=80, deadline=None)
+    def test_blocked_counts_equal_the_gram_counts(self, width, dense):
+        graph = graph_from_matrix(sp.csr_matrix(dense))
+        budget = 2**40 if width is None else block_bytes(width, dense.shape)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(filters, "COOCCURRENCE_BLOCK_BYTES", budget)
+            users, items = homophilic_pair_counts(graph, delta=2)
+        assert users.dtype == items.dtype == np.int64
+        assert np.array_equal(users, cooccurrence_counts_reference(graph.row_major))
+        assert np.array_equal(items, cooccurrence_counts_reference(graph.col_major))
+
+    def test_pair_counts_stay_within_the_block_budget(self, monkeypatch):
+        # dense enough that every item pair co-occurs: the full item Gram
+        # holds 640k entries and the user Gram nearly 1M
+        rng = np.random.default_rng(5)
+        graph = graph_from_matrix(sp.random(1000, 800, density=0.1, random_state=rng, format="csr"))
+        budget = 2**18
+        monkeypatch.setattr(filters, "COOCCURRENCE_BLOCK_BYTES", budget)
+        tracemalloc.start()
+        try:
+            homophilic_pair_counts(graph, delta=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * budget + 32 * graph.nnz, peak
+
+    def test_pair_counts_log_their_blocks(self, monkeypatch, caplog):
+        rng = np.random.default_rng(6)
+        graph = random_graph(rng, 40, 30)
+        monkeypatch.setattr(filters, "COOCCURRENCE_BLOCK_BYTES", block_bytes(7, (40, 30)))
+        with caplog.at_level(logging.DEBUG, logger="sgfcf"):
+            homophilic_pair_counts(graph, delta=2)
+        messages = [r.getMessage() for r in caplog.records if r.name == "sgfcf"]
+        assert all(r.levelno == logging.DEBUG for r in caplog.records if r.name == "sgfcf")
+        assert messages == [
+            "user homophily: 5 co-occurrence blocks of 7 columns over 30 neighbors",
+            "item homophily: 6 co-occurrence blocks of 7 columns over 40 neighbors",
+        ]
 
 
 class TestIgfMapping:
