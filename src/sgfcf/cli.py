@@ -338,16 +338,15 @@ def _cmd_fit(resolved: dict) -> int:
         raise ConfigError(f"--recommend-k must be >= 1, got {recommend_k}")
     dataset = _load_dataset(resolved)
     model = md.fit(dataset, _model_config(resolved))
+    homophily = model.homophily
+    if model.profile is not None and homophily is None:
+        # fit skips it when beta1 == beta2; the artifact still reports it
+        config = model.config
+        homophily = ft.homophilic_ratio_all(gr.build_graph(dataset), delta=config.delta, mode=config.homo_mode)
     out, record = _run_dir(resolved, split=dataset.split_config, model=model.config)
     _write_json(md.model_summary(model), record, os.path.join(out, "model_summary.json"))
     spec.write_spectrum_csv(model.spectrum, os.path.join(out, "spectrum.csv"))
     if model.profile is not None:
-        homophily = model.homophily
-        if homophily is None:  # fit skips it when beta1 == beta2; the artifact still reports it
-            config = model.config
-            homophily = ft.homophilic_ratio_all(
-                gr.build_graph(dataset), delta=config.delta, mode=config.homo_mode, seed=config.seed
-            )
         ft.write_homophily_csv(homophily, model.profile, os.path.join(out, "homophily.csv"))
     if recommend_k is not None:
         md.write_recommendations_csv(

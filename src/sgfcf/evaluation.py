@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import csv
 import itertools
+import logging
 import math
 import numbers
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -22,14 +24,18 @@ from .dataset import InteractionDataset
 from .errors import BandOutOfRange, ConfigError, EmptyTestSet, EmptyValidation, KTooLarge, NoEvaluableUsers
 from .filters import BandFilter, IgfConfig
 from .graph import G2NConfig, build_graph, g2n_normalize
-from .model import RankedList, SgfcfConfig, fit, top_k
+from .model import RankedList, SgfcfConfig, add_gamma_term, fit, gamma_block, top_k
 from .spectral import top_k_svd
 
 GRID_AXES = ("alpha", "epsilon", "K", "beta", "beta1", "beta2", "gamma")
 # Tuning lattices; axes must sit on multiples of these steps.
 AXIS_STEPS = {"alpha": 1.0, "epsilon": 0.02, "beta": 0.1, "beta1": 0.1, "beta2": 0.1, "gamma": 0.1}
-# Users scored at once by evaluate.
+# Most users whose score rows an evaluation holds at once. Its pool of w
+# workers scores chunks of EVAL_CHUNK // w users, so memory stays at about
+# EVAL_CHUNK score rows (and their top-k work) whatever the pool size.
 EVAL_CHUNK = 1024
+
+log = logging.getLogger("sgfcf")
 
 
 @dataclass(frozen=True)
@@ -84,6 +90,7 @@ def evaluate(
     dataset: InteractionDataset,
     k: int = 10,
     split: str = "test",
+    threads: int = 0,
 ) -> MetricResult:
     """Average Recall@k / nDCG@k over users with held-out interactions.
 
@@ -91,8 +98,26 @@ def evaluate(
     train_csr for exclusion, such as an SgfcfModel. Users whose
     held-out set is empty are skipped, not zero-scored. Each user's top k
     comes from the same ``top_k`` as ``recommend``: score-descending,
-    ties broken by ascending item id. Users are scored EVAL_CHUNK at a
-    time, which bounds memory at EVAL_CHUNK score rows.
+    ties broken by ascending item id. The users are scored in chunks on a
+    pool of ``threads`` workers (0 = all cores); at most EVAL_CHUNK score
+    rows are in flight at once, whatever the pool size, and the metrics do
+    not depend on it.
+    """
+    return _evaluate_pass([(scorer, [0.0])], dataset, k, split, threads)[0][0]
+
+
+def _evaluate_pass(groups, dataset: InteractionDataset, k: int, split: str, threads: int) -> list[list[MetricResult]]:
+    """Metrics of several scorings of one split, in one pass over its users.
+
+    ``groups`` holds (scorer, gammas) pairs: each gamma is one scoring, the
+    scorer's scores plus gamma times the all-frequency term (see
+    ``add_gamma_term``). The scorers share one train matrix; those with a
+    gamma above 0 are SgfcfModels of one normalized matrix. Per chunk of
+    users, the exclusion, the ``gamma_block`` and each scorer's score_users
+    run once. The chunks run on a pool of ``threads`` workers (0 = all
+    cores), and each scoring's per-user metrics are joined in chunk order,
+    so no result depends on the pool or the chunk size. Returns one list of
+    results per group, aligned with its gammas.
     """
     _check_cutoff(k)
     if split not in ("val", "test"):
@@ -104,13 +129,21 @@ def evaluate(
     if len(evaluable) == 0:
         raise NoEvaluableUsers(f"no user has interactions in the {split} split")
 
+    workers = min(threads if threads > 0 else os.cpu_count() or 1, EVAL_CHUNK)
+    size = EVAL_CHUNK // workers
+    chunks = [evaluable[start : start + size] for start in range(0, len(evaluable), size)]
+    workers = min(workers, len(chunks))
+    log.debug(
+        "evaluate %s: %d scorings, %d users evaluated, %d skipped, %d chunks of up to %d users on %d threads",
+        split, sum(len(gammas) for _, gammas in groups), len(evaluable),
+        dataset.n_users - len(evaluable), len(chunks), size, workers,
+    )
+    train_csr = groups[0][0].train_csr
+    norm = next((scorer.norm for scorer, gammas in groups if max(gammas) > 0), None)
     discounts = 1.0 / np.log2(np.arange(2, k + 2))
     idcg_table = np.cumsum(discounts)
-    recall, ndcg = [], []
-    for start in range(0, len(evaluable), EVAL_CHUNK):
-        users = evaluable[start : start + EVAL_CHUNK]
-        scores = np.asarray(scorer.score_users(users), dtype=np.float64)
-        scores[scorer.train_csr[users].nonzero()] = -np.inf
+
+    def user_metrics(scores, users):
         hits = held_out[users[:, None], top_k(scores, k)].toarray() > 0
         n_hits = hits.sum(axis=1)
         # rows with equally many hits are summed together, so each user's
@@ -119,16 +152,41 @@ def evaluate(
         for m in np.unique(n_hits[n_hits > 0]):
             rows = n_hits == m
             dcg[rows] = discounts[np.nonzero(hits[rows])[1].reshape(-1, m)].sum(axis=1)
-        recall.append(n_hits / n_held[users])
-        ndcg.append(np.minimum(dcg / idcg_table[np.minimum(k, n_held[users]) - 1], 1.0))
-    n = len(evaluable)
-    # cumsum adds the users left to right, as a running total does
-    return MetricResult(
-        recall_at_k=float(np.cumsum(np.concatenate(recall))[-1] / n),
-        ndcg_at_k=float(np.cumsum(np.concatenate(ndcg))[-1] / n),
-        k=k,
-        users_evaluated=n,
-    )
+        recall = n_hits / n_held[users]
+        return recall, np.minimum(dcg / idcg_table[np.minimum(k, n_held[users]) - 1], 1.0)
+
+    def score_chunk(users):
+        excluded = train_csr[users].nonzero()
+        block = None if norm is None else gamma_block(norm, users)
+        out = []
+        for scorer, gammas in groups:
+            base = np.asarray(scorer.score_users(users), dtype=np.float64)
+            metrics = []
+            for n, gamma in enumerate(gammas):
+                scores = base if n == len(gammas) - 1 else base.copy()
+                if gamma > 0:
+                    add_gamma_term(scorer, scores, gamma, block)
+                scores[excluded] = -np.inf
+                metrics.append(user_metrics(scores, users))
+            out.append(metrics)
+            del base, scores  # before the next scorer's rows are made
+        return out
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        per_chunk = list(pool.map(score_chunk, chunks))
+
+    def mean(g, j, metric):
+        # cumsum adds the users left to right, as a running total does
+        values = np.concatenate([chunk[g][j][metric] for chunk in per_chunk])
+        return float(np.cumsum(values)[-1] / len(evaluable))
+
+    return [
+        [
+            MetricResult(recall_at_k=mean(g, j, 0), ndcg_at_k=mean(g, j, 1), k=k, users_evaluated=len(evaluable))
+            for j in range(len(gammas))
+        ]
+        for g, (_, gammas) in enumerate(groups)
+    ]
 
 
 def frequency_sweep(
@@ -166,6 +224,9 @@ def frequency_sweep(
             f"band [1, {K_grid[-1]}] invalid for a spectrum of length {len(spectrum)}"
         )
     rows = []
+    # one evaluate per K: a single pass over every K would hold all their
+    # factors at once, about 2.5 GB for the CLI's default grid at CiteULike
+    # shape (5551 x 16981)
     for K in K_grid:
         config = SgfcfConfig(K=K, g2n=norm.config, filter=BandFilter())
         model = fit(dataset, config, graph=graph, norm=norm, spectrum=spectrum)
@@ -255,6 +316,12 @@ def grid_search(
     computed once, and only when some combination has beta1 < beta2 (with
     beta1 == beta2 every node gets beta, see ``fit``). Combinations
     violating beta1 <= beta <= beta2 are skipped.
+
+    A pair's combos are validated in one pass over the users (see
+    ``_evaluate_pass``): per chunk of users they share the train exclusion,
+    the gamma block and, for combos that differ only in gamma, the factor
+    scores. ``threads`` sizes that pass's chunk pool and the winner's test
+    evaluate (0 = all cores); it does not change any result.
     """
     _check_cutoff(k)
     if len(dataset.val) == 0:
@@ -293,37 +360,15 @@ def grid_search(
     if base.filter is None and any(b1 < b2 for _, _, _, _, b1, b2, _ in combos):
         from .filters import homophilic_ratio_all
 
-        homophily = homophilic_ratio_all(
-            graph, delta=base.delta, mode=base.homo_mode, seed=base.seed
-        )
+        homophily = homophilic_ratio_all(graph, delta=base.delta, mode=base.homo_mode)
 
-    def run_combo(index_combo, norm, spectrum):
-        index, (alpha, epsilon, K, beta, b1, b2, gamma) = index_combo
-        config = replace(
-            base,
-            K=K,
-            g2n=G2NConfig(alpha=alpha, epsilon=epsilon),
-            igf=IgfConfig(beta=beta, beta1=b1, beta2=b2),
-            gamma=gamma,
-        )
-        model = fit(dataset, config, graph=graph, norm=norm, spectrum=spectrum, homophily=homophily)
-        result = evaluate(model, dataset, k=k, split="val")
-        row = {
-            "alpha": alpha, "epsilon": epsilon, "K": K, "beta": beta,
-            "beta1": b1, "beta2": b2, "gamma": gamma,
-            "val_recall": result.recall_at_k, "val_ndcg": result.ndcg_at_k,
-            "users_evaluated": result.users_evaluated,
-        }
-        return index, config, result, row
-
-    # A group's combos share its stages and can run concurrently; only the
-    # best group so far keeps its stages past its turn, for the test refit.
+    # Only the best group so far keeps its stages past its turn, for the
+    # test refit.
     metric = grid.selection_metric
     table: list = [None] * len(combos)
-    best = None  # (key, config, validation, norm, spectrum)
+    best = None  # (rank, config, validation, norm, spectrum)
     indexed = sorted(enumerate(combos), key=lambda ic: (ic[1][0], ic[1][1], ic[0]))
     for (alpha, epsilon), group in itertools.groupby(indexed, key=lambda ic: (ic[1][0], ic[1][1])):
-        group = list(group)
         norm = g2n_normalize(graph, G2NConfig(alpha=alpha, epsilon=epsilon))
         spectrum = top_k_svd(
             norm,
@@ -332,24 +377,40 @@ def grid_search(
             power_iters=base.svd_power_iters,
             seed=base.seed,
         )
-        if threads == 1 or len(group) == 1:
-            outcomes = [run_combo(ic, norm, spectrum) for ic in group]
-        else:
-            workers = threads if threads > 0 else None
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                outcomes = list(pool.map(lambda ic: run_combo(ic, norm, spectrum), group))
-        for index, config, result, row in outcomes:
-            table[index] = row
-            key = (_metric_value(result, metric), -index)
-            if best is None or key > best[0]:
-                best = (key, config, result, norm, spectrum)
-        del norm, spectrum
+        # combos that differ only in gamma share a factor set: each (K, beta,
+        # beta1, beta2) is fitted once at gamma 0, and the validation pass
+        # adds each combo's gamma term to its scores
+        models, members = {}, {}  # per factor set: its model, its [(index, config)]
+        for index, (alpha, epsilon, K, beta, b1, b2, gamma) in group:
+            config = replace(
+                base,
+                K=K,
+                g2n=G2NConfig(alpha=alpha, epsilon=epsilon),
+                igf=IgfConfig(beta=beta, beta1=b1, beta2=b2),
+                gamma=gamma,
+            )
+            if (K, beta, b1, b2) not in models:
+                models[K, beta, b1, b2] = fit(
+                    dataset, replace(config, gamma=0.0), graph=graph, norm=norm, spectrum=spectrum, homophily=homophily
+                )
+            members.setdefault((K, beta, b1, b2), []).append((index, config))
+        scorings = [(models[key], [config.gamma for _, config in members[key]]) for key in models]
+        for key, results in zip(models, _evaluate_pass(scorings, dataset, k, "val", threads)):
+            for (index, config), result in zip(members[key], results):
+                table[index] = dict(zip(GRID_AXES, combos[index])) | {
+                    "val_recall": result.recall_at_k, "val_ndcg": result.ndcg_at_k,
+                    "users_evaluated": result.users_evaluated,
+                }
+                rank = (_metric_value(result, metric), -index)
+                if best is None or rank > best[0]:
+                    best = (rank, config, result, norm, spectrum)
+        del norm, spectrum, models, scorings
 
     _, best_config, best_validation, norm, spectrum = best
     best_model = fit(
         dataset, best_config, graph=graph, norm=norm, spectrum=spectrum, homophily=homophily
     )
-    test_result = evaluate(best_model, dataset, k=k, split="test")
+    test_result = evaluate(best_model, dataset, k=k, split="test", threads=threads)
     return GridSearchResult(
         best_config=best_config,
         best_validation=best_validation,

@@ -23,7 +23,7 @@ from .errors import BandOutOfRange, ConfigError, OddDelta, SizeCapExceeded
 from .graph import BipartiteGraph
 
 # Exact distance computation with per-node removal is a verification-scale
-# operation for delta >= 4; larger graphs fall back to sampled pairs.
+# operation for delta >= 4; larger graphs raise SizeCapExceeded.
 HOMOPHILY_EXACT_CAP = 200
 
 # Bytes of one dense block of the delta = 2 pair count (see
@@ -308,37 +308,6 @@ def _bfs_counts(
     return counts
 
 
-def _sampled_scores(
-    graph: BipartiteGraph, delta: int, side: str, pair_samples: int, seed: int
-) -> np.ndarray:
-    """Monte-Carlo homophily estimate for graphs beyond the exact cap."""
-    adj = _adjacency_lists(graph)
-    n_users = graph.n_users
-    if side == "user":
-        matrix, offset, removed_offset = graph.row_major, n_users, 0
-    else:
-        matrix, offset, removed_offset = graph.col_major, 0, n_users
-    rng = np.random.default_rng(seed)
-    n_nodes = matrix.shape[0]
-    scores = np.ones(n_nodes, dtype=np.float64)
-    for node in range(n_nodes):
-        neighbors = matrix.indices[matrix.indptr[node] : matrix.indptr[node + 1]]
-        d = len(neighbors)
-        if d <= 1:
-            continue
-        removed = node + removed_offset
-        sources = rng.choice(neighbors, size=min(pair_samples, d), replace=False)
-        hits = tried = 0
-        for src in sources:
-            dist = _bfs_within(adj, int(src) + offset, removed, delta)
-            for t in neighbors:
-                tried += 1
-                if int(t) + offset in dist:
-                    hits += 1
-        scores[node] = hits / tried if tried else 1.0
-    return scores
-
-
 def homophilic_pair_counts(
     graph: BipartiteGraph, delta: int = 2, mode: str = "inclusive"
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -375,28 +344,20 @@ def homophilic_ratio_all(
     graph: BipartiteGraph,
     delta: int = 2,
     mode: str = "inclusive",
-    pair_samples: int = 64,
-    seed: int = 0,
 ) -> HomophilyScores:
     """Homophilic ratios for every user and item.
 
     delta = 2 (either mode) runs the co-occurrence fast path at any
-    scale. delta >= 4 is exact up to HOMOPHILY_EXACT_CAP nodes and
-    switches to deterministic sampled-pair estimates beyond that.
+    scale. delta >= 4 is exact up to HOMOPHILY_EXACT_CAP nodes and raises
+    SizeCapExceeded beyond that (see ``homophilic_pair_counts``).
     Degree-zero nodes score 1 by convention (nothing to compare).
     """
-    validate_delta(delta, mode)
-    effective = delta - 2 if mode == "strict" else delta
-    n = graph.n_users + graph.n_items
-    if effective <= 2 or n <= HOMOPHILY_EXACT_CAP:
-        user_counts, item_counts = homophilic_pair_counts(graph, delta, mode)
-        user_scores = _counts_to_scores(user_counts, graph.user_degrees)
-        item_scores = _counts_to_scores(item_counts, graph.item_degrees)
-    else:
-        user_scores = _sampled_scores(graph, effective, "user", pair_samples, seed)
-        item_scores = _sampled_scores(graph, effective, "item", pair_samples, seed + 1)
+    user_counts, item_counts = homophilic_pair_counts(graph, delta, mode)
     return HomophilyScores(
-        user_scores=user_scores, item_scores=item_scores, delta=delta, mode=mode
+        user_scores=_counts_to_scores(user_counts, graph.user_degrees),
+        item_scores=_counts_to_scores(item_counts, graph.item_degrees),
+        delta=delta,
+        mode=mode,
     )
 
 

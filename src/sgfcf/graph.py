@@ -9,7 +9,7 @@ toward high-degree nodes, which sharpens the singular-value spectrum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -69,6 +69,13 @@ class NormalizedMatrix:
     config: G2NConfig
     user_degrees: np.ndarray
     item_degrees: np.ndarray
+    # W^T row-major, built once in O(nnz): the gamma block's W^T D product
+    # runs faster over it than over the column-major view ``values.T`` and
+    # adds in the same order, so it gives the same bits
+    values_t: sp.csr_matrix = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "values_t", self.values.T.tocsr())
 
     @property
     def shape(self) -> tuple[int, int]:

@@ -188,9 +188,7 @@ def fit(
             )
         else:
             if homophily is None:
-                homophily = homophilic_ratio_all(
-                    graph, delta=config.delta, mode=config.homo_mode, seed=config.seed
-                )
+                homophily = homophilic_ratio_all(graph, delta=config.delta, mode=config.homo_mode)
             profile = map_homo_to_beta(homophily, igf, scope=config.homo_scope)
 
     user_factors, item_factors = _factor_weights(spectrum, config, profile)
@@ -251,12 +249,33 @@ def score_users(model: SgfcfModel, users) -> np.ndarray:
         raise UnknownUser("user id outside valid range in batch")
     scores = model.user_factors[users] @ model.item_factors.T
     if model.config.gamma > 0:
-        W = model.norm.values
-        # (W^T (W W_users^T))^T through a dense |U| x len(users) block; the
-        # sparse product W_users W^T W fills in to nearly dense and costs
-        # several times more.
-        block = W.T @ (W @ W[users].T).toarray()
-        scores += model.config.gamma * block.T
+        return add_gamma_term(model, scores, model.config.gamma, gamma_block(model.norm, users))
+    return _tie_duplicates(model, scores)
+
+
+def gamma_block(norm: NormalizedMatrix, users: np.ndarray) -> np.ndarray:
+    """W^T (W W_users^T), the |I| x len(users) block behind the gamma term.
+
+    It goes through a dense |U| x len(users) block; the sparse product
+    W_users W^T W fills in to nearly dense and costs several times more.
+    """
+    W = norm.values
+    return norm.values_t @ (W @ W[users].T).toarray()
+
+
+# Item columns per step of add_gamma_term's transposed add.
+GAMMA_TILE = 256
+
+
+def add_gamma_term(model: SgfcfModel, scores: np.ndarray, gamma: float, block: np.ndarray) -> np.ndarray:
+    """``scores += gamma * block.T`` in place, then the duplicate-item ties.
+
+    The add runs over GAMMA_TILE item columns at a time, which keeps the
+    transposed reads in cache and never materializes the whole scaled
+    transpose; each entry gets the same single add either way.
+    """
+    for start in range(0, block.shape[0], GAMMA_TILE):
+        scores[:, start : start + GAMMA_TILE] += gamma * block[start : start + GAMMA_TILE].T
     return _tie_duplicates(model, scores)
 
 

@@ -190,3 +190,69 @@ def evaluate_reference(scorer, dataset, k=10, split="test", chunk=1024):
                 ndcg_sum += min(dcg / idcg_table[min(k, len(test_items)) - 1], 1.0)
     n = len(evaluable)
     return float(recall_sum / n), float(ndcg_sum / n), n
+
+
+def grid_reference(dataset, axes, k=10, base=None, metric="ndcg"):
+    """The per-combination loop ``evaluation.grid_search`` once ran: every
+    combination of the axis product (beta1/beta2 following beta when the
+    base has beta1 == beta2, beta1 <= beta <= beta2 enforced) gets its own
+    ``fit`` on its (alpha, epsilon) pair's spectrum, taken at the grid's
+    largest K, and its own per-user metrics on the validation split (as
+    ``evaluate_reference`` computes them); the best by (metric, earliest)
+    is refitted and scored on test. Returns (table, best_config,
+    best_validation, test_result) as ``GridSearchResult`` holds them."""
+    from dataclasses import replace
+    from itertools import product
+
+    from sgfcf import G2NConfig, IgfConfig, SgfcfConfig, build_graph, fit, g2n_normalize, homophilic_ratio_all
+    from sgfcf.evaluation import MetricResult
+    from sgfcf.spectral import top_k_svd
+
+    base = SgfcfConfig() if base is None else base
+    follow = base.igf.beta1 == base.igf.beta2
+    names = ("alpha", "epsilon", "K", "beta", "beta1", "beta2", "gamma")
+    defaults = (base.g2n.alpha, base.g2n.epsilon, base.K, base.igf.beta,
+                None if follow else base.igf.beta1, None if follow else base.igf.beta2, base.gamma)
+    values = [list(axes.get(name, [default])) for name, default in zip(names, defaults)]
+    combos = []
+    for alpha, epsilon, K, beta, beta1, beta2, gamma in product(*values):
+        b1 = beta if beta1 is None else beta1
+        b2 = beta if beta2 is None else beta2
+        if b1 <= beta <= b2:
+            combos.append((float(alpha), float(epsilon), int(K), float(beta), float(b1), float(b2), float(gamma)))
+    graph = build_graph(dataset)
+    K_max = max(int(K) for K in values[2])
+    homophily = None
+    if base.filter is None and any(c[4] < c[5] for c in combos):
+        homophily = homophilic_ratio_all(graph, delta=base.delta, mode=base.homo_mode)
+    stages = {}
+
+    def fitted(config):
+        pair = (config.g2n.alpha, config.g2n.epsilon)
+        if pair not in stages:
+            norm = g2n_normalize(graph, config.g2n)
+            stages[pair] = norm, top_k_svd(
+                norm, K_max, oversample=base.svd_oversample, power_iters=base.svd_power_iters, seed=base.seed
+            )
+        norm, spectrum = stages[pair]
+        return fit(dataset, config, graph=graph, norm=norm, spectrum=spectrum, homophily=homophily)
+
+    def metrics(config, split):
+        recall, ndcg, n = evaluate_reference(fitted(config), dataset, k=k, split=split)
+        return MetricResult(recall_at_k=recall, ndcg_at_k=ndcg, k=k, users_evaluated=n)
+
+    table, best = [], None
+    for index, combo in enumerate(combos):
+        alpha, epsilon, K, beta, b1, b2, gamma = combo
+        config = replace(base, K=K, g2n=G2NConfig(alpha=alpha, epsilon=epsilon),
+                         igf=IgfConfig(beta=beta, beta1=b1, beta2=b2), gamma=gamma)
+        result = metrics(config, "val")
+        table.append(dict(zip(names, combo)) | {
+            "val_recall": result.recall_at_k, "val_ndcg": result.ndcg_at_k,
+            "users_evaluated": result.users_evaluated,
+        })
+        key = (result.ndcg_at_k if metric == "ndcg" else result.recall_at_k, -index)
+        if best is None or key > best[0]:
+            best = (key, config, result)
+    _, best_config, best_validation = best
+    return table, best_config, best_validation, metrics(best_config, "test")

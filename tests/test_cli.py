@@ -367,6 +367,17 @@ class TestRunRecord:
         rows = Path(_only_run_dir(str(tmp_path / "r")), "recommendations.csv").read_text().splitlines()
         assert rows[0] == "user_id,rank,item_id,score" and len(rows) == 1 + 2 * 30
 
+    def test_fit_delta_four_above_the_exact_cap_fails(self, tmp_path, capsys):
+        # 150 users and 120 items exceed the 200 nodes of exact delta >= 4
+        lines = [f"user{u}\titem{(7 * u + 13 * j) % 120}" for u in range(150) for j in range(12)]
+        data = tmp_path / "wide.tsv"
+        data.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "r"
+        assert run_command(["fit", "--data", str(data), "--K", "4", "--delta", "4", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "200 nodes" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_eval_k_below_one_fails(self, data_file, tmp_path):
         out = tmp_path / "r"
         assert run_command(["eval", "--data", data_file, "--K", "4", "--k", "0", "--out", str(out)]) == 1

@@ -1,4 +1,5 @@
 import gc
+import logging
 import weakref
 
 import numpy as np
@@ -31,7 +32,7 @@ from sgfcf.model import RankedList
 from sgfcf.spectral import top_k_svd
 from sgfcf.theory import random_bipartite_graph
 
-from oracles import duplicate_sources_bruteforce, evaluate_reference
+from oracles import duplicate_sources_bruteforce, evaluate_reference, grid_reference
 
 
 class TestRecallAtK:
@@ -638,6 +639,40 @@ class TestGridSearch:
         threaded = grid_search(dataset, grid, k=5, threads=4)
         assert serial.best_config == threaded.best_config
         assert serial.test_result == threaded.test_result
+        assert serial.table == threaded.table
+
+    @pytest.mark.parametrize("chunk", [1, 7, 1024])
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_group_pass_equals_the_per_combo_reference(self, monkeypatch, threads, chunk):
+        # two (alpha, epsilon) groups; gamma 0 and gamma > 0 combos share
+        # factor sets, and K, beta and beta1 split them: beta2 follows each
+        # beta, so beta1 1.2 with beta 1.2 is a shared exponent and the
+        # other three (beta, beta1) pairs are individualized ranges
+        dataset = _grid_dataset(np.random.default_rng(12))
+        axes = {"alpha": [0.0, 2.0], "K": [3, 5], "beta": [1.2, 1.6], "beta1": [1.0, 1.2], "gamma": [0.0, 0.1, 0.3]}
+        base = SgfcfConfig(K=4, seed=5)
+        monkeypatch.setattr(evaluation, "EVAL_CHUNK", chunk)
+        result = grid_search(dataset, GridSpec(axes=axes), k=5, base=base, threads=threads)
+        table, best_config, best_validation, test_result = grid_reference(dataset, axes, k=5, base=base)
+        assert len(table) == 48 and len({(row["beta1"], row["beta2"]) for row in table}) == 4
+        assert result.table == table
+        assert result.best_config == best_config
+        assert result.best_validation == best_validation
+        assert result.test_result == test_result
+
+    def test_evaluation_logs_its_pool(self, caplog):
+        dataset = _grid_dataset(np.random.default_rng(13))
+        model = fit(dataset, SgfcfConfig(K=4, gamma=0.2))
+        n_users = len(np.unique(dataset.test[:, 0]))
+        with pytest.MonkeyPatch.context() as mp, caplog.at_level(logging.DEBUG, logger="sgfcf"):
+            mp.setattr(evaluation, "EVAL_CHUNK", 4)
+            evaluate(model, dataset, k=5, threads=2)
+        (record,) = [r for r in caplog.records if r.name == "sgfcf"]
+        assert record.levelno == logging.DEBUG
+        message = record.getMessage()
+        assert f"{n_users} users evaluated, {30 - n_users} skipped" in message
+        assert f"{-(-n_users // 2)} chunks of up to 2 users on 2 threads" in message
+        assert logging.getLogger("sgfcf").handlers == []
 
     def test_grid_csv(self, tmp_path):
         rng = np.random.default_rng(8)

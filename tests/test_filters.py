@@ -158,15 +158,13 @@ class TestHomophily:
         with pytest.raises(SizeCapExceeded):
             homophilic_pair_counts(graph_from_matrix(R), delta=4)
 
-    def test_sampled_path_bounds(self):
+    def test_ratios_above_the_exact_cap_raise(self):
         rng = np.random.default_rng(3)
-        R = random_bipartite_graph(rng, 150, 120)
-        graph = graph_from_matrix(R)
-        scores = homophilic_ratio_all(graph, delta=4, pair_samples=8, seed=9)
-        for vec in (scores.user_scores, scores.item_scores):
-            assert ((vec > 0.0) & (vec <= 1.0)).all()
-        again = homophilic_ratio_all(graph, delta=4, pair_samples=8, seed=9)
-        assert np.array_equal(scores.user_scores, again.user_scores)
+        graph = graph_from_matrix(random_bipartite_graph(rng, 150, 120))
+        with pytest.raises(SizeCapExceeded):
+            homophilic_ratio_all(graph, delta=4)
+        # strict delta 4 is inclusive delta 2, which runs at any size
+        assert len(homophilic_ratio_all(graph, delta=4, mode="strict").user_scores) == 150
 
     def test_scores_in_unit_interval(self):
         rng = np.random.default_rng(4)

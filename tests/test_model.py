@@ -206,6 +206,22 @@ class TestScoreUser:
         for u in (0, 17, 119):
             assert np.abs(score_user(model, u) - expected[u]).max() <= 1e-12 * scale
 
+    @pytest.mark.parametrize("tile", [1, 7, 256])
+    def test_gamma_block_adds_the_same_bits_as_the_column_major_product(self, monkeypatch, tile):
+        # the row-major W^T and the tiled transposed add only reorder memory
+        # traffic: every entry gets the same sum and the same single add
+        import sgfcf.model
+
+        monkeypatch.setattr(sgfcf.model, "GAMMA_TILE", tile)
+        rng = np.random.default_rng(32)
+        model = fit(small_dataset(rng, 120, 90), SgfcfConfig(K=6, gamma=0.3))
+        W = model.norm.values
+        users = np.arange(0, model.n_users, 3)
+        expected = model.user_factors[users] @ model.item_factors.T
+        expected += 0.3 * (W.T @ (W @ W[users].T).toarray()).T
+        expected[:, model.duplicate_items] = expected[:, model.duplicate_sources]
+        assert np.array_equal(score_users(model, users), expected)
+
 
 class TestRecommend:
     def test_tie_break_by_item_id(self):
@@ -454,6 +470,16 @@ def test_fit_rejects_odd_delta():
 
     with pytest.raises(OddDelta):
         fit(dataset, SgfcfConfig(K=2, delta=3))
+
+
+def test_fit_delta_four_above_the_exact_cap_raises():
+    # 150 + 120 nodes exceed HOMOPHILY_EXACT_CAP; beta1 < beta2 needs homophily
+    from sgfcf.errors import SizeCapExceeded
+
+    dataset = small_dataset(np.random.default_rng(25), 150, 120)
+    config = SgfcfConfig(K=4, delta=4, igf=IgfConfig(beta=1.6, beta1=1.2, beta2=2.0))
+    with pytest.raises(SizeCapExceeded):
+        fit(dataset, config)
 
 
 def test_model_summary_round_trips_config():
