@@ -279,19 +279,72 @@ def add_gamma_term(model: SgfcfModel, scores: np.ndarray, gamma: float, block: n
     return _tie_duplicates(model, scores)
 
 
+# Columns per group of top_k's group maxima.
+TOP_K_GROUP = 32
+# Fewest entries (rows x columns) that top_k ranks through the group
+# maxima: below about 5000 the partition of whole rows took less time on
+# 1-8 rows (CiteULike-shape score rows, 2 cores), as the group path has
+# a fixed cost of some 25 numpy calls.
+TOP_K_MIN_ENTRIES = 5000
+
+
 def top_k(scores: np.ndarray, k: int) -> np.ndarray:
     """Column ids of each row's k largest scores, score-descending with
     ties broken by ascending column id.
 
     Row for row this equals ``np.argsort(-scores, axis=1, kind="stable")[:, :k]``
-    (so -inf entries come last and NaN after them), but only the entries
-    that tie with or beat each row's k-th score are sorted.
+    (so -inf entries come last and NaN after them), but only a few entries
+    per row are sorted. The first TOP_K_GROUP * nb columns split into nb
+    groups of TOP_K_GROUP strided columns {g, g+nb, ...}; one reduction
+    gives every group's maximum without copying the scores. The k-th
+    largest group maximum t is a lower bound on the row's k-th score, since
+    at least k groups hold an entry >= t. So the row's top k are among the
+    entries >= t of the groups whose maximum is >= t and of the tail
+    columns past the groups, and only those are sorted. Rows with a NaN in
+    some group (NaN spreads into the group's maximum) or a bound of -inf,
+    and scores with fewer than 2k groups or TOP_K_MIN_ENTRIES entries, are
+    ranked by partitioning whole rows instead.
     """
-    neg = -np.asarray(scores, dtype=np.float64)
-    n_rows, n_cols = neg.shape
+    scores = np.ascontiguousarray(scores, dtype=np.float64)
+    n_rows, n_cols = scores.shape
     k = min(k, n_cols)
     if k <= 0:
         return np.empty((n_rows, 0), dtype=np.intp)
+    nb = n_cols // TOP_K_GROUP
+    if nb < 2 * k or scores.size < TOP_K_MIN_ENTRIES:
+        return _top_k_partition(scores, k)
+    width = TOP_K_GROUP * nb
+    maxima = np.maximum.reduce(scores[:, :width].reshape(n_rows, TOP_K_GROUP, nb), axis=1)
+    t = np.partition(maxima, nb - k, axis=1)[:, nb - k : nb - k + 1]
+    slow = np.isnan(maxima).any(axis=1) | (t[:, 0] == -np.inf)
+    # a NaN bound selects nothing, so the slow rows get no candidates
+    t[slow] = np.nan
+    # candidates as flat positions row * n_cols + column
+    rows, groups = np.nonzero(maxima >= t)
+    pos = (rows * n_cols + groups)[:, None] + nb * np.arange(TOP_K_GROUP)
+    flat = scores.reshape(-1)
+    pos = pos[flat[pos] >= t[rows]]
+    tail_rows, tail_cols = np.nonzero(scores[:, width:] >= t)
+    pos = np.concatenate([pos, tail_rows * n_cols + (width + tail_cols)])
+    rows = pos // n_cols
+    # -value rather than value: lexsort is stable and ascending, and
+    # compares -0.0 and 0.0 as equal, as the stable argsort does; within a
+    # row, position order is column order
+    order = np.lexsort((pos, -flat[pos], rows))
+    # every fast row has at least k candidates: the maxima of k groups
+    fast = np.flatnonzero(~slow)
+    starts = np.searchsorted(rows[order], fast)
+    top = np.empty((n_rows, k), dtype=np.intp)
+    top[fast] = pos[order[starts[:, None] + np.arange(k)]] - n_cols * fast[:, None]
+    if len(fast) < n_rows:
+        top[slow] = _top_k_partition(scores[slow], k)
+    return top
+
+
+def _top_k_partition(scores: np.ndarray, k: int) -> np.ndarray:
+    """top_k by an argpartition of whole rows, for 1 <= k <= width."""
+    neg = -scores
+    n_rows = neg.shape[0]
     kth = np.take_along_axis(neg, np.argpartition(neg, k - 1, axis=1)[:, k - 1 : k], axis=1)
     # Every entry not worse than the k-th: at least k per row, more when
     # ties straddle the k-th place. Testing "not greater" rather than "less

@@ -337,6 +337,14 @@ class TestRunRecord:
         assert (record["threads"], record["k"], record["selection_metric"]) == (1, 5, "ndcg")
         assert "metric_k" not in record
 
+    def test_negative_threads_fail_cleanly(self, data_file, tmp_path, capsys):
+        out = tmp_path / "runs"
+        argv = ["grid", "--data", data_file, "--grid-K", "4,6", "--k", "5", "--threads", "-1", "--out", str(out)]
+        assert run_command(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: threads must be >= 0") and "Traceback" not in err
+        assert not out.exists() or os.listdir(out) == []
+
     @pytest.mark.parametrize(
         "argv, option",
         [(["sweep", "--K-grid", "2,x"], "--K-grid"), (["grid", "--grid-K", "4.5"], "--grid-K")],

@@ -660,6 +660,64 @@ class TestGridSearch:
         assert result.best_validation == best_validation
         assert result.test_result == test_result
 
+    def test_one_factor_set_per_pass_equals_the_per_combo_reference(self, monkeypatch):
+        # the group pass test's grid with a factor budget below one set, so
+        # each (K, beta, beta1, beta2) is fitted and validated in its own pass
+        dataset = _grid_dataset(np.random.default_rng(12))
+        axes = {"alpha": [0.0, 2.0], "K": [3, 5], "beta": [1.2, 1.6], "beta1": [1.0, 1.2], "gamma": [0.0, 0.1, 0.3]}
+        base = SgfcfConfig(K=4, seed=5)
+        passes = []
+        evaluate_pass = evaluation._evaluate_pass
+
+        def counted(groups, *args):
+            passes.append(len(groups))
+            return evaluate_pass(groups, *args)
+
+        monkeypatch.setattr(evaluation, "_evaluate_pass", counted)
+        monkeypatch.setattr(evaluation, "GRID_FACTOR_BYTES", 1)
+        result = grid_search(dataset, GridSpec(axes=axes), k=5, base=base, threads=2)
+        table, best_config, best_validation, test_result = grid_reference(dataset, axes, k=5, base=base)
+        # 2 groups of 8 factor sets (K x beta x beta1), then the winner's
+        # test evaluate
+        assert passes == [1] * 17
+        assert result.table == table
+        assert result.best_config == best_config
+        assert result.best_validation == best_validation
+        assert result.test_result == test_result
+
+    def test_factor_batches_stay_within_the_budget(self, monkeypatch):
+        # criterion 9's one-alpha group at CiteULike shape: 8 factor sets,
+        # 577 MB in all, go in runs of at most GRID_FACTOR_BYTES
+        n_nodes = 5551 + 16981
+        members = {(K, beta, beta, beta): [] for K in (300, 500) for beta in (1.2, 1.6, 2.0, 2.4)}
+        batches = evaluation._factor_batches(members, n_nodes)
+        assert [key for batch in batches for key in batch] == list(members)
+        assert len(batches) > 1
+        for batch in batches:
+            assert 8 * n_nodes * sum(key[0] for key in batch) <= evaluation.GRID_FACTOR_BYTES
+        # grid-tune's group, about 27 MB, stays one pass
+        members = {(K, beta, beta, beta): [] for K in (64, 128) for beta in (1.2, 1.6, 2.0)}
+        assert evaluation._factor_batches(members, 2000 + 4000) == [list(members)]
+        # a set above the budget is a batch of its own
+        monkeypatch.setattr(evaluation, "GRID_FACTOR_BYTES", 8 * n_nodes * 400)
+        members = {(K, 1.6, 1.6, 1.6): [] for K in (300, 500, 100)}
+        assert [len(batch) for batch in evaluation._factor_batches(members, n_nodes)] == [1, 1, 1]
+
+    def test_negative_threads_raise_before_any_work(self, monkeypatch):
+        dataset = _grid_dataset(np.random.default_rng(6))
+        model = fit(dataset, SgfcfConfig(K=4))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("work started with a negative thread count")
+
+        monkeypatch.setattr(evaluation, "build_graph", forbidden)
+        monkeypatch.setattr(evaluation, "_evaluate_pass", forbidden)
+        for threads in (-1, -5):
+            with pytest.raises(ConfigError, match="threads"):
+                evaluate(model, dataset, k=5, threads=threads)
+            with pytest.raises(ConfigError, match="threads"):
+                grid_search(dataset, GridSpec(axes={"K": [2, 3]}), k=5, threads=threads)
+
     def test_evaluation_logs_its_pool(self, caplog):
         dataset = _grid_dataset(np.random.default_rng(13))
         model = fit(dataset, SgfcfConfig(K=4, gamma=0.2))

@@ -23,6 +23,7 @@ from sgfcf import (
     truncated_svd,
 )
 from sgfcf.errors import BandOutOfRange, ConfigError, KTooLarge, UnknownUser
+from sgfcf import model as model_module
 from sgfcf.model import model_summary, serialize_config, top_k
 from sgfcf.theory import random_bipartite_graph
 
@@ -298,6 +299,81 @@ class TestTopK:
         ])
         assert top_k(scores, 3).tolist() == [[0, 1, 2], [0, 1, 2], [0, 2, 3], [3, 1, 0]]
         assert top_k(scores, 9).tolist() == np.argsort(-scores, axis=1, kind="stable").tolist()
+
+
+def _stable_top(scores, k):
+    return np.argsort(-scores, axis=1, kind="stable")[:, :k]
+
+
+@st.composite
+def _palette_scores(draw):
+    """Up to 6 x 200 scores drawn from a palette of a few values (ties,
+    +-0.0, -inf, NaN), some of them replaced by distinct normal values."""
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 200))
+    palette = np.array(draw(st.lists(st.one_of(_score_values, st.just(np.nan)), min_size=1, max_size=6)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scores = palette[rng.integers(len(palette), size=(rows, cols))]
+    distinct = rng.random((rows, cols)) < draw(st.sampled_from([0.0, 0.3, 1.0]))
+    scores[distinct] = rng.standard_normal(distinct.sum())
+    return scores
+
+
+class TestTopKGroups:
+    """top_k's group-maxima path, reached at test widths by shrinking the
+    groups and dropping the size floor."""
+
+    @pytest.mark.parametrize("group", [1, 2, 3])
+    @settings(max_examples=150, deadline=None)
+    @given(scores=_palette_scores(), k=st.integers(1, 40))
+    def test_matches_stable_argsort(self, group, scores, k):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(model_module, "TOP_K_GROUP", group)
+            mp.setattr(model_module, "TOP_K_MIN_ENTRIES", 0)
+            assert np.array_equal(top_k(scores, k), _stable_top(scores, k))
+
+    def test_edge_rows(self, monkeypatch):
+        monkeypatch.setattr(model_module, "TOP_K_GROUP", 4)
+        monkeypatch.setattr(model_module, "TOP_K_MIN_ENTRIES", 0)
+        nb, k = 25, 10  # 4 x 25 grouped columns and 3 tail columns
+        rng = np.random.default_rng(3)
+        base = rng.standard_normal(4 * nb + 3)
+        rows = {}
+        rows["nan in one group"] = base.copy()
+        rows["nan in one group"][[7, 7 + nb]] = np.nan
+        rows["all ties"] = np.full_like(base, 1.5)
+        rows["all -inf"] = np.full_like(base, -np.inf)
+        rows["fewer than k finite"] = np.full_like(base, -np.inf)
+        rows["fewer than k finite"][[3, 40, 77, 101]] = [0.2, 0.9, 0.2, -1.0]
+        rows["+-0.0 ties"] = np.where(np.arange(len(base)) % 3 == 0, -0.0, 0.0)
+        rows["+-0.0 ties"][[50, 90]] = [-1.0, 2.0]
+        # 2.0 at 14 places spread over 14 groups, 3.0 at 4: the k-th place
+        # falls inside the 2.0 ties, which only the column order breaks
+        rows["ties across groups"] = np.where(base > 0, 1.0, -1.0)
+        rows["ties across groups"][np.arange(1, 100, 7)] = 2.0
+        rows["ties across groups"][[0, 26, 52, 78]] = 3.0
+        rows["top in the tail"] = base.copy()
+        rows["top in the tail"][[100, 102]] = [9.0, 8.0]
+        rows["nan in the tail"] = base.copy()
+        rows["nan in the tail"][101] = np.nan
+        scores = np.array(list(rows.values()))
+        got = top_k(scores, k)
+        for name, row, expected in zip(rows, got, _stable_top(scores, k)):
+            assert row.tolist() == expected.tolist(), name
+        assert got[list(rows).index("top in the tail")][:2].tolist() == [100, 102]
+
+    def test_bench_scale_chunk(self):
+        # a fitted model's 256-user chunk over about 17k items after the
+        # train exclusion, at the library's group size and size floor
+        rng = np.random.default_rng(9)
+        R = random_bipartite_graph(rng, 400, 17000, target_edges=30000, exponent=2.5).tocoo()
+        dataset = dataset_from_pairs(list(zip(R.row.tolist(), R.col.tolist())), n_users=400, n_items=17000)
+        model = fit(dataset, SgfcfConfig(K=32, gamma=0.2))
+        users = np.arange(256)
+        scores = model.score_users(users)
+        scores[model.train_csr[users].nonzero()] = -np.inf
+        assert scores.shape[1] // model_module.TOP_K_GROUP >= 20
+        for k in (10, 50):
+            assert np.array_equal(top_k(scores, k), _stable_top(scores, k))
 
 
 def _band_model(graph, k_lo, K, spectrum=None):
