@@ -19,6 +19,18 @@ benchmark's shapes:
   budget, but not at benchmark sizes with few power iterations. Its
   oversample, power iterations and seed matter only on this path.
 
+Every block of the Krylov path, and its final basis, is orthonormalized
+by a Householder QR through scipy's LAPACK (``geqrf``, then ``orgqr``),
+in place on a Fortran-ordered buffer: the blocks are written straight
+into the basis array, whose QR then overwrites it. scipy and numpy link
+separate OpenBLAS builds; at the benchmark's block sizes scipy's build
+forms the Q factor in about half the time numpy's takes, and numpy's QR
+also copies its input and its output. GEMMs, ``eigh`` and the thin SVD
+stay on numpy, so the scipy calls form one stretch: each build's worker
+threads spin for about 0.1 s after a call and slow the other build's
+calls in that window on a 2-core host, and scipy's ``eigh`` and thin SVD
+measured no faster.
+
 The Rayleigh-Ritz step goes through the small Gram matrix of the
 projection rather than a dense SVD of the wide projection itself, with a
 guard that falls back to the exact step when the Gram matrix cannot
@@ -145,6 +157,15 @@ def _rayleigh_ritz(basis: np.ndarray, Bt: np.ndarray, K: int):
     return basis @ (U @ Zt.T), sigma, V
 
 
+def _householder_q(block: np.ndarray) -> np.ndarray:
+    """Overwrite the Fortran-ordered ``block`` with the orthonormal factor
+    of its economic Householder QR (LAPACK ``geqrf``, then ``orgqr``) and
+    return that factor, a view of the block's first min(rows, cols)
+    columns."""
+    Q, _ = scipy.linalg.qr(block, mode="economic", overwrite_a=True, check_finite=False)
+    return Q
+
+
 def truncated_svd(
     norm,
     K: int,
@@ -167,23 +188,23 @@ def truncated_svd(
     """
     A = _as_matrix(norm)
     _check_svd_args(A.shape, K, oversample, power_iters)
-    mindim = min(A.shape)
-    n = A.shape[1]
+    m, n = A.shape
+    mindim = min(m, n)
 
     rng = np.random.default_rng(seed)
     s = min(K + oversample, mindim)
-    Y = A @ rng.standard_normal((n, s))
-    Q, _ = np.linalg.qr(Y)
-    blocks = [Q]
-    total = s
-    for _ in range(power_iters):
-        if total >= mindim:
-            break
-        Z, _ = np.linalg.qr(A.T @ blocks[-1])
-        Q, _ = np.linalg.qr(A @ Z)
-        blocks.append(Q)
-        total += s
-    basis, _ = np.linalg.qr(np.hstack(blocks))
+    blocks = min(power_iters + 1, -(-mindim // s))
+    # Each block is orthonormalized in place in its own columns of the
+    # basis array, and the basis QR then overwrites the whole array.
+    basis = np.empty((m, blocks * s), order="F")
+    basis[:, :s] = A @ rng.standard_normal((n, s))
+    Q = _householder_q(basis[:, :s])
+    for j in range(1, blocks):
+        Z = _householder_q(np.asfortranarray(A.T @ Q))
+        Q = basis[:, j * s : (j + 1) * s]
+        Q[...] = A @ Z
+        _householder_q(Q)
+    basis = _householder_q(basis)
     return _finalize(*_rayleigh_ritz(basis, A.T @ basis, K), K)
 
 
@@ -219,15 +240,17 @@ def gram_svd(norm, K: int) -> TruncatedSpectrum:
 # the three perfbench shapes (2 cores, OpenBLAS); only their ratios decide
 # the path.
 SPARSE_S = 1.0e-9  # one stored entry of A times one dense column
-QR_S = 6.8e-11  # Householder QR of an r x c block, per r * c^2 ...
-QR_PANEL_S = 7.1e-8  # ... plus per r * c (its memory-bound panels)
+QR_S = 3.0e-11  # Householder QR of an r x c block, per r * c^2 ...
+QR_PANEL_S = 6.1e-8  # ... plus per r * c (its memory-bound panels)
 GEMM_S = 1.3e-11  # one dense multiply-add
 EIGH_S = 1.3e-10  # full symmetric eigendecomposition of order C, per C^3
 SVD_S = 2.0e-10  # thin SVD of an r x K matrix, per r * K^2
-GRAM_FORM_S = 5.0e-9  # one multiply-add of the sparse Gram product
-DENSE_S = 8.0e-9  # one entry of the dense Gram matrix written
-EVR_S = 5.0e-11  # tridiagonal reduction of an order-N Gram, per N^3 ...
-EVR_VEC_S = 2.5e-10  # ... plus per N^2 * K for K eigenvectors
+GRAM_FORM_S = 2.7e-9  # one multiply-add of the sparse Gram product
+# One entry of the order-N dense Gram matrix: writing it, and the share of
+# ``evr`` that grows as N^2 (about half of it at N = 2000, a fifth at N = 5551).
+DENSE_S = 7.1e-8
+EVR_S = 1.0e-11  # tridiagonal reduction of an order-N Gram, per N^3 ...
+EVR_VEC_S = 4.0e-10  # ... plus per N^2 * K for K eigenvectors
 # The Gram path is never taken when the small side's dense Gram matrix
 # (N^2 doubles) exceeds this; its peak is about 2.6 times that.
 GRAM_MAX_BYTES = 2**29

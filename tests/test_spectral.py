@@ -19,6 +19,7 @@ from sgfcf import (
 )
 from sgfcf import spectral
 from sgfcf.errors import ConfigError, InvalidTotal, KTooLarge, LengthMismatch, SizeCapExceeded
+from sgfcf.graph import NormalizedMatrix
 from sgfcf.spectral import TruncatedSpectrum
 from sgfcf.theory import random_bipartite_graph
 
@@ -114,14 +115,18 @@ def _ritz_cases():
     base = random_graph(rng, 35, 9).row_major
     duplicated = sp.hstack([base, base, base[:, :4]]).tocsr()  # rank <= 9
     graded = _graded_matrix(90, np.logspace(0, -11, 60), seed=22)
+    # large enough that LAPACK's QR and SVD run their blocked code
+    bench_like = random_bipartite_graph(np.random.default_rng(3), 600, 1500, 15000, 2.5)
     return [
         pytest.param(wide, 12, 2, id="wide"),
+        pytest.param(wide, 13, 2, id="wide-basis-wider-than-rows"),  # 3 blocks of 21 > 60 rows
         pytest.param(tall, 12, 2, id="tall"),
         pytest.param(square, 20, 8, id="K-is-min-dim"),
         pytest.param(rank_one, 1, 8, id="rank-one"),
         pytest.param(rank_one, 3, 8, id="rank-one-K-above-rank"),
         pytest.param(duplicated, 14, 8, id="duplicated-columns-K-above-rank"),
         *(pytest.param(graded, K, 8, id=f"logspace-K{K}") for K in (20, 35, 40)),
+        pytest.param(bench_like, 250, 2, id="blocked-600x1500-K250"),
     ]
 
 
@@ -138,6 +143,48 @@ def test_matches_dense_rayleigh_ritz_reference(matrix, K, power_iters):
     assert rel.max() <= 1e-12
     reconstruction = (spec.P * spec.sigma) @ spec.Q.T
     assert np.abs(reconstruction - (P * sigma) @ Q.T).max() <= 1e-12 * sigma[0]
+
+
+def _svd_inputs():
+    norm = normalized(random_graph(np.random.default_rng(16), 60, 45))
+    return [
+        # the QR overwrites Fortran-ordered buffers, so a Fortran input is
+        # the dense one at risk
+        pytest.param(np.asfortranarray(norm.values.toarray()), id="dense"),
+        pytest.param(norm.values, id="csr"),
+        pytest.param(norm, id="normalized"),
+    ]
+
+
+def _input_bytes(matrix):
+    if isinstance(matrix, NormalizedMatrix):
+        parts = [matrix.values, matrix.values_t, matrix.user_degrees, matrix.item_degrees]
+    else:
+        parts = [matrix]
+    arrays = []
+    for part in parts:
+        arrays += [part.data, part.indices, part.indptr] if sp.issparse(part) else [part]
+    return [a.tobytes() for a in arrays]
+
+
+@pytest.mark.parametrize("solver", [truncated_svd, top_k_svd])
+@pytest.mark.parametrize("matrix", _svd_inputs())
+def test_svd_leaves_its_input_intact_and_repeats_bit_for_bit(matrix, solver):
+    before = _input_bytes(matrix)
+    first = solver(matrix, 5, power_iters=3, seed=9)
+    second = solver(matrix, 5, power_iters=3, seed=9)
+    assert _input_bytes(matrix) == before
+    for name in ("sigma", "P", "Q"):
+        assert getattr(first, name).tobytes() == getattr(second, name).tobytes()
+
+
+def test_truncated_svd_never_calls_numpys_qr(monkeypatch):
+    """numpy's QR takes about twice as long as scipy's at the benchmark's
+    block sizes."""
+    monkeypatch.setattr(np.linalg, "qr", lambda *a, **kw: pytest.fail("np.linalg.qr called"))
+    A = normalized(random_graph(np.random.default_rng(17), 50, 40)).values
+    spec = truncated_svd(A, 6, power_iters=3, seed=2)
+    assert len(spec) == 6
 
 
 def _gram_cases():
@@ -190,6 +237,7 @@ def _bench_shapes():
         pytest.param(8000, 3200, 156000, 2.1, 256, 8, "gram", id="wide-igf"),
         pytest.param(2000, 4000, 60000, 3.0, 128, 2, "krylov", id="grid-tune-K128"),
         pytest.param(2000, 4000, 60000, 3.0, 64, 2, "krylov", id="grid-tune-K64"),
+        pytest.param(2000, 4000, 60000, 3.0, 256, 2, "krylov", id="grid-tune-K256"),
     ]
 
 
