@@ -9,7 +9,8 @@ benchmark's shapes:
   (N = min(|U|, |I|)), takes its top-K eigenvectors and uses them as the
   basis of the Rayleigh-Ritz step. Its cost grows as N^3 and its memory
   as N^2, so it is taken only when the N^2 doubles fit under
-  GRAM_MAX_BYTES and its estimate is below the Krylov path's.
+  GRAM_MAX_BYTES and its estimate is below the Krylov path's or below
+  GRAM_ALWAYS_S.
 * ``truncated_svd`` (randomized) is a subspace iteration that accumulates
   every power-iteration block into one Krylov basis before the same
   Rayleigh-Ritz step. Plain subspace iteration (keeping only the last
@@ -20,16 +21,22 @@ benchmark's shapes:
   oversample, power iterations and seed matter only on this path.
 
 Every block of the Krylov path, and its final basis, is orthonormalized
-by a Householder QR through scipy's LAPACK (``geqrf``, then ``orgqr``),
 in place on a Fortran-ordered buffer: the blocks are written straight
-into the basis array, whose QR then overwrites it. scipy and numpy link
-separate OpenBLAS builds; at the benchmark's block sizes scipy's build
-forms the Q factor in about half the time numpy's takes, and numpy's QR
-also copies its input and its output. GEMMs, ``eigh`` and the thin SVD
-stay on numpy, so the scipy calls form one stretch: each build's worker
-threads spin for about 0.1 s after a call and slow the other build's
-calls in that window on a 2-core host, and scipy's ``eigh`` and thin SVD
-measured no faster.
+into the basis array, which is then orthonormalized as a whole. Each
+takes CholeskyQR2 through scipy's BLAS and LAPACK (``syrk``, ``potrf``,
+``trsm``, twice), which runs at GEMM speed and is as accurate as
+Householder QR on well-conditioned blocks: a 16981 x 508 block takes
+about 0.35 s against 0.6 s, and a 5551 x 1524 basis 0.75 s against
+1.1 s on 2 cores. A block wider than its rows, a failed Cholesky factor
+or a factor whose diagonal spreads past CHOLQR_MAX_SPREAD falls back to
+a Householder QR (``geqrf``, then ``orgqr``), the one path that handles
+rank-deficient and graded blocks; how many fell back is logged at DEBUG.
+scipy and numpy link separate OpenBLAS builds. GEMMs, ``eigh`` and the
+thin SVD stay on numpy, so the scipy calls form one stretch: each build's
+worker threads spin for about 0.1 s after a call and slow the other
+build's calls in that window on a 2-core host, and scipy's ``eigh`` and
+thin SVD measured no faster. When a ``NormalizedMatrix`` is passed, the
+A^T products run over its row-major ``values_t``, with the same bits.
 
 The Rayleigh-Ritz step goes through the small Gram matrix of the
 projection rather than a dense SVD of the wide projection itself, with a
@@ -51,6 +58,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
+from scipy.linalg import blas, lapack
 
 from .errors import (
     ConfigError,
@@ -65,6 +73,9 @@ from .graph import DENSE_ORACLE_CAP, NormalizedMatrix
 ZERO_PRUNE_REL = 1e-12
 ORTHONORMALITY_TOL = 1e-8
 SQRT_EPS = float(np.sqrt(np.finfo(np.float64).eps))
+# Far below eps^-1/2 (6.7e7). At the benchmark's Krylov shapes the blocks
+# read at most 2.8 and the bases 17 to 40.
+CHOLQR_MAX_SPREAD = 1e5
 
 log = logging.getLogger("sgfcf")
 
@@ -166,6 +177,33 @@ def _householder_q(block: np.ndarray) -> np.ndarray:
     return Q
 
 
+def _orthonormalize(block: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Overwrite the Fortran-ordered ``block`` with an orthonormal basis of
+    its columns' span; return that basis, a view of the block's memory,
+    and whether it fell back to ``_householder_q``.
+
+    CholeskyQR2 (scipy's ``syrk``, ``potrf``, ``trsm``, twice) is as
+    accurate as Householder while cond(block) stays well below eps^-1/2
+    (Yamamoto et al. 2015). A wider block than it has rows, a failed
+    Cholesky factor, or a first factor whose diagonal spreads past
+    CHOLQR_MAX_SPREAD (a lower bound on cond(block)) takes Householder,
+    the only path for rank-deficient and graded blocks.
+    """
+    rows, cols = block.shape
+    if rows >= cols:
+        for first in (True, False):
+            R, info = lapack.dpotrf(blas.dsyrk(1.0, block, trans=1), overwrite_a=1, clean=0)
+            if info != 0:
+                break
+            diag = R.diagonal()
+            if first and not diag.max() <= CHOLQR_MAX_SPREAD * diag.min():
+                break
+            blas.dtrsm(1.0, R, block, side=1, overwrite_b=1)
+        else:
+            return block, False
+    return _householder_q(block), True
+
+
 def truncated_svd(
     norm,
     K: int,
@@ -188,6 +226,8 @@ def truncated_svd(
     """
     A = _as_matrix(norm)
     _check_svd_args(A.shape, K, oversample, power_iters)
+    # W^T row-major: its products give the same bits as A.T's, faster
+    At = norm.values_t if isinstance(norm, NormalizedMatrix) else A.T
     m, n = A.shape
     mindim = min(m, n)
 
@@ -195,17 +235,22 @@ def truncated_svd(
     s = min(K + oversample, mindim)
     blocks = min(power_iters + 1, -(-mindim // s))
     # Each block is orthonormalized in place in its own columns of the
-    # basis array, and the basis QR then overwrites the whole array.
+    # basis array, and the basis then in the whole array.
     basis = np.empty((m, blocks * s), order="F")
     basis[:, :s] = A @ rng.standard_normal((n, s))
-    Q = _householder_q(basis[:, :s])
+    Q, fallbacks = _orthonormalize(basis[:, :s])
     for j in range(1, blocks):
-        Z = _householder_q(np.asfortranarray(A.T @ Q))
+        Z, fell_back = _orthonormalize(np.asfortranarray(At @ Q))
         Q = basis[:, j * s : (j + 1) * s]
         Q[...] = A @ Z
-        _householder_q(Q)
-    basis = _householder_q(basis)
-    return _finalize(*_rayleigh_ritz(basis, A.T @ basis, K), K)
+        fallbacks += fell_back + _orthonormalize(Q)[1]
+    basis, fell_back = _orthonormalize(basis)
+    fallbacks += fell_back
+    log.debug(
+        "Krylov SVD of %d x %d: %d of %d orthonormalizations fell back to Householder",
+        m, n, fallbacks, 2 * blocks,
+    )
+    return _finalize(*_rayleigh_ritz(basis, At @ basis, K), K)
 
 
 def gram_svd(norm, K: int) -> TruncatedSpectrum:
@@ -240,11 +285,15 @@ def gram_svd(norm, K: int) -> TruncatedSpectrum:
 # the three perfbench shapes (2 cores, OpenBLAS); only their ratios decide
 # the path.
 SPARSE_S = 1.0e-9  # one stored entry of A times one dense column
-QR_S = 3.0e-11  # Householder QR of an r x c block, per r * c^2 ...
-QR_PANEL_S = 6.1e-8  # ... plus per r * c (its memory-bound panels)
+CHOLQR_S = 5.7e-11  # CholeskyQR2 of an r x c block, per r * c^2 ...
+CHOLQR_PANEL_S = 1.3e-8  # ... plus per r * c (memory-bound passes; most of a small block)
 GEMM_S = 1.3e-11  # one dense multiply-add
-EIGH_S = 1.3e-10  # full symmetric eigendecomposition of order C, per C^3
-SVD_S = 2.0e-10  # thin SVD of an r x K matrix, per r * K^2
+# Full symmetric eigendecomposition of order C, per C^3, plus per C^2: the
+# share that does not run at GEMM speed, most of it below C = 500.
+EIGH_S = 4.1e-11
+EIGH_PANEL_S = 9.4e-8
+SVD_S = 7.2e-11  # thin SVD of an r x K matrix, per r * K^2 ...
+SVD_PANEL_S = 8.9e-8  # ... plus per r * K (its Householder panels)
 GRAM_FORM_S = 2.7e-9  # one multiply-add of the sparse Gram product
 # One entry of the order-N dense Gram matrix: writing it, and the share of
 # ``evr`` that grows as N^2 (about half of it at N = 2000, a fifth at N = 5551).
@@ -254,14 +303,20 @@ EVR_VEC_S = 4.0e-10  # ... plus per N^2 * K for K eigenvectors
 # The Gram path is never taken when the small side's dense Gram matrix
 # (N^2 doubles) exceeds this; its peak is about 2.6 times that.
 GRAM_MAX_BYTES = 2**29
+# Below the cap, the Gram path is also taken whenever its estimate is under
+# this: either path then takes about a millisecond, mostly call overhead
+# the estimates do not model, and only the Gram path is exact.
+GRAM_ALWAYS_S = 1e-3
 
 
 def _rayleigh_ritz_cost(basis_rows: int, other_rows: int, C: int, K: int) -> float:
     """Estimated seconds of ``_rayleigh_ritz`` on a basis of C columns."""
     return (
         EIGH_S * C**3
+        + EIGH_PANEL_S * C**2
         + GEMM_S * (other_rows * C * C + 2 * (other_rows + basis_rows) * C * K)
         + SVD_S * other_rows * K * K
+        + SVD_PANEL_S * other_rows * K
     )
 
 
@@ -272,11 +327,11 @@ def _krylov_cost(m: int, n: int, nnz: int, K: int, oversample: int, power_iters:
     blocks = min(power_iters + 1, -(-min(m, n) // s))
     total = blocks * s
     C = min(m, total)  # basis columns
-    block_rows = m * blocks + n * (blocks - 1)  # QR'd blocks: A Z on m rows, A^T Q on n
+    block_rows = m * blocks + n * (blocks - 1)  # blocks A Z on m rows, A^T Q on n
     return (
         SPARSE_S * nnz * (s * (2 * blocks - 1) + C)
-        + QR_S * (block_rows * s * s + m * total * C)
-        + QR_PANEL_S * (block_rows * s + m * total)
+        + CHOLQR_S * (block_rows * s * s + m * total * C)
+        + CHOLQR_PANEL_S * (block_rows * s + m * total)
         + _rayleigh_ritz_cost(m, n, C, K)
     )
 
@@ -305,7 +360,8 @@ def top_k_svd(
     """Top-K singular triplets from whichever solver is estimated cheaper.
 
     ``gram_svd`` (exact) when the smaller side's dense Gram matrix takes at
-    most GRAM_MAX_BYTES and its estimated cost is below the Krylov path's;
+    most GRAM_MAX_BYTES and its estimated cost is below the Krylov path's
+    or below GRAM_ALWAYS_S;
     otherwise ``truncated_svd`` with ``oversample``, ``power_iters`` and
     ``seed``, which only that path uses. The pick is logged at DEBUG on the
     ``sgfcf`` logger.
@@ -318,7 +374,7 @@ def top_k_svd(
     degrees = np.asarray((A != 0).sum(axis=1 if n < m else 0)).ravel()
     krylov = _krylov_cost(m, n, int(degrees.sum()), K, oversample, power_iters)
     gram = _gram_cost(N, L, degrees, K)
-    use_gram = N * N * 8 <= GRAM_MAX_BYTES and gram < krylov
+    use_gram = N * N * 8 <= GRAM_MAX_BYTES and (gram < krylov or gram < GRAM_ALWAYS_S)
     log.debug(
         "top-%d SVD of %d x %d: estimated krylov %.3g s, gram %.3g s -> %s",
         K, m, n, krylov, gram, "gram" if use_gram else "krylov",

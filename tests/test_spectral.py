@@ -126,7 +126,8 @@ def _ritz_cases():
         pytest.param(rank_one, 3, 8, id="rank-one-K-above-rank"),
         pytest.param(duplicated, 14, 8, id="duplicated-columns-K-above-rank"),
         *(pytest.param(graded, K, 8, id=f"logspace-K{K}") for K in (20, 35, 40)),
-        pytest.param(bench_like, 250, 2, id="blocked-600x1500-K250"),
+        pytest.param(bench_like, 250, 2, id="blocked-600x1500-K250"),  # basis 600 x 774
+        pytest.param(bench_like, 250, 1, id="blocked-600x1500-K250-1iter"),  # basis 600 x 516
     ]
 
 
@@ -176,6 +177,11 @@ def test_svd_leaves_its_input_intact_and_repeats_bit_for_bit(matrix, solver):
     assert _input_bytes(matrix) == before
     for name in ("sigma", "P", "Q"):
         assert getattr(first, name).tobytes() == getattr(second, name).tobytes()
+    if isinstance(matrix, NormalizedMatrix):
+        # products with the row-major W^T add in the same order as with W.T
+        plain = solver(matrix.values, 5, power_iters=3, seed=9)
+        for name in ("sigma", "P", "Q"):
+            assert getattr(first, name).tobytes() == getattr(plain, name).tobytes()
 
 
 def test_truncated_svd_never_calls_numpys_qr(monkeypatch):
@@ -185,6 +191,88 @@ def test_truncated_svd_never_calls_numpys_qr(monkeypatch):
     A = normalized(random_graph(np.random.default_rng(17), 50, 40)).values
     spec = truncated_svd(A, 6, power_iters=3, seed=2)
     assert len(spec) == 6
+
+
+# The blocks of each Rayleigh-Ritz case that CholeskyQR2 leaves to
+# Householder: rank-deficient and graded blocks, and bases wider than
+# their rows. Every other block of every case takes Cholesky.
+_HOUSEHOLDER_BLOCKS = {
+    "wide": [],
+    "wide-basis-wider-than-rows": [(60, 63)],
+    "tall": [],
+    "K-is-min-dim": [],
+    "rank-one": [(40, 9), (25, 9), (40, 9), (25, 9), (40, 9), (40, 27)],
+    "rank-one-K-above-rank": [(40, 11), (25, 11), (40, 11), (25, 11), (40, 11), (40, 33)],
+    "duplicated-columns-K-above-rank": [(35, 22)],
+    "logspace-K20": [(90, 84)],
+    "logspace-K35": [(90, 43), (60, 43), (90, 43), (90, 86)],
+    "logspace-K40": [(90, 48), (60, 48), (90, 48), (90, 96)],
+    "blocked-600x1500-K250": [(600, 774)],
+    "blocked-600x1500-K250-1iter": [],
+}
+
+
+def _fallback_cases():
+    return [pytest.param(*case.values, _HOUSEHOLDER_BLOCKS[case.id], id=case.id) for case in _ritz_cases()]
+
+
+@pytest.mark.parametrize("matrix, K, power_iters, expected", _fallback_cases())
+def test_orthonormalization_falls_back_to_householder_where_cholesky_cannot_hold(
+    monkeypatch, matrix, K, power_iters, expected
+):
+    householder = spectral._householder_q
+    shapes = []
+    monkeypatch.setattr(spectral, "_householder_q", lambda block: shapes.append(block.shape) or householder(block))
+    truncated_svd(matrix, K, power_iters=power_iters, seed=4)
+    assert shapes == expected
+
+
+def _orthonormalize_cases():
+    bound = spectral.CHOLQR_MAX_SPREAD
+    # cond = bound / 10, so the first factor's diagonal spreads less; one
+    # CholeskyQR pass alone would leave its columns about 1e-8 from orthonormal
+    below = _graded_matrix(50, np.logspace(0, -np.log10(bound / 10), 8), seed=18)
+    # orthogonal columns scaled from 1 to 10 * bound: the factor's diagonal
+    # has that spread, still far below what Cholesky can take
+    Q, _ = np.linalg.qr(np.random.default_rng(18).standard_normal((50, 8)))
+    above = Q * np.logspace(0, np.log10(bound * 10), 8)
+    duplicated = _graded_matrix(50, np.logspace(0, -1, 8), seed=19)
+    duplicated[:, 7] = duplicated[:, 2]
+    wide = np.random.default_rng(20).standard_normal((5, 8))
+    return [
+        pytest.param(np.asfortranarray(below), False, id="below-the-bound"),
+        pytest.param(np.asfortranarray(above), True, id="above-the-bound"),
+        pytest.param(np.asfortranarray(duplicated), True, id="rank-deficient"),
+        pytest.param(np.asfortranarray(wide), True, id="rows-below-cols"),
+    ]
+
+
+@pytest.mark.parametrize("block, householder", _orthonormalize_cases())
+def test_orthonormalize_spans_its_block_in_the_blocks_memory(block, householder):
+    original = block.copy()
+    Q, fell_back = spectral._orthonormalize(block)
+    assert fell_back is householder
+    width = min(block.shape)
+    assert Q.shape == (block.shape[0], width)
+    assert np.shares_memory(Q, block) and np.array_equal(Q, block[:, :width])
+    assert np.abs(Q.T @ Q - np.eye(width)).max() <= 1e-14
+    assert np.abs(Q @ (Q.T @ original) - original).max() <= 1e-14 * np.abs(original).max()
+
+
+def test_truncated_svd_logs_its_householder_fallbacks(caplog):
+    rng = np.random.default_rng(23)
+    rank_one = sp.csr_matrix(np.outer(rng.standard_normal(40), rng.standard_normal(25)))
+    A = random_graph(rng, 40, 30).row_major
+    with caplog.at_level(logging.DEBUG, logger="sgfcf"):
+        truncated_svd(rank_one, 1)
+        truncated_svd(A, 5, power_iters=1)
+    records = [r for r in caplog.records if r.name == "sgfcf"]
+    assert [r.levelno for r in records] == [logging.DEBUG] * 2
+    assert [r.getMessage() for r in records] == [
+        "Krylov SVD of 40 x 25: 6 of 6 orthonormalizations fell back to Householder",
+        "Krylov SVD of 40 x 30: 0 of 4 orthonormalizations fell back to Householder",
+    ]
+    assert logging.getLogger("sgfcf").handlers == []
 
 
 def _gram_cases():
@@ -249,6 +337,15 @@ def test_top_k_svd_picks_the_cheaper_path(monkeypatch, users, items, edges, expo
     monkeypatch.setattr(spectral, "truncated_svd", lambda norm, K, **kw: picked.append("krylov"))
     top_k_svd(R, K, power_iters=power_iters)
     assert picked == [path]
+
+
+def test_top_k_svd_takes_the_exact_path_below_a_millisecond(monkeypatch):
+    A = random_graph(np.random.default_rng(20), 80, 60).row_major
+    degrees = np.diff(A.indptr)  # of the 80 users, the larger side
+    krylov = spectral._krylov_cost(80, 60, A.nnz, 4, 8, 1)
+    assert krylov < spectral._gram_cost(60, 80, degrees, 4) < spectral.GRAM_ALWAYS_S
+    monkeypatch.setattr(spectral, "truncated_svd", lambda *a, **kw: pytest.fail("Krylov below the floor"))
+    assert len(top_k_svd(A, 4, power_iters=1)) == 4
 
 
 def test_top_k_svd_never_forms_a_gram_above_the_byte_cap(monkeypatch):
