@@ -337,12 +337,14 @@ def _cmd_fit(resolved: dict) -> int:
     if recommend_k is not None and recommend_k < 1:
         raise ConfigError(f"--recommend-k must be >= 1, got {recommend_k}")
     dataset = _load_dataset(resolved)
-    model = md.fit(dataset, _model_config(resolved))
-    homophily = model.homophily
-    if model.profile is not None and homophily is None:
-        # fit skips it when beta1 == beta2; the artifact still reports it
-        config = model.config
-        homophily = ft.homophilic_ratio_all(gr.build_graph(dataset), delta=config.delta, mode=config.homo_mode)
+    config = _model_config(resolved)
+    graph = gr.build_graph(dataset)
+    homophily = None
+    if config.filter is None:
+        # computed even when beta1 == beta2, where fit would skip it: the
+        # artifact still reports it
+        homophily = ft.homophilic_ratio_all(graph, delta=config.delta, mode=config.homo_mode)
+    model = md.fit(dataset, config, graph=graph, homophily=homophily)
     out, record = _run_dir(resolved, split=dataset.split_config, model=model.config)
     _write_json(md.model_summary(model), record, os.path.join(out, "model_summary.json"))
     spec.write_spectrum_csv(model.spectrum, os.path.join(out, "spectrum.csv"))

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import logging
-from collections import deque
 from dataclasses import dataclass
 from typing import Union
 
@@ -22,8 +21,9 @@ import scipy.sparse as sp
 from .errors import BandOutOfRange, ConfigError, OddDelta, SizeCapExceeded
 from .graph import BipartiteGraph
 
-# Exact distance computation with per-node removal is a verification-scale
-# operation for delta >= 4; larger graphs raise SizeCapExceeded.
+# delta >= 4 counts run over the dense interaction matrix with one step
+# matrix per removed node, a verification-scale operation; larger graphs
+# raise SizeCapExceeded.
 HOMOPHILY_EXACT_CAP = 200
 
 # Bytes of one dense block of the delta = 2 pair count (see
@@ -250,61 +250,28 @@ def _cooccurrence_counts(RT: sp.csr_matrix, side: str) -> np.ndarray:
     return np.bincount(RT.indices, minlength=n_nodes) + 2 * pairs.astype(np.int64)
 
 
-def _adjacency_lists(graph: BipartiteGraph) -> list[np.ndarray]:
-    """Unified adjacency over node ids [users, then items offset by |U|]."""
-    n_users = graph.n_users
-    adj: list[np.ndarray] = []
-    for u in range(n_users):
-        row = graph.row_major.indices[graph.row_major.indptr[u] : graph.row_major.indptr[u + 1]]
-        adj.append(row + n_users)
-    for i in range(graph.n_items):
-        col = graph.col_major.indices[graph.col_major.indptr[i] : graph.col_major.indptr[i + 1]]
-        adj.append(col)
-    return adj
+def _reach_counts(R: np.ndarray, steps: int) -> np.ndarray:
+    """Pairs (i, j) of each node's support within 2 * steps hops after
+    removing that node, for the nodes indexing the dense 0/1 matrix R's
+    rows (R's columns are their neighbors).
 
-
-def _bfs_within(adj: list[np.ndarray], source: int, removed: int, max_depth: int) -> dict[int, int]:
-    """Depth-capped BFS from source, never visiting the removed node."""
-    dist = {source: 0}
-    frontier = deque([source])
-    while frontier:
-        node = frontier.popleft()
-        d = dist[node]
-        if d >= max_depth:
-            continue
-        for nb in adj[node]:
-            nb = int(nb)
-            if nb == removed or nb in dist:
-                continue
-            dist[nb] = d + 1
-            frontier.append(nb)
-    return dist
-
-
-def _bfs_counts(
-    graph: BipartiteGraph, delta: int, side: str, adj: list[np.ndarray] | None = None
-) -> np.ndarray:
-    """Exact pair counts by BFS with node removal (delta >= 4 path)."""
-    if adj is None:
-        adj = _adjacency_lists(graph)
-    n_users = graph.n_users
-    if side == "user":
-        matrix, offset, removed_offset = graph.row_major, n_users, 0
-    else:
-        matrix, offset, removed_offset = graph.col_major, 0, n_users
-    n_nodes = matrix.shape[0]
-    counts = np.zeros(n_nodes, dtype=np.int64)
-    for node in range(n_nodes):
-        neighbors = matrix.indices[matrix.indptr[node] : matrix.indptr[node + 1]]
-        if len(neighbors) == 0:
-            continue
-        targets = set((neighbors + offset).tolist())
-        removed = node + removed_offset
-        total = 0
-        for src in neighbors:
-            dist = _bfs_within(adj, int(src) + offset, removed, delta)
-            total += sum(1 for t in targets if t in dist)
-        counts[node] = total
+    Without node u, two neighbors i, j are one step (two hops) apart iff
+    they co-occur under some node other than u, i.e.
+    (R^T R - r_u r_u^T)[i, j] > 0; the step matrix also keeps its unit
+    diagonal, so a node stays reached. Starting from the identity rows of
+    u's neighbors, ``steps`` boolean products with it give every neighbor's
+    reach, and u counts the reached neighbors.
+    """
+    gram = R.T @ R
+    eye = np.eye(R.shape[1])
+    counts = np.zeros(len(R), dtype=np.int64)
+    for node, row in enumerate(R):
+        support = row > 0
+        step = gram - np.outer(row, row) + eye > 0
+        reach = eye[support] > 0
+        for _ in range(steps):
+            reach = reach @ step
+        counts[node] = reach[:, support].sum()
     return counts
 
 
@@ -317,7 +284,10 @@ def homophilic_pair_counts(
     with u removed is <= delta (inclusive) or < delta (strict); the
     diagonal pair i = j always counts. Distances between same-side nodes
     are even, so the strict indicator at delta equals the inclusive one
-    at delta - 2.
+    at delta - 2. An effective delta of 0 counts the diagonal alone (the
+    degrees), 2 runs the blocked co-occurrence count at any size, and 4 or
+    more runs the reach-matrix count (``_reach_counts``) on graphs of at
+    most HOMOPHILY_EXACT_CAP nodes.
     """
     validate_delta(delta, mode)
     effective = delta - 2 if mode == "strict" else delta
@@ -333,11 +303,8 @@ def homophilic_pair_counts(
         raise SizeCapExceeded(
             f"exact homophily with delta >= 4 limited to {HOMOPHILY_EXACT_CAP} nodes, got {n}"
         )
-    adj = _adjacency_lists(graph)
-    return (
-        _bfs_counts(graph, effective, "user", adj),
-        _bfs_counts(graph, effective, "item", adj),
-    )
+    R = graph.row_major.toarray()
+    return _reach_counts(R, effective // 2), _reach_counts(R.T, effective // 2)
 
 
 def homophilic_ratio_all(
@@ -347,9 +314,9 @@ def homophilic_ratio_all(
 ) -> HomophilyScores:
     """Homophilic ratios for every user and item.
 
-    delta = 2 (either mode) runs the co-occurrence fast path at any
-    scale. delta >= 4 is exact up to HOMOPHILY_EXACT_CAP nodes and raises
-    SizeCapExceeded beyond that (see ``homophilic_pair_counts``).
+    Effective deltas (see ``homophilic_pair_counts``) up to 2 run at any
+    scale; larger ones raise SizeCapExceeded above HOMOPHILY_EXACT_CAP
+    nodes.
     Degree-zero nodes score 1 by convention (nothing to compare).
     """
     user_counts, item_counts = homophilic_pair_counts(graph, delta, mode)

@@ -58,17 +58,10 @@ class G2NConfig:
 
 @dataclass(frozen=True)
 class NormalizedMatrix:
-    """Reweighted interaction matrix with the config that produced it.
-
-    Degree vectors are carried along because downstream stages (spectrum
-    bounds, homophily) need them and the weights alone do not determine
-    degrees once alpha > 0.
-    """
+    """Reweighted interaction matrix with the config that produced it."""
 
     values: sp.csr_matrix
     config: G2NConfig
-    user_degrees: np.ndarray
-    item_degrees: np.ndarray
     # W^T row-major, built once in O(nnz): the gamma block's W^T D product
     # runs faster over it than over the column-major view ``values.T`` and
     # adds in the same order, so it gives the same bits
@@ -161,12 +154,7 @@ def g2n_normalize(graph: BipartiteGraph, cfg: G2NConfig) -> NormalizedMatrix:
     w_user = _degree_weights(graph.user_degrees, cfg.alpha, cfg.epsilon)
     w_item = _degree_weights(graph.item_degrees, cfg.alpha, cfg.epsilon)
     values = sp.diags(w_user) @ graph.row_major @ sp.diags(w_item)
-    return NormalizedMatrix(
-        values=values.tocsr(),
-        config=cfg,
-        user_degrees=graph.user_degrees.copy(),
-        item_degrees=graph.item_degrees.copy(),
-    )
+    return NormalizedMatrix(values=values.tocsr(), config=cfg)
 
 
 def assemble_adjacency(norm: NormalizedMatrix) -> np.ndarray:

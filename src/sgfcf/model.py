@@ -69,6 +69,7 @@ class SgfcfConfig:
             raise ConfigError(f"gamma must be >= 0, got {self.gamma}")
         if self.homo_scope not in ("per_side", "global"):
             raise ConfigError(f"homo_scope must be 'per_side' or 'global', got {self.homo_scope!r}")
+        validate_delta(self.delta, self.homo_mode)
 
 
 @dataclass(frozen=True)
@@ -150,12 +151,14 @@ def fit(
 
     Precomputed stages can be passed in (grid search and frequency sweeps
     reuse spectra, grid search also homophily scores, across
-    configurations); a passed spectrum must hold at least K triplets and
+    configurations); they must have been built for this config and graph,
+    else ConfigError. A passed spectrum must hold at least K triplets and
     is cut to K. Anything omitted is derived from the dataset. Homophily
-    is skipped, and ``model.homophily`` left None, when an explicit
-    filter is set or when beta1 == beta2 and no scores are passed in: the
-    exponent range is then the single point beta, so every node gets
-    beta whatever its homophilic ratio.
+    runs before the SVD, so a config it rejects fails before the costly
+    stage. It is skipped, and ``model.homophily`` left None, when an
+    explicit filter is set or when beta1 == beta2 and no scores are passed
+    in: the exponent range is then the single point beta, so every node
+    gets beta whatever its homophilic ratio.
     """
     start = time.perf_counter()
     if graph is None:
@@ -164,6 +167,32 @@ def fit(
         raise KTooLarge(
             f"K={config.K} exceeds min(|U|,|I|)={min(graph.n_users, graph.n_items)}"
         )
+    if norm is not None and norm.config != config.g2n:
+        raise ConfigError(f"normalized matrix built for {norm.config}, config asks {config.g2n}")
+    if homophily is not None and (homophily.delta, homophily.mode) != (config.delta, config.homo_mode):
+        raise ConfigError(
+            f"homophily scores built for delta={homophily.delta}, mode={homophily.mode!r}; "
+            f"config asks delta={config.delta}, mode={config.homo_mode!r}"
+        )
+    if spectrum is not None and (len(spectrum.P), len(spectrum.Q)) != (graph.n_users, graph.n_items):
+        raise ConfigError(
+            f"spectrum of {len(spectrum.P)} x {len(spectrum.Q)} rows for a "
+            f"{graph.n_users} x {graph.n_items} graph"
+        )
+
+    profile = None
+    if config.filter is None:
+        igf = config.igf
+        if homophily is None and igf.beta1 == igf.beta2:
+            profile = IgfProfile(
+                user_beta=np.full(graph.n_users, igf.beta),
+                item_beta=np.full(graph.n_items, igf.beta),
+            )
+        else:
+            if homophily is None:
+                homophily = homophilic_ratio_all(graph, delta=config.delta, mode=config.homo_mode)
+            profile = map_homo_to_beta(homophily, igf, scope=config.homo_scope)
+
     if norm is None:
         norm = g2n_normalize(graph, config.g2n)
     if spectrum is None:
@@ -176,20 +205,6 @@ def fit(
         )
     else:
         spectrum = spectrum.truncate(config.K)
-
-    profile = None
-    if config.filter is None:
-        igf = config.igf
-        if homophily is None and igf.beta1 == igf.beta2:
-            validate_delta(config.delta, config.homo_mode)
-            profile = IgfProfile(
-                user_beta=np.full(graph.n_users, igf.beta),
-                item_beta=np.full(graph.n_items, igf.beta),
-            )
-        else:
-            if homophily is None:
-                homophily = homophilic_ratio_all(graph, delta=config.delta, mode=config.homo_mode)
-            profile = map_homo_to_beta(homophily, igf, scope=config.homo_scope)
 
     user_factors, item_factors = _factor_weights(spectrum, config, profile)
     sources = duplicate_item_sources(graph)

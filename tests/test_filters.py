@@ -140,12 +140,20 @@ class TestHomophily:
         with pytest.raises(OddDelta):
             homophilic_ratio_all(graph, delta=0)
 
-    @pytest.mark.parametrize("delta", [2, 4, 6])
+    @pytest.mark.parametrize("delta", [2, 4, 6, 8])
     @pytest.mark.parametrize("mode", ["inclusive", "strict"])
     def test_matches_bruteforce_bfs(self, delta, mode):
         rng = np.random.default_rng(delta * 7 + (mode == "strict"))
-        for trial in range(3):
-            R = random_bipartite_graph(rng, int(rng.integers(6, 18)), int(rng.integers(6, 18)))
+        matrices = [
+            random_bipartite_graph(rng, int(rng.integers(6, 18)), int(rng.integers(6, 18)))
+            for _ in range(3)
+        ]
+        # user 2 and item 3 have no interactions
+        with_empty = random_bipartite_graph(rng, 12, 10).tolil()
+        with_empty[2, :] = 0
+        with_empty[:, 3] = 0
+        matrices.append(with_empty)
+        for trial, R in enumerate(matrices):
             graph = graph_from_matrix(R)
             fast_users, fast_items = homophilic_pair_counts(graph, delta, mode)
             slow_users, slow_items = homophily_counts_bruteforce(graph, delta, mode)

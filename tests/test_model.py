@@ -558,6 +558,55 @@ def test_fit_delta_four_above_the_exact_cap_raises():
         fit(dataset, config)
 
 
+def test_config_rejects_odd_delta_and_unknown_mode():
+    from sgfcf.errors import OddDelta
+
+    # a shared filter never reads delta, but the config still records it
+    with pytest.raises(OddDelta):
+        SgfcfConfig(K=2, delta=3, filter=MonomialFilter(1.0))
+    with pytest.raises(ConfigError):
+        SgfcfConfig(K=2, homo_mode="bogus")
+
+
+def test_fit_raises_the_homophily_cap_before_the_svd(monkeypatch):
+    from sgfcf.errors import SizeCapExceeded
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("SVD run before homophily")
+
+    monkeypatch.setattr(model_module, "top_k_svd", forbidden)
+    dataset = small_dataset(np.random.default_rng(25), 150, 120)
+    config = SgfcfConfig(K=4, delta=4, igf=IgfConfig(beta=1.6, beta1=1.2, beta2=2.0))
+    with pytest.raises(SizeCapExceeded):
+        fit(dataset, config)
+
+
+class TestStagesMustMatch:
+    @pytest.fixture
+    def dataset(self):
+        return small_dataset(np.random.default_rng(26), 20, 16)
+
+    def test_norm_of_another_g2n_config_rejected(self, dataset):
+        norm = g2n_normalize(build_graph(dataset), G2NConfig(alpha=0.0))
+        with pytest.raises(ConfigError):
+            fit(dataset, SgfcfConfig(K=3, g2n=G2NConfig(alpha=8.0)), norm=norm)
+
+    @pytest.mark.parametrize("delta, mode", [(4, "inclusive"), (2, "strict")])
+    def test_homophily_of_another_delta_or_mode_rejected(self, dataset, delta, mode):
+        from sgfcf import homophilic_ratio_all
+
+        homophily = homophilic_ratio_all(build_graph(dataset), delta=delta, mode=mode)
+        config = SgfcfConfig(K=3, igf=IgfConfig(beta=1.0, beta1=0.8, beta2=1.2))
+        with pytest.raises(ConfigError):
+            fit(dataset, config, homophily=homophily)
+
+    def test_spectrum_of_another_graph_rejected(self, dataset):
+        other = small_dataset(np.random.default_rng(27), 16, 20)
+        spectrum = dense_svd(g2n_normalize(build_graph(other), G2NConfig()))
+        with pytest.raises(ConfigError):
+            fit(dataset, SgfcfConfig(K=3), spectrum=spectrum)
+
+
 def test_model_summary_round_trips_config():
     rng = np.random.default_rng(19)
     dataset = small_dataset(rng)

@@ -159,7 +159,7 @@ def _svd_inputs():
 
 def _input_bytes(matrix):
     if isinstance(matrix, NormalizedMatrix):
-        parts = [matrix.values, matrix.values_t, matrix.user_degrees, matrix.item_degrees]
+        parts = [matrix.values, matrix.values_t]
     else:
         parts = [matrix]
     arrays = []
