@@ -212,7 +212,10 @@ def _given(resolved: dict, fields: dict[str, str]) -> dict:
 
 
 def _seed(resolved: dict) -> int:
-    return resolved.get("seed", md.SgfcfConfig.seed)
+    seed = resolved.get("seed", md.SgfcfConfig.seed)
+    if seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {seed}")
+    return seed
 
 
 def _config_hash(record: dict) -> str:

@@ -79,11 +79,14 @@ class NormalizedMatrix:
 
 
 def graph_from_matrix(matrix: sp.spmatrix) -> BipartiteGraph:
-    """Wrap an existing 0/1 sparse matrix (duplicates summed then rebinarized)."""
-    row = sp.csr_matrix(matrix, dtype=np.float64)
+    """Wrap a sparse matrix of non-negative weights, left unchanged, as a 0/1
+    graph: duplicates summed, stored zeros dropped, every other entry 1."""
+    row = sp.csr_matrix(matrix, dtype=np.float64, copy=True)
     row.sum_duplicates()
-    row.data[:] = 1.0
+    if not (np.isfinite(row.data) & (row.data >= 0)).all():
+        raise ConfigError("interaction matrix holds negative or non-finite values")
     row.eliminate_zeros()
+    row.data[:] = 1.0
     col = row.T.tocsr()
     return BipartiteGraph(
         row_major=row,

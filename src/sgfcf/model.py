@@ -40,7 +40,7 @@ from .graph import (
     duplicate_item_sources,
     g2n_normalize,
 )
-from .spectral import TruncatedSpectrum, svd_residual_max, top_k_svd
+from .spectral import TruncatedSpectrum, svd_residual_max, top_k_svd, validate_svd_settings
 
 
 @dataclass(frozen=True)
@@ -70,6 +70,7 @@ class SgfcfConfig:
         if self.homo_scope not in ("per_side", "global"):
             raise ConfigError(f"homo_scope must be 'per_side' or 'global', got {self.homo_scope!r}")
         validate_delta(self.delta, self.homo_mode)
+        validate_svd_settings(self.svd_oversample, self.svd_power_iters, self.seed)
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,9 @@
 spectrum diagnostics.
 
 ``top_k_svd`` is what the pipeline calls. It picks one of two solvers by
-an estimated cost in seconds, fitted to stage timings of both on the
-benchmark's shapes:
+an estimated cost in seconds: its work in four kernel classes (sparse
+products, BLAS-3 multiply-adds, vector formation, passes over dense
+entries), each at one seconds-per-unit constant measured on a 2-core host:
 
 * ``gram_svd`` (exact) forms the dense Gram matrix of the smaller side
   (N = min(|U|, |I|)), takes its top-K eigenvectors and uses them as the
@@ -142,12 +143,14 @@ def _check_K(shape: tuple[int, int], K: int) -> None:
         raise KTooLarge(f"K must be in [1, {min(shape)}], got {K}")
 
 
-def _check_svd_args(shape: tuple[int, int], K: int, oversample: int, power_iters: int) -> None:
-    _check_K(shape, K)
+def validate_svd_settings(oversample: int, power_iters: int, seed: int) -> None:
+    """Reject settings the Krylov path cannot run with."""
     if oversample < 4:
         raise ConfigError(f"oversample must be >= 4, got {oversample}")
     if power_iters < 1:
         raise ConfigError(f"power_iters must be >= 1, got {power_iters}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
 
 
 def _rayleigh_ritz(basis: np.ndarray, Bt: np.ndarray, K: int):
@@ -225,7 +228,8 @@ def truncated_svd(
     roundoff (see ``_rayleigh_ritz`` for the sqrt(eps) guard).
     """
     A = _as_matrix(norm)
-    _check_svd_args(A.shape, K, oversample, power_iters)
+    _check_K(A.shape, K)
+    validate_svd_settings(oversample, power_iters, seed)
     # W^T row-major: its products give the same bits as A.T's, faster
     At = norm.values_t if isinstance(norm, NormalizedMatrix) else A.T
     m, n = A.shape
@@ -281,42 +285,29 @@ def gram_svd(norm, K: int) -> TruncatedSpectrum:
     return _finalize(left, sigma, right, K)
 
 
-# Seconds per unit of work, fitted to stage timings of both solvers on
-# the three perfbench shapes (2 cores, OpenBLAS); only their ratios decide
-# the path.
-SPARSE_S = 1.0e-9  # one stored entry of A times one dense column
-CHOLQR_S = 5.7e-11  # CholeskyQR2 of an r x c block, per r * c^2 ...
-CHOLQR_PANEL_S = 1.3e-8  # ... plus per r * c (memory-bound passes; most of a small block)
-GEMM_S = 1.3e-11  # one dense multiply-add
-# Full symmetric eigendecomposition of order C, per C^3, plus per C^2: the
-# share that does not run at GEMM speed, most of it below C = 500.
-EIGH_S = 4.1e-11
-EIGH_PANEL_S = 9.4e-8
-SVD_S = 7.2e-11  # thin SVD of an r x K matrix, per r * K^2 ...
-SVD_PANEL_S = 8.9e-8  # ... plus per r * K (its Householder panels)
-GRAM_FORM_S = 2.7e-9  # one multiply-add of the sparse Gram product
-# One entry of the order-N dense Gram matrix: writing it, and the share of
-# ``evr`` that grows as N^2 (about half of it at N = 2000, a fifth at N = 5551).
-DENSE_S = 7.1e-8
-EVR_S = 1.0e-11  # tridiagonal reduction of an order-N Gram, per N^3 ...
-EVR_VEC_S = 4.0e-10  # ... plus per N^2 * K for K eigenvectors
-# The Gram path is never taken when the small side's dense Gram matrix
-# (N^2 doubles) exceeds this; its peak is about 2.6 times that.
+# Seconds per unit of work in each kernel class: a non-negative least-squares
+# fit to both solvers' stage timings, taken inside each solver's own calls at
+# eight shapes, the benchmark workloads' among them (2 cores, OpenBLAS). Only
+# their ratios decide the path.
+SPARSE_S = 1.5e-9  # one stored entry times one dense column, or one term of the sparse Gram product
+BLAS3_S = 4.1e-11  # one multiply-add of CholeskyQR2, a GEMM, or an order-C eigendecomposition's C^3
+VECTOR_S = 6.9e-10  # forming vectors: per L * K^2 of a thin SVD, per N^2 * K of ``evr``'s eigenvectors
+PASS_S = 1.7e-8  # one dense entry of a block, an eigh or thin SVD input, or the dense Gram matrix
+# Policy, not fitted: the Gram path is never taken when the small side's
+# dense Gram matrix (N^2 doubles) exceeds this; its peak is about 2.6 times that.
 GRAM_MAX_BYTES = 2**29
-# Below the cap, the Gram path is also taken whenever its estimate is under
-# this: either path then takes about a millisecond, mostly call overhead
-# the estimates do not model, and only the Gram path is exact.
+# Policy, not fitted: below the cap, the Gram path is also taken whenever its
+# estimate is under this. Either path then takes about a millisecond, mostly
+# call overhead the estimates do not count, and only the Gram path is exact.
 GRAM_ALWAYS_S = 1e-3
 
 
 def _rayleigh_ritz_cost(basis_rows: int, other_rows: int, C: int, K: int) -> float:
     """Estimated seconds of ``_rayleigh_ritz`` on a basis of C columns."""
     return (
-        EIGH_S * C**3
-        + EIGH_PANEL_S * C**2
-        + GEMM_S * (other_rows * C * C + 2 * (other_rows + basis_rows) * C * K)
-        + SVD_S * other_rows * K * K
-        + SVD_PANEL_S * other_rows * K
+        BLAS3_S * (C**3 + other_rows * C * C + (other_rows + basis_rows) * C * K)
+        + VECTOR_S * other_rows * K * K
+        + PASS_S * (C * C + other_rows * K)
     )
 
 
@@ -330,8 +321,9 @@ def _krylov_cost(m: int, n: int, nnz: int, K: int, oversample: int, power_iters:
     block_rows = m * blocks + n * (blocks - 1)  # blocks A Z on m rows, A^T Q on n
     return (
         SPARSE_S * nnz * (s * (2 * blocks - 1) + C)
-        + CHOLQR_S * (block_rows * s * s + m * total * C)
-        + CHOLQR_PANEL_S * (block_rows * s + m * total)
+        # CholeskyQR2 of an r x c block: syrk and trsm, r * c^2 / 2 each, twice
+        + BLAS3_S * 2 * (block_rows * s * s + m * total * C)
+        + PASS_S * (block_rows * s + m * total)
         + _rayleigh_ritz_cost(m, n, C, K)
     )
 
@@ -341,11 +333,10 @@ def _gram_cost(N: int, L: int, degrees: np.ndarray, K: int) -> float:
     larger, and ``degrees`` the stored entries of each of the L nodes
     (the sparse Gram product costs their squares)."""
     return (
-        GRAM_FORM_S * float(np.square(degrees, dtype=np.float64).sum())
-        + DENSE_S * N * N
-        + EVR_S * N**3
-        + EVR_VEC_S * N * N * K
-        + SPARSE_S * int(degrees.sum()) * K
+        SPARSE_S * (float(np.square(degrees, dtype=np.float64).sum()) + int(degrees.sum()) * K)
+        + BLAS3_S * N**3
+        + VECTOR_S * N * N * K
+        + PASS_S * N * N
         + _rayleigh_ritz_cost(N, L, K, K)
     )
 
@@ -367,7 +358,8 @@ def top_k_svd(
     ``sgfcf`` logger.
     """
     A = _as_matrix(norm)
-    _check_svd_args(A.shape, K, oversample, power_iters)
+    _check_K(A.shape, K)
+    validate_svd_settings(oversample, power_iters, seed)
     m, n = A.shape
     N, L = min(m, n), max(m, n)
     # stored entries of each node on the larger side

@@ -386,6 +386,19 @@ class TestRunRecord:
         assert err.startswith("error: ") and "200 nodes" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["theory-check"], ["split"], ["fit", "--K", "4"], ["eval", "--K", "4"], ["sweep"], ["spectrum", "--K", "4"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_negative_seed_fails_before_the_run_dir(self, data_file, tmp_path, capsys, argv):
+        data = [] if argv[0] == "theory-check" else ["--data", data_file]
+        out = tmp_path / "r"
+        assert run_command(argv + data + ["--seed", "-1", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "seed" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_eval_k_below_one_fails(self, data_file, tmp_path):
         out = tmp_path / "r"
         assert run_command(["eval", "--data", data_file, "--K", "4", "--k", "0", "--out", str(out)]) == 1

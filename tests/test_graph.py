@@ -43,6 +43,26 @@ class TestBuildGraph:
         assert (graph.row_major != graph.col_major.T).nnz == 0
         assert graph.user_degrees.sum() == graph.item_degrees.sum() == graph.nnz
 
+    def test_stored_zero_is_not_an_interaction(self):
+        identity = sp.csr_matrix(np.eye(2))
+        identity.data[1] = 0.0  # stored, but zero
+        graph = graph_from_matrix(identity)
+        assert graph.row_major.toarray().tolist() == [[1.0, 0.0], [0.0, 0.0]]
+        assert graph.user_degrees.tolist() == [1, 0]
+        assert graph.item_degrees.tolist() == [1, 0]
+        assert identity.nnz == 2 and identity.data.tolist() == [1.0, 0.0]
+
+    @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
+    def test_negative_or_non_finite_value_rejected(self, bad):
+        with pytest.raises(ConfigError):
+            graph_from_matrix(sp.csr_matrix(np.array([[1.0, bad], [0.0, 1.0]])))
+
+    def test_weights_become_ones_without_touching_the_input(self):
+        weights = sp.csr_matrix(np.array([[2.0, 0.0], [0.5, 3.0]]))
+        graph = graph_from_matrix(weights)
+        assert graph.row_major.toarray().tolist() == [[1.0, 0.0], [1.0, 1.0]]
+        assert weights.data.tolist() == [2.0, 0.5, 3.0]
+
     def test_degree_sums_match_train_size(self):
         pairs = [(u, (u * 3 + j) % 7) for u in range(5) for j in range(3)]
         dataset = dataset_from_pairs(pairs)

@@ -89,6 +89,13 @@ class TestFit:
         with pytest.raises(ConfigError):
             SgfcfConfig(K=1, gamma=-0.5)
 
+    @pytest.mark.parametrize(
+        "field, value", [("svd_oversample", 3), ("svd_power_iters", 0), ("seed", -1)]
+    )
+    def test_svd_settings_rejected_when_the_config_is_built(self, field, value):
+        with pytest.raises(ConfigError, match=field.removeprefix("svd_")):
+            SgfcfConfig(K=8, **{field: value})
+
     def test_shared_filter_skips_homophily(self):
         rng = np.random.default_rng(3)
         dataset = small_dataset(rng)

@@ -96,6 +96,13 @@ class TestTruncatedSvd:
         with pytest.raises(ConfigError):
             truncated_svd(norm, K=2, power_iters=0)
 
+    @pytest.mark.parametrize("solver", [truncated_svd, top_k_svd])
+    def test_negative_seed_rejected_on_either_path(self, solver):
+        # this 10 x 8 input takes the Gram path, which never draws from the seed
+        norm = normalized(random_graph(np.random.default_rng(7), 10, 8))
+        with pytest.raises(ConfigError, match="seed"):
+            solver(norm, K=2, seed=-1)
+
 
 def _graded_matrix(n_rows, sigma, seed):
     """n_rows x len(sigma) matrix with exactly the singular values sigma."""
@@ -340,12 +347,26 @@ def test_top_k_svd_picks_the_cheaper_path(monkeypatch, users, items, edges, expo
 
 
 def test_top_k_svd_takes_the_exact_path_below_a_millisecond(monkeypatch):
-    A = random_graph(np.random.default_rng(20), 80, 60).row_major
-    degrees = np.diff(A.indptr)  # of the 80 users, the larger side
-    krylov = spectral._krylov_cost(80, 60, A.nnz, 4, 8, 1)
-    assert krylov < spectral._gram_cost(60, 80, degrees, 4) < spectral.GRAM_ALWAYS_S
+    A = random_graph(np.random.default_rng(20), 200, 150, density=0.05).row_major
+    degrees = np.diff(A.indptr)  # of the 200 users, the larger side
+    krylov = spectral._krylov_cost(200, 150, A.nnz, 4, 8, 1)
+    assert krylov < spectral._gram_cost(150, 200, degrees, 4) < spectral.GRAM_ALWAYS_S
     monkeypatch.setattr(spectral, "truncated_svd", lambda *a, **kw: pytest.fail("Krylov below the floor"))
     assert len(top_k_svd(A, 4, power_iters=1)) == 4
+
+
+@pytest.mark.parametrize("m, n", [(300, 200), (200, 300)])
+def test_krylov_estimate_stops_growing_with_the_solver(m, n):
+    K, oversample = 20, 8
+    s = min(K + oversample, min(m, n))
+    spans = -(-min(m, n) // s)  # blocks at which truncated_svd's basis spans min(m, n)
+    cost = {q: spectral._krylov_cost(m, n, 3000, K, oversample, q) for q in range(1, spans + 3)}
+    for q in range(1, spans + 2):
+        # q power iterations build min(q + 1, spans) blocks
+        if q + 1 < spans:
+            assert cost[q + 1] > cost[q]
+        else:
+            assert cost[q + 1] == cost[q]
 
 
 def test_top_k_svd_never_forms_a_gram_above_the_byte_cap(monkeypatch):
