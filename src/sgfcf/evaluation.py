@@ -112,9 +112,9 @@ def evaluate(
     held-out set is empty are skipped, not zero-scored. Each user's top k
     comes from the same ``top_k`` as ``recommend``: score-descending,
     ties broken by ascending item id. The users are scored in chunks on a
-    pool of ``threads`` workers (0 = all cores); at most EVAL_CHUNK score
-    rows are in flight at once, whatever the pool size, and the metrics do
-    not depend on it.
+    pool of ``threads`` workers (0 = every CPU the process may run on); at
+    most EVAL_CHUNK score rows are in flight at once, whatever the pool
+    size, and the metrics do not depend on it.
     """
     _check_threads(threads)
     return _evaluate_pass([(scorer, [0.0])], dataset, k, split, threads)[0][0]
@@ -143,7 +143,10 @@ def _evaluate_pass(groups, dataset: InteractionDataset, k: int, split: str, thre
     if len(evaluable) == 0:
         raise NoEvaluableUsers(f"no user has interactions in the {split} split")
 
-    workers = min(threads if threads > 0 else os.cpu_count() or 1, EVAL_CHUNK)
+    if threads == 0:
+        # the CPUs this process may run on; taskset can cut them below the host's
+        threads = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(threads, EVAL_CHUNK)
     size = EVAL_CHUNK // workers
     chunks = [evaluable[start : start + size] for start in range(0, len(evaluable), size)]
     workers = min(workers, len(chunks))
@@ -214,8 +217,10 @@ def frequency_sweep(
 ) -> list[dict]:
     """Evaluate the uniform band filter [1, K] for each K in the grid.
 
-    Each point is a ``fit`` with ``BandFilter()`` on one graph and one
-    spectrum. A passed spectrum must hold the grid's largest K. Without
+    Each point is a ``BandFilter()`` config on one graph and one spectrum,
+    validated by ``_validate`` at ``threads=0``, as ``grid_search``
+    validates a group; its metrics equal one ``evaluate`` of its ``fit``,
+    bit for bit. A passed spectrum must hold the grid's largest K. Without
     one, the spectrum is ``top_k_svd`` at the grid's largest K (capped at
     min(|U|,|I|)) with ``seed``, and grid values beyond its length (a
     rank-deficient matrix yields fewer triplets) are clamped to it. Returns
@@ -237,23 +242,12 @@ def frequency_sweep(
         raise BandOutOfRange(
             f"band [1, {K_grid[-1]}] invalid for a spectrum of length {len(spectrum)}"
         )
-    rows = []
-    # one evaluate per K: a single pass over every K would hold all their
-    # factors at once, about 2.5 GB for the CLI's default grid at CiteULike
-    # shape (5551 x 16981)
-    for K in K_grid:
-        config = SgfcfConfig(K=K, g2n=norm.config, filter=BandFilter())
-        model = fit(dataset, config, graph=graph, norm=norm, spectrum=spectrum)
-        result = evaluate(model, dataset, k=metric_k, split=split)
-        rows.append(
-            {
-                "K": K,
-                "fraction": K / len(spectrum),
-                "recall": result.recall_at_k,
-                "ndcg": result.ndcg_at_k,
-            }
-        )
-    return rows
+    configs = [SgfcfConfig(K=K, g2n=norm.config, filter=BandFilter()) for K in K_grid]
+    results = _validate(configs, dataset, graph, norm, spectrum, None, metric_k, split, threads=0)
+    return [
+        {"K": c.K, "fraction": c.K / len(spectrum), "recall": r.recall_at_k, "ndcg": r.ndcg_at_k}
+        for c, r in zip(configs, results)
+    ]
 
 
 @dataclass(frozen=True)
@@ -331,14 +325,13 @@ def grid_search(
     beta1 == beta2 every node gets beta, see ``fit``). Combinations
     violating beta1 <= beta <= beta2 are skipped.
 
-    A pair's combos are validated in one pass over the users (see
-    ``_evaluate_pass``): per chunk of users they share the train exclusion,
-    the gamma block and, for combos that differ only in gamma, the factor
-    scores. A pair whose factor sets take more than GRID_FACTOR_BYTES is
-    validated in several passes, each over a run of its factor sets within
-    that budget, fitted only for it. ``threads`` sizes each pass's chunk
-    pool and the winner's test evaluate (0 = all cores, below 0 raises
-    ConfigError); it does not change any result.
+    Every combination's config is built before any work, so a value no
+    config accepts (an epsilon above 0, a gamma below 0) raises ConfigError
+    first. A pair's configs are validated by ``_validate``, in passes over
+    the users within GRID_FACTOR_BYTES of factors each. ``threads`` sizes
+    each pass's chunk pool and the winner's test evaluate (0 = every CPU
+    the process may run on, below 0 raises ConfigError); it does not
+    change any result.
     """
     _check_cutoff(k)
     _check_threads(threads)
@@ -357,25 +350,27 @@ def grid_search(
         "beta2": [None if follow else base.igf.beta2],
         "gamma": [base.gamma],
     }
-    axes = {name: list(grid.axes.get(name, defaults[name])) for name in GRID_AXES}
+    axes = [list(grid.axes.get(name, defaults[name])) for name in GRID_AXES]
 
-    combos = []
-    for alpha, epsilon, K, beta, beta1, beta2, gamma in itertools.product(*axes.values()):
+    configs = []
+    for alpha, epsilon, K, beta, beta1, beta2, gamma in itertools.product(*axes):
         b1 = beta if beta1 is None else beta1
         b2 = beta if beta2 is None else beta2
         if not b1 <= beta <= b2:
             continue
-        combos.append((float(alpha), float(epsilon), int(K), float(beta), float(b1), float(b2), float(gamma)))
+        g2n = G2NConfig(alpha=float(alpha), epsilon=float(epsilon))
+        igf = IgfConfig(beta=float(beta), beta1=float(b1), beta2=float(b2))
+        configs.append(replace(base, K=int(K), g2n=g2n, igf=igf, gamma=float(gamma)))
 
-    if not combos:
+    if not configs:
         raise ConfigError("grid is empty after dropping invalid beta combinations")
 
     graph = build_graph(dataset)
-    K_max = max(int(K) for K in axes["K"])
+    K_max = max(config.K for config in configs)
     if K_max > min(graph.n_users, graph.n_items):
         raise KTooLarge(f"K={K_max} exceeds min(|U|,|I|)={min(graph.n_users, graph.n_items)}")
     homophily = None
-    if base.filter is None and any(b1 < b2 for _, _, _, _, b1, b2, _ in combos):
+    if base.filter is None and any(config.igf.beta1 < config.igf.beta2 for config in configs):
         from .filters import homophilic_ratio_all
 
         homophily = homophilic_ratio_all(graph, delta=base.delta, mode=base.homo_mode)
@@ -383,11 +378,12 @@ def grid_search(
     # Only the best group so far keeps its stages past its turn, for the
     # test refit.
     metric = grid.selection_metric
-    table: list = [None] * len(combos)
-    best = None  # (rank, config, validation, norm, spectrum)
-    indexed = sorted(enumerate(combos), key=lambda ic: (ic[1][0], ic[1][1], ic[0]))
-    for (alpha, epsilon), group in itertools.groupby(indexed, key=lambda ic: (ic[1][0], ic[1][1])):
-        norm = g2n_normalize(graph, G2NConfig(alpha=alpha, epsilon=epsilon))
+    validation: list = [None] * len(configs)
+    best = None  # (rank, position, norm, spectrum)
+    indexed = sorted(range(len(configs)), key=lambda n: (configs[n].g2n.alpha, configs[n].g2n.epsilon))
+    for g2n, group in itertools.groupby(indexed, key=lambda n: configs[n].g2n):
+        group = list(group)
+        norm = g2n_normalize(graph, g2n)
         spectrum = top_k_svd(
             norm,
             K_max,
@@ -395,55 +391,57 @@ def grid_search(
             power_iters=base.svd_power_iters,
             seed=base.seed,
         )
-        # combos that differ only in gamma share a factor set: each (K, beta,
-        # beta1, beta2) is fitted once at gamma 0, and the validation pass
-        # adds each combo's gamma term to its scores
-        members = {}  # per factor set: its [(index, config)]
-        for index, (alpha, epsilon, K, beta, b1, b2, gamma) in group:
-            config = replace(
-                base,
-                K=K,
-                g2n=G2NConfig(alpha=alpha, epsilon=epsilon),
-                igf=IgfConfig(beta=beta, beta1=b1, beta2=b2),
-                gamma=gamma,
-            )
-            members.setdefault((K, beta, b1, b2), []).append((index, config))
-        for batch in _factor_batches(members, graph.n_users + graph.n_items):
-            scorings = [
-                (
-                    fit(dataset, replace(members[key][0][1], gamma=0.0), graph=graph, norm=norm,
-                        spectrum=spectrum, homophily=homophily),
-                    [config.gamma for _, config in members[key]],
-                )
-                for key in batch
-            ]
-            for key, results in zip(batch, _evaluate_pass(scorings, dataset, k, "val", threads)):
-                for (index, config), result in zip(members[key], results):
-                    table[index] = dict(zip(GRID_AXES, combos[index])) | {
-                        "val_recall": result.recall_at_k, "val_ndcg": result.ndcg_at_k,
-                        "users_evaluated": result.users_evaluated,
-                    }
-                    rank = (_metric_value(result, metric), -index)
-                    if best is None or rank > best[0]:
-                        best = (rank, config, result, norm, spectrum)
-            del scorings  # frees the batch's factors before the next is fitted
+        results = _validate(
+            [configs[n] for n in group], dataset, graph, norm, spectrum, homophily, k, "val", threads
+        )
+        for n, result in zip(group, results):
+            validation[n] = result
+            rank = (_metric_value(result, metric), -n)
+            if best is None or rank > best[0]:
+                best = (rank, n, norm, spectrum)
         del norm, spectrum
 
-    _, best_config, best_validation, norm, spectrum = best
-    best_model = fit(
-        dataset, best_config, graph=graph, norm=norm, spectrum=spectrum, homophily=homophily
-    )
+    _, n, norm, spectrum = best
+    best_model = fit(dataset, configs[n], graph=graph, norm=norm, spectrum=spectrum, homophily=homophily)
     test_result = evaluate(best_model, dataset, k=k, split="test", threads=threads)
+    table = [
+        dict(zip(GRID_AXES, (c.g2n.alpha, c.g2n.epsilon, c.K, c.igf.beta, c.igf.beta1, c.igf.beta2, c.gamma)))
+        | {"val_recall": r.recall_at_k, "val_ndcg": r.ndcg_at_k, "users_evaluated": r.users_evaluated}
+        for c, r in zip(configs, validation)
+    ]
     return GridSearchResult(
-        best_config=best_config,
-        best_validation=best_validation,
+        best_config=configs[n],
+        best_validation=validation[n],
         test_result=test_result,
         table=table,
     )
 
 
+def _validate(configs, dataset, graph, norm, spectrum, homophily, k, split, threads) -> list[MetricResult]:
+    """Metrics on ``split`` of configs sharing one graph, normalization,
+    spectrum and homophily, aligned with ``configs``. Configs that differ
+    only in gamma share a factor set, fitted once at gamma 0; the sets go
+    in runs within GRID_FACTOR_BYTES, each fitted for one ``_evaluate_pass``,
+    which shares the exclusion, the gamma block and a set's scores per chunk."""
+    members = {}  # per factor set (K, config at gamma 0): its configs' positions
+    for n, config in enumerate(configs):
+        members.setdefault((config.K, replace(config, gamma=0.0)), []).append(n)
+    results = [None] * len(configs)
+    for batch in _factor_batches(members, graph.n_users + graph.n_items):
+        scorings = [
+            (fit(dataset, key[1], graph=graph, norm=norm, spectrum=spectrum, homophily=homophily),
+             [configs[n].gamma for n in members[key]])
+            for key in batch
+        ]
+        for key, metrics in zip(batch, _evaluate_pass(scorings, dataset, k, split, threads)):
+            for n, result in zip(members[key], metrics):
+                results[n] = result
+        del scorings  # frees the run's factors before the next is fitted
+    return results
+
+
 def _factor_batches(members: dict, n_nodes: int) -> list[list]:
-    """The factor sets (K, beta, beta1, beta2) of ``members`` in order,
+    """The factor set keys of ``members``, each led by its K, in order,
     cut into consecutive batches whose factors, n_nodes x K doubles per
     set, stay within GRID_FACTOR_BYTES; a set above it is a batch alone."""
     batches, used = [], 0

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -42,8 +43,8 @@ class MonomialFilter:
     beta: float = 1.0
 
     def __post_init__(self):
-        if self.beta < 0:
-            raise ConfigError(f"monomial beta must be >= 0, got {self.beta}")
+        if not (math.isfinite(self.beta) and self.beta >= 0):
+            raise ConfigError(f"monomial beta must be finite and >= 0, got {self.beta}")
 
 
 @dataclass(frozen=True)
@@ -53,8 +54,8 @@ class ExponentialFilter:
     beta: float = 1.0
 
     def __post_init__(self):
-        if self.beta < 0:
-            raise ConfigError(f"exponential beta must be >= 0, got {self.beta}")
+        if not (math.isfinite(self.beta) and self.beta >= 0):
+            raise ConfigError(f"exponential beta must be finite and >= 0, got {self.beta}")
 
 
 @dataclass(frozen=True)
@@ -174,8 +175,8 @@ class HomophilyScores:
 
 @dataclass(frozen=True)
 class IgfConfig:
-    """Anchor exponent beta and the individualized range [beta1, beta2];
-    an end left as None equals beta."""
+    """Anchor exponent beta and the individualized range [beta1, beta2],
+    with 0 <= beta1 <= beta <= beta2 < inf; an end left as None equals beta."""
 
     beta: float = 1.0
     beta1: float | None = None
@@ -186,6 +187,10 @@ class IgfConfig:
             object.__setattr__(self, "beta1", self.beta)
         if self.beta2 is None:
             object.__setattr__(self, "beta2", self.beta)
+        if not self.beta1 >= 0:
+            raise ConfigError(f"beta1 must be >= 0, got {self.beta1}")
+        if not math.isfinite(self.beta2):
+            raise ConfigError(f"beta2 must be finite, got {self.beta2}")
         if not self.beta1 <= self.beta <= self.beta2:
             raise ConfigError(
                 f"require beta1 <= beta <= beta2, got {self.beta1}, {self.beta}, {self.beta2}"

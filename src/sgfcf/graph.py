@@ -9,6 +9,7 @@ toward high-degree nodes, which sharpens the singular-value spectrum.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,8 +51,8 @@ class G2NConfig:
     epsilon: float = -0.5
 
     def __post_init__(self):
-        if self.alpha < 0:
-            raise ConfigError(f"alpha must be >= 0, got {self.alpha}")
+        if not (math.isfinite(self.alpha) and self.alpha >= 0):
+            raise ConfigError(f"alpha must be finite and >= 0, got {self.alpha}")
         if not -0.5 <= self.epsilon <= 0.0:
             raise ConfigError(f"epsilon must be in [-0.5, 0], got {self.epsilon}")
 

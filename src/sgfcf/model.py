@@ -13,6 +13,7 @@ by gamma. There is no iterative training anywhere in the pipeline.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -65,8 +66,8 @@ class SgfcfConfig:
     def __post_init__(self):
         if self.K < 1:
             raise ConfigError(f"K must be >= 1, got {self.K}")
-        if self.gamma < 0:
-            raise ConfigError(f"gamma must be >= 0, got {self.gamma}")
+        if not (math.isfinite(self.gamma) and self.gamma >= 0):
+            raise ConfigError(f"gamma must be finite and >= 0, got {self.gamma}")
         if self.homo_scope not in ("per_side", "global"):
             raise ConfigError(f"homo_scope must be 'per_side' or 'global', got {self.homo_scope!r}")
         validate_delta(self.delta, self.homo_mode)
@@ -168,14 +169,21 @@ def fit(
         raise KTooLarge(
             f"K={config.K} exceeds min(|U|,|I|)={min(graph.n_users, graph.n_items)}"
         )
-    if norm is not None and norm.config != config.g2n:
-        raise ConfigError(f"normalized matrix built for {norm.config}, config asks {config.g2n}")
-    if homophily is not None and (homophily.delta, homophily.mode) != (config.delta, config.homo_mode):
+    shape = (graph.n_users, graph.n_items)
+    if norm is not None and (norm.config, norm.shape) != (config.g2n, shape):
         raise ConfigError(
-            f"homophily scores built for delta={homophily.delta}, mode={homophily.mode!r}; "
-            f"config asks delta={config.delta}, mode={config.homo_mode!r}"
+            f"normalized matrix built for {norm.config} on {norm.shape}; config asks {config.g2n} on {shape}"
         )
-    if spectrum is not None and (len(spectrum.P), len(spectrum.Q)) != (graph.n_users, graph.n_items):
+    if homophily is not None and (
+        (homophily.delta, homophily.mode, len(homophily.user_scores), len(homophily.item_scores))
+        != (config.delta, config.homo_mode, *shape)
+    ):
+        raise ConfigError(
+            f"homophily scores built for delta={homophily.delta}, mode={homophily.mode!r} on "
+            f"{(len(homophily.user_scores), len(homophily.item_scores))}; config asks "
+            f"delta={config.delta}, mode={config.homo_mode!r} on {shape}"
+        )
+    if spectrum is not None and (len(spectrum.P), len(spectrum.Q)) != shape:
         raise ConfigError(
             f"spectrum of {len(spectrum.P)} x {len(spectrum.Q)} rows for a "
             f"{graph.n_users} x {graph.n_items} graph"

@@ -462,6 +462,33 @@ class TestFrequencySweep:
         assert rows[0]["recall"] == pytest.approx(mirrored.recall_at_k, abs=1e-8)
         assert rows[0]["ndcg"] == pytest.approx(mirrored.ndcg_at_k, abs=1e-8)
 
+    @pytest.mark.parametrize("budget", [evaluation.GRID_FACTOR_BYTES, 1])
+    def test_rows_equal_one_band_fit_per_K(self, monkeypatch, budget):
+        # every K goes through the grid's batched validation pass: one pass
+        # for all of them within the budget, one per K below a single set
+        dataset = _sweep_dataset(np.random.default_rng(5))
+        graph = build_graph(dataset)
+        norm = g2n_normalize(graph, G2NConfig(alpha=2.0))
+        spectrum = top_k_svd(norm, 12, seed=0)
+        K_grid = [1, 3, 7, 12]
+        want = []
+        for K in K_grid:
+            model = fit(dataset, SgfcfConfig(K=K, g2n=norm.config, filter=BandFilter()),
+                        graph=graph, norm=norm, spectrum=spectrum)
+            result = evaluate(model, dataset, k=5)
+            want.append({"K": K, "fraction": K / 12, "recall": result.recall_at_k, "ndcg": result.ndcg_at_k})
+        passes = []
+        evaluate_pass = evaluation._evaluate_pass
+
+        def counted(groups, *args):
+            passes.append(len(groups))
+            return evaluate_pass(groups, *args)
+
+        monkeypatch.setattr(evaluation, "_evaluate_pass", counted)
+        monkeypatch.setattr(evaluation, "GRID_FACTOR_BYTES", budget)
+        assert frequency_sweep(dataset, norm, K_grid, metric_k=5, spectrum=spectrum) == want
+        assert passes == ([4] if budget > 1 else [1] * 4)
+
     def test_csv_export(self, tmp_path):
         rng = np.random.default_rng(2)
         dataset = _sweep_dataset(rng)
@@ -627,6 +654,21 @@ class TestGridSearch:
             with pytest.raises(ConfigError):
                 grid_search(dataset, GridSpec(axes={"K": [2, 4]}), k=k)
 
+    @pytest.mark.parametrize("axes", [{"epsilon": [-0.5, 0.02]}, {"gamma": [0.0, -0.1]}], ids=repr)
+    def test_invalid_axis_value_raises_before_any_work(self, monkeypatch, axes):
+        # on the lattice and finite, so GridSpec accepts them; the config
+        # they build does not
+        dataset = _grid_dataset(np.random.default_rng(6))
+        grid = GridSpec(axes={"K": [2, 4], **axes})
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("grid started work on a value no config accepts")
+
+        monkeypatch.setattr(evaluation, "build_graph", forbidden)
+        monkeypatch.setattr(evaluation, "top_k_svd", forbidden)
+        with pytest.raises(ConfigError):
+            grid_search(dataset, grid, k=5)
+
     def test_empty_validation_raises(self, toy_dataset):
         with pytest.raises(EmptyValidation):
             grid_search(toy_dataset, GridSpec(axes={"K": [2]}), k=2)
@@ -731,6 +773,18 @@ class TestGridSearch:
         assert f"{n_users} users evaluated, {30 - n_users} skipped" in message
         assert f"{-(-n_users // 2)} chunks of up to 2 users on 2 threads" in message
         assert logging.getLogger("sgfcf").handlers == []
+
+    def test_all_cores_means_those_the_process_may_run_on(self, monkeypatch, caplog):
+        # under `taskset -c 0` on a 2-core host os.cpu_count() is still 2
+        dataset = _grid_dataset(np.random.default_rng(13))
+        model = fit(dataset, SgfcfConfig(K=4))
+        monkeypatch.setattr(evaluation.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(evaluation.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(evaluation, "EVAL_CHUNK", 4)
+        with caplog.at_level(logging.DEBUG, logger="sgfcf"):
+            evaluate(model, dataset, k=5, threads=0)
+        (record,) = [r for r in caplog.records if r.name == "sgfcf"]
+        assert record.getMessage().endswith("on 1 threads")
 
     def test_grid_csv(self, tmp_path):
         rng = np.random.default_rng(8)

@@ -101,6 +101,12 @@ class TestEvalFilter:
         with pytest.raises(ConfigError):
             JacobiFilter(a=-1.0, b=0.0)
 
+    @pytest.mark.parametrize("family", [MonomialFilter, ExponentialFilter])
+    @pytest.mark.parametrize("beta", [float("nan"), float("inf")])
+    def test_non_finite_beta_rejected(self, family, beta):
+        with pytest.raises(ConfigError, match="beta"):
+            family(beta=beta)
+
 
 @settings(max_examples=40, deadline=None)
 @given(
@@ -286,6 +292,17 @@ class TestIgfMapping:
     def test_invalid_config(self):
         with pytest.raises(ConfigError):
             IgfConfig(beta=1.0, beta1=2.0, beta2=3.0)
+
+    @pytest.mark.parametrize("ends", [{"beta": -1.0}, {"beta": 0.5, "beta1": -0.1}])
+    def test_negative_beta1_rejected(self, ends):
+        # beta = -1 with its ends following it used to fit silently
+        with pytest.raises(ConfigError, match="beta1"):
+            IgfConfig(**ends)
+
+    @pytest.mark.parametrize("ends", [{"beta": float("inf")}, {"beta": 1.0, "beta2": float("inf")}])
+    def test_non_finite_beta2_rejected(self, ends):
+        with pytest.raises(ConfigError, match="beta2"):
+            IgfConfig(**ends)
 
     def test_range_ends_default_to_beta(self):
         assert IgfConfig(beta=1.5) == IgfConfig(1.5, 1.5, 1.5)

@@ -110,6 +110,12 @@ class TestG2N:
         with pytest.raises(ConfigError):
             G2NConfig(epsilon=-0.6)
 
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
+    def test_non_finite_alpha_rejected(self, alpha):
+        # nan failed inside LAPACK, inf as "no positive singular values"
+        with pytest.raises(ConfigError, match="alpha"):
+            G2NConfig(alpha=alpha)
+
     def test_monotone_in_alpha(self):
         rng = np.random.default_rng(3)
         graph = random_graph(rng, 9, 11)

@@ -89,6 +89,12 @@ class TestFit:
         with pytest.raises(ConfigError):
             SgfcfConfig(K=1, gamma=-0.5)
 
+    @pytest.mark.parametrize("gamma", [float("nan"), float("inf")])
+    def test_non_finite_gamma_rejected(self, gamma):
+        # nan scored every item NaN, inf left recommend nothing to return
+        with pytest.raises(ConfigError, match="gamma"):
+            SgfcfConfig(K=1, gamma=gamma)
+
     @pytest.mark.parametrize(
         "field, value", [("svd_oversample", 3), ("svd_power_iters", 0), ("seed", -1)]
     )
@@ -612,6 +618,22 @@ class TestStagesMustMatch:
         spectrum = dense_svd(g2n_normalize(build_graph(other), G2NConfig()))
         with pytest.raises(ConfigError):
             fit(dataset, SgfcfConfig(K=3), spectrum=spectrum)
+
+    def test_norm_of_another_graph_rejected(self, dataset):
+        # same G2N config, more users: numpy's broadcast error before the check
+        other = small_dataset(np.random.default_rng(27), 24, 16)
+        norm = g2n_normalize(build_graph(other), G2NConfig())
+        with pytest.raises(ConfigError, match=r"\(24, 16\)"):
+            fit(dataset, SgfcfConfig(K=3), norm=norm)
+
+    def test_homophily_of_another_graph_rejected(self, dataset):
+        from sgfcf import homophilic_ratio_all
+
+        other = small_dataset(np.random.default_rng(27), 24, 16)
+        homophily = homophilic_ratio_all(build_graph(other), delta=2)
+        config = SgfcfConfig(K=3, igf=IgfConfig(beta=1.0, beta1=0.8, beta2=1.2))
+        with pytest.raises(ConfigError, match=r"\(24, 16\)"):
+            fit(dataset, config, homophily=homophily)
 
 
 def test_model_summary_round_trips_config():
