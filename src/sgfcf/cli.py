@@ -344,15 +344,16 @@ def _cmd_fit(resolved: dict) -> int:
     graph = gr.build_graph(dataset)
     homophily = None
     if config.filter is None:
-        # computed even when beta1 == beta2, where fit would skip it: the
+        # computed even when beta1 == beta2, where fit skips it: the
         # artifact still reports it
         homophily = ft.homophilic_ratio_all(graph, delta=config.delta, mode=config.homo_mode)
     model = md.fit(dataset, config, graph=graph, homophily=homophily)
     out, record = _run_dir(resolved, split=dataset.split_config, model=model.config)
     _write_json(md.model_summary(model), record, os.path.join(out, "model_summary.json"))
     spec.write_spectrum_csv(model.spectrum, os.path.join(out, "spectrum.csv"))
-    if model.profile is not None:
-        ft.write_homophily_csv(homophily, model.profile, os.path.join(out, "homophily.csv"))
+    if homophily is not None:
+        profile = ft.map_homo_to_beta(homophily, config.igf, scope=config.homo_scope)
+        ft.write_homophily_csv(homophily, profile, os.path.join(out, "homophily.csv"))
     if recommend_k is not None:
         md.write_recommendations_csv(
             model, range(model.n_users), recommend_k, os.path.join(out, "recommendations.csv")
@@ -458,13 +459,7 @@ def _cmd_spectrum(resolved: dict) -> int:
     graph = gr.build_graph(dataset)
     config = _model_config(resolved)
     norm = gr.g2n_normalize(graph, config.g2n)
-    spectrum = spec.top_k_svd(
-        norm,
-        config.K,
-        oversample=config.svd_oversample,
-        power_iters=config.svd_power_iters,
-        seed=config.seed,
-    )
+    spectrum = spec.top_k_svd(norm, config.K, **md.svd_settings(config))
     curve = spec.appro_curve(spectrum, norm.frobenius_sq())
     out, record = _run_dir(resolved, split=dataset.split_config, model=config)
     spec.write_spectrum_csv(spectrum, os.path.join(out, "spectrum.csv"))

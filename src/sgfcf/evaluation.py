@@ -24,7 +24,7 @@ from .dataset import InteractionDataset
 from .errors import BandOutOfRange, ConfigError, EmptyTestSet, EmptyValidation, KTooLarge, NoEvaluableUsers
 from .filters import BandFilter, IgfConfig
 from .graph import G2NConfig, build_graph, g2n_normalize
-from .model import RankedList, SgfcfConfig, add_gamma_term, fit, gamma_block, top_k
+from .model import RankedList, SgfcfConfig, add_gamma_term, fit, gamma_block, svd_settings, top_k
 from .spectral import top_k_svd
 
 GRID_AXES = ("alpha", "epsilon", "K", "beta", "beta1", "beta2", "gamma")
@@ -222,21 +222,20 @@ def frequency_sweep(
     validates a group; its metrics equal one ``evaluate`` of its ``fit``,
     bit for bit. A passed spectrum must hold the grid's largest K. Without
     one, the spectrum is ``top_k_svd`` at the grid's largest K (capped at
-    min(|U|,|I|)) with ``seed``, and grid values beyond its length (a
-    rank-deficient matrix yields fewer triplets) are clamped to it. Returns
-    one row per distinct K with ``fraction`` = K / len(spectrum) and both
-    metrics at ``metric_k``; K = 0 has no defined model and is not part of
-    any grid.
+    min(|U|,|I|)) with the SVD settings of ``SgfcfConfig(seed=seed)``, and
+    grid values beyond its length (a rank-deficient matrix yields fewer
+    triplets) are clamped to it. Returns one row per distinct K with
+    ``fraction`` = K / len(spectrum) and both metrics at ``metric_k``. An
+    empty grid or a K that is no integer >= 1 raises ConfigError.
     """
     _check_cutoff(metric_k, "metric_k")
-    K_grid = sorted({int(K) for K in K_grid})
-    if not K_grid:
-        return []
-    if K_grid[0] < 1:
-        raise ConfigError("frequency sweep requires K >= 1")
+    K_grid = sorted(set(K_grid))
+    if not K_grid or K_grid[0] < 1 or not all(float(K).is_integer() for K in K_grid):
+        raise ConfigError(f"frequency sweep needs one or more integer K >= 1, got {K_grid}")
+    K_grid = [int(K) for K in K_grid]
     graph = build_graph(dataset)
     if spectrum is None:
-        spectrum = top_k_svd(norm, min(K_grid[-1], min(norm.shape)), seed=seed)
+        spectrum = top_k_svd(norm, min(K_grid[-1], min(norm.shape)), **svd_settings(SgfcfConfig(seed=seed)))
         K_grid = sorted({min(K, len(spectrum)) for K in K_grid})
     elif K_grid[-1] > len(spectrum):
         raise BandOutOfRange(
@@ -321,14 +320,15 @@ def grid_search(
     K, sliced for smaller K, and outlives the pair only while the pair
     holds the best validation score. A K above min(|U|, |I|) or a ``k``
     below 1 raises before any work, as ``fit`` does. Homophily is
-    computed once, and only when some combination has beta1 < beta2 (with
-    beta1 == beta2 every node gets beta, see ``fit``). Combinations
-    violating beta1 <= beta <= beta2 are skipped.
+    computed once, and only when some combination is individualized (see
+    ``SgfcfConfig.shared_filter``). Combinations violating beta1 <= beta <=
+    beta2 are skipped.
 
     Every combination's config is built before any work, so a value no
     config accepts (an epsilon above 0, a gamma below 0) raises ConfigError
     first. A pair's configs are validated by ``_validate``, in passes over
-    the users within GRID_FACTOR_BYTES of factors each. ``threads`` sizes
+    the users within GRID_FACTOR_BYTES of factors each; under an explicit
+    filter, the beta axes share one factor set. ``threads`` sizes
     each pass's chunk pool and the winner's test evaluate (0 = every CPU
     the process may run on, below 0 raises ConfigError); it does not
     change any result.
@@ -370,7 +370,7 @@ def grid_search(
     if K_max > min(graph.n_users, graph.n_items):
         raise KTooLarge(f"K={K_max} exceeds min(|U|,|I|)={min(graph.n_users, graph.n_items)}")
     homophily = None
-    if base.filter is None and any(config.igf.beta1 < config.igf.beta2 for config in configs):
+    if any(config.shared_filter is None for config in configs):
         from .filters import homophilic_ratio_all
 
         homophily = homophilic_ratio_all(graph, delta=base.delta, mode=base.homo_mode)
@@ -384,13 +384,7 @@ def grid_search(
     for g2n, group in itertools.groupby(indexed, key=lambda n: configs[n].g2n):
         group = list(group)
         norm = g2n_normalize(graph, g2n)
-        spectrum = top_k_svd(
-            norm,
-            K_max,
-            oversample=base.svd_oversample,
-            power_iters=base.svd_power_iters,
-            seed=base.seed,
-        )
+        spectrum = top_k_svd(norm, K_max, **svd_settings(base))
         results = _validate(
             [configs[n] for n in group], dataset, graph, norm, spectrum, homophily, k, "val", threads
         )
@@ -419,17 +413,20 @@ def grid_search(
 
 def _validate(configs, dataset, graph, norm, spectrum, homophily, k, split, threads) -> list[MetricResult]:
     """Metrics on ``split`` of configs sharing one graph, normalization,
-    spectrum and homophily, aligned with ``configs``. Configs that differ
-    only in gamma share a factor set, fitted once at gamma 0; the sets go
-    in runs within GRID_FACTOR_BYTES, each fitted for one ``_evaluate_pass``,
-    which shares the exclusion, the gamma block and a set's scores per chunk."""
-    members = {}  # per factor set (K, config at gamma 0): its configs' positions
+    spectrum and homophily, aligned with ``configs``. Configs whose factors
+    read the same K, normalization and shared filter (else IGF fields)
+    share a set, fitted once at gamma 0; the sets go in runs within
+    GRID_FACTOR_BYTES, each fitted for one ``_evaluate_pass``, which shares
+    the exclusion, the gamma block and a set's scores per chunk."""
+    members = {}  # per factor set key, led by K: its configs' positions
     for n, config in enumerate(configs):
-        members.setdefault((config.K, replace(config, gamma=0.0)), []).append(n)
+        weights = config.shared_filter or (config.igf, config.delta, config.homo_mode, config.homo_scope)
+        members.setdefault((config.K, config.g2n, weights), []).append(n)
     results = [None] * len(configs)
     for batch in _factor_batches(members, graph.n_users + graph.n_items):
         scorings = [
-            (fit(dataset, key[1], graph=graph, norm=norm, spectrum=spectrum, homophily=homophily),
+            (fit(dataset, replace(configs[members[key][0]], gamma=0.0),
+                 graph=graph, norm=norm, spectrum=spectrum, homophily=homophily),
              [configs[n].gamma for n in members[key]])
             for key in batch
         ]

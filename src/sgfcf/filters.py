@@ -79,8 +79,8 @@ class JacobiFilter:
     order: int = 3
 
     def __post_init__(self):
-        if self.a <= -1 or self.b <= -1:
-            raise ConfigError(f"jacobi requires a > -1 and b > -1, got a={self.a}, b={self.b}")
+        if not all(math.isfinite(v) and v > -1 for v in (self.a, self.b)):
+            raise ConfigError(f"jacobi requires finite a > -1 and b > -1, got a={self.a}, b={self.b}")
         if self.order < 1:
             raise ConfigError(f"jacobi order must be >= 1, got {self.order}")
 

@@ -27,6 +27,7 @@ from .filters import (
     HomophilyScores,
     IgfConfig,
     IgfProfile,
+    MonomialFilter,
     eval_filter,
     homophilic_ratio_all,
     map_homo_to_beta,
@@ -72,6 +73,20 @@ class SgfcfConfig:
             raise ConfigError(f"homo_scope must be 'per_side' or 'global', got {self.homo_scope!r}")
         validate_delta(self.delta, self.homo_mode)
         validate_svd_settings(self.svd_oversample, self.svd_power_iters, self.seed)
+
+    @property
+    def shared_filter(self) -> FilterFamily | None:
+        """The one filter all nodes share, or None for individualized
+        exponents (no explicit filter, beta1 < beta2). At beta1 == beta2
+        every node maps to beta: the config is exactly sigma^beta."""
+        if self.filter is None and self.igf.beta1 == self.igf.beta2:
+            return MonomialFilter(self.igf.beta)
+        return self.filter
+
+
+def svd_settings(config: SgfcfConfig) -> dict:
+    """``top_k_svd``'s keyword arguments for ``config``."""
+    return {"oversample": config.svd_oversample, "power_iters": config.svd_power_iters, "seed": config.seed}
 
 
 @dataclass(frozen=True)
@@ -125,18 +140,18 @@ def _factor_weights(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise filter values applied to P and Q.
 
-    Individualized path: user u gets sigma^beta_u, item i gets
+    Shared path (no profile): both sides get the (1, K) row g(sigma) of
+    the config's shared filter, broadcast over nodes, so the score sees
+    g(sigma)^2. Individualized path: user u gets sigma^beta_u, item i gets
     sigma^beta_i, so the score picks up sigma^(beta_u + beta_i); each side
-    gets an (n, K) weight. Shared path: both sides get the (1, K) row
-    g(sigma), broadcast over nodes, so the score sees g(sigma)^2.
+    gets an (n, K) weight.
     """
     sigma = spectrum.sigma_normalized
-    if config.filter is None:
-        assert profile is not None
+    if profile is None:
+        user_w = item_w = eval_filter(config.shared_filter, sigma)[None, :]
+    else:
         user_w = power_clamped(sigma[None, :], profile.user_beta[:, None])
         item_w = power_clamped(sigma[None, :], profile.item_beta[:, None])
-    else:
-        user_w = item_w = eval_filter(config.filter, sigma)[None, :]
     return spectrum.P * user_w, spectrum.Q * item_w
 
 
@@ -157,10 +172,11 @@ def fit(
     else ConfigError. A passed spectrum must hold at least K triplets and
     is cut to K. Anything omitted is derived from the dataset. Homophily
     runs before the SVD, so a config it rejects fails before the costly
-    stage. It is skipped, and ``model.homophily`` left None, when an
-    explicit filter is set or when beta1 == beta2 and no scores are passed
-    in: the exponent range is then the single point beta, so every node
-    gets beta whatever its homophilic ratio.
+    stage. Homophily and the exponent profile are built only for an
+    individualized config; a shared one (``config.shared_filter``, which
+    covers beta1 == beta2) weights both sides by one row of its filter,
+    leaves ``model.profile`` None and keeps whatever scores were passed
+    in as ``model.homophily``.
     """
     start = time.perf_counter()
     if graph is None:
@@ -190,28 +206,15 @@ def fit(
         )
 
     profile = None
-    if config.filter is None:
-        igf = config.igf
-        if homophily is None and igf.beta1 == igf.beta2:
-            profile = IgfProfile(
-                user_beta=np.full(graph.n_users, igf.beta),
-                item_beta=np.full(graph.n_items, igf.beta),
-            )
-        else:
-            if homophily is None:
-                homophily = homophilic_ratio_all(graph, delta=config.delta, mode=config.homo_mode)
-            profile = map_homo_to_beta(homophily, igf, scope=config.homo_scope)
+    if config.shared_filter is None:
+        if homophily is None:
+            homophily = homophilic_ratio_all(graph, delta=config.delta, mode=config.homo_mode)
+        profile = map_homo_to_beta(homophily, config.igf, scope=config.homo_scope)
 
     if norm is None:
         norm = g2n_normalize(graph, config.g2n)
     if spectrum is None:
-        spectrum = top_k_svd(
-            norm,
-            config.K,
-            oversample=config.svd_oversample,
-            power_iters=config.svd_power_iters,
-            seed=config.seed,
-        )
+        spectrum = top_k_svd(norm, config.K, **svd_settings(config))
     else:
         spectrum = spectrum.truncate(config.K)
 

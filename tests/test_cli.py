@@ -353,6 +353,15 @@ class TestRunRecord:
         assert run_command(argv + ["--data", data_file, "--out", str(tmp_path / "r")]) == 1
         assert capsys.readouterr().err.startswith(f"error: {option}: ")
 
+    def test_empty_K_grid_fails_before_the_run_dir(self, data_file, tmp_path, capsys):
+        # the sweep once returned no rows, wrote its run directory, then
+        # crashed taking the best of them
+        out = tmp_path / "r"
+        assert run_command(["sweep", "--data", data_file, "--K-grid", ",", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "K" in err and "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "axes", [{"K": ["x"]}, {"gamma": ["a"]}, {"K": 4}, {"K": [2.5]}, {"alpha": [True]}, 5], ids=str
     )

@@ -430,6 +430,20 @@ class TestFrequencySweep:
             with pytest.raises(ConfigError):
                 frequency_sweep(dataset, norm, [1, 4], metric_k=metric_k)
 
+    @pytest.mark.parametrize("K_grid", [[2.5, 4.9], [2, 4.5], []], ids=str)
+    def test_non_integer_or_empty_grid_raises_before_any_work(self, monkeypatch, K_grid):
+        # [2.5, 4.9] once gave rows for K 2 and 4, and [] no rows at all
+        dataset = _sweep_dataset(np.random.default_rng(2))
+        norm = g2n_normalize(build_graph(dataset), G2NConfig())
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("sweep started work on a grid it cannot serve")
+
+        monkeypatch.setattr(evaluation, "build_graph", forbidden)
+        monkeypatch.setattr(evaluation, "top_k_svd", forbidden)
+        with pytest.raises(ConfigError, match="integer K"):
+            frequency_sweep(dataset, norm, K_grid)
+
     def test_band_and_mirror_band_agree_on_metrics(self):
         # scores from band [1, K] and from the mirrored (n - K) eigenvector
         # construction coincide, so the sweep metrics must too
@@ -573,6 +587,25 @@ class TestGridSearch:
         monkeypatch.setattr(sgfcf.filters, "homophilic_ratio_all", forbidden)
         shared = grid_search(dataset, GridSpec(axes=axes), k=5)
         assert shared.table == [row for row in mixed.table if row["beta1"] == row["beta2"]]
+
+    def test_explicit_filter_base_fits_one_set_across_the_beta_axis(self, monkeypatch):
+        # a shared filter reads no igf field: the three beta rows once took
+        # three validation fits, plus the test refit
+        dataset = _grid_dataset(np.random.default_rng(6))
+        base = SgfcfConfig(K=4, filter=BandFilter())
+        want = evaluate(fit(dataset, base), dataset, k=5, split="val")
+        fitted = []
+
+        def counted(dataset, config, **stages):
+            fitted.append(config)
+            return fit(dataset, config, **stages)
+
+        monkeypatch.setattr(evaluation, "fit", counted)
+        result = grid_search(dataset, GridSpec(axes={"K": [4], "beta": [1.0, 1.5, 2.0]}), k=5, base=base)
+        assert len(fitted) == 2
+        assert [row["beta"] for row in result.table] == [1.0, 1.5, 2.0]
+        for row in result.table:
+            assert (row["val_recall"], row["val_ndcg"]) == (want.recall_at_k, want.ndcg_at_k)
 
     def test_K_above_the_graph_raises_before_any_work(self, monkeypatch):
         rng = np.random.default_rng(6)

@@ -107,6 +107,13 @@ class TestEvalFilter:
         with pytest.raises(ConfigError, match="beta"):
             family(beta=beta)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("end", ["a", "b"])
+    def test_non_finite_jacobi_parameter_rejected(self, end, value):
+        # nan or inf made every weight NaN
+        with pytest.raises(ConfigError, match="jacobi"):
+            JacobiFilter(**{end: value})
+
 
 @settings(max_examples=40, deadline=None)
 @given(

@@ -126,8 +126,29 @@ class TestFit:
         assert skipped.homophily is None
         for name in ("user_factors", "item_factors"):
             assert np.array_equal(getattr(skipped, name), getattr(with_homophily, name))
-        assert np.array_equal(skipped.profile.user_beta, with_homophily.profile.user_beta)
-        assert np.array_equal(skipped.profile.item_beta, with_homophily.profile.item_beta)
+        assert skipped.profile is None
+        assert with_homophily.profile is None
+
+    def test_shared_beta_maps_no_exponents(self, monkeypatch):
+        import sgfcf.model
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("per-node exponents built for a shared beta")
+
+        monkeypatch.setattr(sgfcf.model, "homophilic_ratio_all", forbidden)
+        monkeypatch.setattr(sgfcf.model, "map_homo_to_beta", forbidden)
+        dataset = small_dataset(np.random.default_rng(31), 20, 16)
+        model = fit(dataset, SgfcfConfig(K=5, igf=IgfConfig(beta=1.4, beta1=1.4, beta2=1.4)))
+        assert model.profile is None and model.homophily is None
+
+    @pytest.mark.parametrize("beta", [0.5, 1.6, 2.0])
+    def test_shared_beta_is_the_monomial_filter_bit_for_bit(self, beta):
+        # numpy's per-node power once rounded beta 0.5 and 2.0 off by an ulp
+        dataset = small_dataset(np.random.default_rng(34), 60, 50)
+        igf = fit(dataset, SgfcfConfig(K=40, igf=IgfConfig(beta=beta)))
+        monomial = fit(dataset, SgfcfConfig(K=40, filter=MonomialFilter(beta)))
+        for name in ("user_factors", "item_factors"):
+            assert np.array_equal(getattr(igf, name), getattr(monomial, name))
 
     def test_bad_homo_scope_rejected(self):
         with pytest.raises(ConfigError):

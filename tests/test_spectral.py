@@ -333,6 +333,13 @@ def _bench_shapes():
         pytest.param(2000, 4000, 60000, 3.0, 128, 2, "krylov", id="grid-tune-K128"),
         pytest.param(2000, 4000, 60000, 3.0, 64, 2, "krylov", id="grid-tune-K64"),
         pytest.param(2000, 4000, 60000, 3.0, 256, 2, "krylov", id="grid-tune-K256"),
+        # large K at CiteULike shape: Gram estimated at 122 s against
+        # Krylov's 144 s at K=2220, Krylov at 453 s against Gram's 547 s at
+        # K=5551. K=3885 is left out: Krylov's 289 s against Gram's 296 s is
+        # too close for the pick to hold through a refit of the cost
+        # constants.
+        pytest.param(5551, 16981, 210537, 2.5, 2220, 8, "gram", id="citeulike-K2220"),
+        pytest.param(5551, 16981, 210537, 2.5, 5551, 8, "krylov", id="citeulike-K5551"),
     ]
 
 
