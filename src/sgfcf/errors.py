@@ -1,5 +1,7 @@
 """Exception hierarchy shared by all sgfcf modules."""
 
+import numbers
+
 
 class SgfcfError(Exception):
     """Base class for all errors raised by this package."""
@@ -69,3 +71,10 @@ class EmptyValidation(SgfcfError):
 
 class ConfigError(SgfcfError):
     pass
+
+
+def check_integer(name: str, value) -> None:
+    """Raise ConfigError unless ``value`` is an integer; a bool, or a float
+    such as 2.0, is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")

@@ -13,7 +13,6 @@ import itertools
 import logging
 import math
 import numbers
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -21,10 +20,19 @@ import numpy as np
 import scipy.sparse as sp
 
 from .dataset import InteractionDataset
-from .errors import BandOutOfRange, ConfigError, EmptyTestSet, EmptyValidation, KTooLarge, NoEvaluableUsers
+from .errors import (
+    BandOutOfRange,
+    ConfigError,
+    EmptyTestSet,
+    EmptyValidation,
+    KTooLarge,
+    NoEvaluableUsers,
+    check_integer,
+)
 from .filters import BandFilter, IgfConfig
 from .graph import G2NConfig, build_graph, g2n_normalize
 from .model import RankedList, SgfcfConfig, add_gamma_term, fit, gamma_block, svd_settings, top_k
+from .parallel import available_cpus
 from .spectral import top_k_svd
 
 GRID_AXES = ("alpha", "epsilon", "K", "beta", "beta1", "beta2", "gamma")
@@ -89,11 +97,13 @@ def ndcg_at_k(ranked, test_items) -> float:
 
 
 def _check_cutoff(k: int, name: str = "k") -> None:
+    check_integer(name, k)
     if k < 1:
         raise ConfigError(f"{name} must be >= 1, got {k}")
 
 
 def _check_threads(threads: int) -> None:
+    check_integer("threads", threads)
     if threads < 0:
         raise ConfigError(f"threads must be >= 0 (0 = all cores), got {threads}")
 
@@ -112,9 +122,11 @@ def evaluate(
     held-out set is empty are skipped, not zero-scored. Each user's top k
     comes from the same ``top_k`` as ``recommend``: score-descending,
     ties broken by ascending item id. The users are scored in chunks on a
-    pool of ``threads`` workers (0 = every CPU the process may run on); at
-    most EVAL_CHUNK score rows are in flight at once, whatever the pool
-    size, and the metrics do not depend on it.
+    pool of ``threads`` workers (0 = every CPU the process may run on,
+    ``parallel.available_cpus``); at most EVAL_CHUNK score rows are in
+    flight at once, whatever the pool size, and the metrics do not depend
+    on it. A ``k`` or ``threads`` that is no integer (a bool or float
+    included), a ``k`` below 1 or ``threads`` below 0 raises ConfigError.
     """
     _check_threads(threads)
     return _evaluate_pass([(scorer, [0.0])], dataset, k, split, threads)[0][0]
@@ -143,10 +155,7 @@ def _evaluate_pass(groups, dataset: InteractionDataset, k: int, split: str, thre
     if len(evaluable) == 0:
         raise NoEvaluableUsers(f"no user has interactions in the {split} split")
 
-    if threads == 0:
-        # the CPUs this process may run on; taskset can cut them below the host's
-        threads = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    workers = min(threads, EVAL_CHUNK)
+    workers = min(threads or available_cpus(), EVAL_CHUNK)
     size = EVAL_CHUNK // workers
     chunks = [evaluable[start : start + size] for start in range(0, len(evaluable), size)]
     workers = min(workers, len(chunks))
@@ -330,8 +339,10 @@ def grid_search(
     the users within GRID_FACTOR_BYTES of factors each; under an explicit
     filter, the beta axes share one factor set. ``threads`` sizes
     each pass's chunk pool and the winner's test evaluate (0 = every CPU
-    the process may run on, below 0 raises ConfigError); it does not
-    change any result.
+    the process may run on; a non-integer or a value below 0 raises
+    ConfigError); it does not change any result. It does not size
+    homophily or the Gram path's matrix formation, which run on every CPU
+    the process may run on.
     """
     _check_cutoff(k)
     _check_threads(threads)

@@ -19,17 +19,19 @@ from typing import Union
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import BandOutOfRange, ConfigError, OddDelta, SizeCapExceeded
+from .errors import BandOutOfRange, ConfigError, OddDelta, SizeCapExceeded, check_integer
 from .graph import BipartiteGraph
+from .parallel import BlockPool
 
 # delta >= 4 counts run over the dense interaction matrix with one step
 # matrix per removed node, a verification-scale operation; larger graphs
 # raise SizeCapExceeded.
 HOMOPHILY_EXACT_CAP = 200
 
-# Bytes of one dense block of the delta = 2 pair count (see
-# _cooccurrence_counts); about four such blocks are live at once. On 2
-# cores, 4 MiB was the fastest of 0.5-8 MiB at CiteULike shape (5551 x
+# Bytes of the dense blocks of the delta = 2 pair count in flight at once
+# (see _cooccurrence_counts), shared equally by the workers; about four
+# arrays of a block's size are live per worker. On 2 cores, 4 MiB for a
+# single worker was the fastest of 0.5-8 MiB at CiteULike shape (5551 x
 # 16981) and within 15% of the fastest at wide-igf's (8000 x 3200).
 COOCCURRENCE_BLOCK_BYTES = 4 * 2**20
 
@@ -65,6 +67,7 @@ class MarkovFilter:
     order: int = 2
 
     def __post_init__(self):
+        check_integer("markov order", self.order)
         if self.order < 1:
             raise ConfigError(f"markov order must be >= 1, got {self.order}")
 
@@ -81,6 +84,7 @@ class JacobiFilter:
     def __post_init__(self):
         if not all(math.isfinite(v) and v > -1 for v in (self.a, self.b)):
             raise ConfigError(f"jacobi requires finite a > -1 and b > -1, got a={self.a}, b={self.b}")
+        check_integer("jacobi order", self.order)
         if self.order < 1:
             raise ConfigError(f"jacobi order must be >= 1, got {self.order}")
 
@@ -96,6 +100,7 @@ class BandFilter:
     k_lo: int = 1
 
     def __post_init__(self):
+        check_integer("band start k_lo", self.k_lo)
         if self.k_lo < 1:
             raise BandOutOfRange(f"band start k_lo must be >= 1, got {self.k_lo}")
 
@@ -204,13 +209,14 @@ class IgfProfile:
 
 
 def validate_delta(delta: int, mode: str) -> None:
+    check_integer("delta", delta)
     if delta < 2 or delta % 2 != 0:
         raise OddDelta(f"delta must be an even integer >= 2, got {delta}")
     if mode not in ("inclusive", "strict"):
         raise ConfigError(f"mode must be 'inclusive' or 'strict', got {mode!r}")
 
 
-def _cooccurrence_counts(RT: sp.csr_matrix, side: str) -> np.ndarray:
+def _cooccurrence_counts(RT: sp.csr_matrix, side: str, pool: BlockPool) -> np.ndarray:
     """Pairs (i, j) of each node's support with distance <= 2 after removing
     that node, for the nodes indexing RT's columns (RT's rows are their
     neighbors).
@@ -225,34 +231,47 @@ def _cooccurrence_counts(RT: sp.csr_matrix, side: str) -> np.ndarray:
     so only its strict upper triangle (i < j) is built, from the rows
     before the block's end, and each unordered pair counts twice.
 
-    The block width keeps each dense block within COOCCURRENCE_BLOCK_BYTES.
-    Every entry of a product is an integer no larger than max(RT.shape),
-    so float32 holds it exactly up to 2**24; the sums over a node run in
-    float64.
+    The blocks run on ``pool`` (see ``_pair_block``), one per worker at a
+    time, and the block width keeps all blocks in flight together within
+    COOCCURRENCE_BLOCK_BYTES. Each worker sums its blocks' pair vectors
+    in float64 and the workers' sums are added; the totals are integers
+    below 2**53, so they do not depend on the worker count or the order
+    of the blocks.
     """
     n_other, n_nodes = RT.shape
     dtype = np.float32 if max(RT.shape) <= 2**24 else np.float64
     RT = RT.astype(dtype)
-    width = max(1, COOCCURRENCE_BLOCK_BYTES // (np.dtype(dtype).itemsize * max(*RT.shape, 1)))
+    width = max(1, COOCCURRENCE_BLOCK_BYTES // (pool.workers * np.dtype(dtype).itemsize * max(*RT.shape, 1)))
     log.debug(
         "%s homophily: %d co-occurrence blocks of %d columns over %d neighbors",
         side, -(-n_other // width), width, n_other,
     )
-    pairs = np.zeros(n_nodes, dtype=np.float64)
-    for start in range(0, n_other, width):
-        stop = min(start + width, n_other)
-        end = RT.indptr[stop]
-        # R[:, :stop]^T as a view of RT's leading rows
-        head = sp.csr_matrix(
-            (RT.data[:end], RT.indices[:end], RT.indptr[: stop + 1]), shape=(stop, n_nodes)
-        )
-        block = RT[start:stop]
-        reach = (head @ block.T.toarray() >= 2).astype(dtype)
-        reach[start:stop] = np.triu(reach[start:stop], 1)
-        hits = head.T @ reach  # (R Reach[:, B])[u, j], i < j only
-        local = np.repeat(np.arange(stop - start), np.diff(block.indptr))
-        pairs += np.bincount(block.indices, weights=hits[block.indices, local], minlength=n_nodes)
+
+    def count(starts):
+        pairs = np.zeros(n_nodes, dtype=np.float64)
+        for start in starts:
+            pairs += _pair_block(RT, start, min(start + width, n_other))
+        return pairs
+
+    pairs = sum(pool.run(count, range(0, n_other, width)))
     return np.bincount(RT.indices, minlength=n_nodes) + 2 * pairs.astype(np.int64)
+
+
+def _pair_block(RT: sp.csr_matrix, start: int, stop: int) -> np.ndarray:
+    """Per node of RT's columns, its neighbor pairs i < j with j in rows
+    [start, stop) that co-occur under another node, as float64. Every
+    entry of a product is an integer no larger than max(RT.shape), which
+    RT's dtype holds exactly (float32 up to 2**24)."""
+    n_nodes = RT.shape[1]
+    end = RT.indptr[stop]
+    # R[:, :stop]^T as a view of RT's leading rows
+    head = sp.csr_matrix((RT.data[:end], RT.indices[:end], RT.indptr[: stop + 1]), shape=(stop, n_nodes))
+    block = RT[start:stop]
+    reach = (head @ block.T.toarray() >= 2).astype(RT.dtype)
+    reach[start:stop] = np.triu(reach[start:stop], 1)
+    hits = head.T @ reach  # (R Reach[:, B])[u, j], i < j only
+    local = np.repeat(np.arange(stop - start), np.diff(block.indptr))
+    return np.bincount(block.indices, weights=hits[block.indices, local], minlength=n_nodes)
 
 
 def _reach_counts(R: np.ndarray, steps: int) -> np.ndarray:
@@ -299,10 +318,11 @@ def homophilic_pair_counts(
     if effective == 0:
         return graph.user_degrees.astype(np.int64).copy(), graph.item_degrees.astype(np.int64).copy()
     if effective == 2:
-        return (
-            _cooccurrence_counts(graph.col_major, "user"),
-            _cooccurrence_counts(graph.row_major, "item"),
-        )
+        with BlockPool() as pool:
+            return (
+                _cooccurrence_counts(graph.col_major, "user", pool),
+                _cooccurrence_counts(graph.row_major, "item", pool),
+            )
     n = graph.n_users + graph.n_items
     if n > HOMOPHILY_EXACT_CAP:
         raise SizeCapExceeded(

@@ -21,7 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .dataset import InteractionDataset
-from .errors import ConfigError, KTooLarge, UnknownUser
+from .errors import ConfigError, KTooLarge, UnknownUser, check_integer
 from .filters import (
     FilterFamily,
     HomophilyScores,
@@ -65,6 +65,7 @@ class SgfcfConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_integer("K", self.K)
         if self.K < 1:
             raise ConfigError(f"K must be >= 1, got {self.K}")
         if not (math.isfinite(self.gamma) and self.gamma >= 0):
@@ -390,6 +391,7 @@ def recommend(model: SgfcfModel, u: int, k: int = 10, exclude_train: bool = True
 
     Ranks like ``evaluate``: excluded items score -inf, ``top_k`` orders
     the row, and the list keeps only finite scores."""
+    check_integer("k", k)
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
     scores = score_user(model, u)

@@ -68,8 +68,10 @@ from .errors import (
     KTooLarge,
     LengthMismatch,
     SizeCapExceeded,
+    check_integer,
 )
 from .graph import DENSE_ORACLE_CAP, NormalizedMatrix
+from .parallel import BlockPool
 
 ZERO_PRUNE_REL = 1e-12
 ORTHONORMALITY_TOL = 1e-8
@@ -139,12 +141,15 @@ def _finalize(U: np.ndarray, sigma: np.ndarray, V: np.ndarray, K: int) -> Trunca
 
 
 def _check_K(shape: tuple[int, int], K: int) -> None:
+    check_integer("K", K)
     if not 1 <= K <= min(shape):
         raise KTooLarge(f"K must be in [1, {min(shape)}], got {K}")
 
 
 def validate_svd_settings(oversample: int, power_iters: int, seed: int) -> None:
     """Reject settings the Krylov path cannot run with."""
+    for name, value in (("oversample", oversample), ("power_iters", power_iters), ("seed", seed)):
+        check_integer(name, value)
     if oversample < 4:
         raise ConfigError(f"oversample must be >= 4, got {oversample}")
     if power_iters < 1:
@@ -268,14 +273,20 @@ def gram_svd(norm, K: int) -> TruncatedSpectrum:
     the subset's eigenvectors are not resolved; the full eigendecomposition
     is taken instead, so the basis spans the whole smaller side and the
     step is an exact SVD (it then holds two dense L x N arrays).
+
+    For a sparse A, G is filled in row pieces on every CPU the process
+    may run on (see ``_sparse_gram``); its bits do not depend on how many.
     """
     A = _as_matrix(norm)
     _check_K(A.shape, K)
     items_small = A.shape[1] < A.shape[0]
     S = A.T if items_small else A
     N = S.shape[0]
-    G = S @ S.T
-    G = G.toarray() if sp.issparse(G) else G
+    if sp.issparse(A):
+        At = norm.values_t if isinstance(norm, NormalizedMatrix) else A.T
+        G = _sparse_gram(*((At, A) if items_small else (A, At)))
+    else:
+        G = S @ S.T
     lam, basis = scipy.linalg.eigh(G, subset_by_index=[N - K, N - 1], driver="evr")
     if lam[0] <= SQRT_EPS * lam[-1]:
         _, basis = scipy.linalg.eigh(G, driver="evd")
@@ -283,6 +294,35 @@ def gram_svd(norm, K: int) -> TruncatedSpectrum:
     if items_small:
         left, right = right, left
     return _finalize(left, sigma, right, K)
+
+
+def _sparse_gram(S, St) -> np.ndarray:
+    """The dense Gram matrix S S^T of a sparse S, given St = S^T.
+
+    The dense N x N array is allocated first and filled in one row piece
+    per worker of a ``BlockPool``: each worker holds the sparse product
+    of its piece only, never the whole sparse Gram matrix. The pieces
+    hold equal shares of the product's terms (a stored entry S[i, k]
+    meets row k of St), which balanced the workers better than equal
+    shares of S's stored entries. A row of a sparse product sums over the
+    row's own entries in stored order, so the pieces equal the rows of
+    (S @ S^T).toarray() bit for bit.
+    """
+    S, St = sp.csr_matrix(S), sp.csr_matrix(St)
+    N = S.shape[0]
+    G = np.empty((N, N))
+    # the product's terms up to each row's end
+    ends = np.concatenate([[0], np.cumsum(np.diff(St.indptr)[S.indices])])[S.indptr]
+
+    def fill(pieces):
+        for lo, hi in pieces:
+            (S[lo:hi] @ St).toarray(out=G[lo:hi])
+
+    with BlockPool() as pool:
+        cuts = np.searchsorted(ends, np.linspace(0, ends[-1], pool.workers + 1)[1:-1])
+        bounds = np.concatenate([[0], cuts, [N]])
+        pool.run(fill, zip(bounds[:-1], bounds[1:]))
+    return G
 
 
 # Seconds per unit of work in each kernel class: a non-negative least-squares

@@ -25,7 +25,7 @@ from sgfcf import (
     ndcg_at_k,
     recall_at_k,
 )
-from sgfcf import evaluation
+from sgfcf import evaluation, parallel
 from sgfcf.errors import BandOutOfRange, ConfigError, EmptyTestSet, EmptyValidation, KTooLarge, NoEvaluableUsers
 from sgfcf.evaluation import write_grid_csv, write_sweep_csv
 from sgfcf.model import RankedList
@@ -154,6 +154,13 @@ class TestEvaluate:
         # as recommend does; a cutoff below 1 would score every user 0
         model = fit(toy_dataset, SgfcfConfig(K=2))
         with pytest.raises(ConfigError):
+            evaluate(model, toy_dataset, k=k)
+
+    @pytest.mark.parametrize("k", [2.5, 2.0, True])
+    def test_non_integer_k_raises(self, toy_dataset, k):
+        # 2.5 raised numpy's "Partition index must be integer"
+        model = fit(toy_dataset, SgfcfConfig(K=2))
+        with pytest.raises(ConfigError, match="k must be an integer"):
             evaluate(model, toy_dataset, k=k)
 
     def test_rank_only_dependence(self, toy_dataset):
@@ -793,6 +800,22 @@ class TestGridSearch:
             with pytest.raises(ConfigError, match="threads"):
                 grid_search(dataset, GridSpec(axes={"K": [2, 3]}), k=5, threads=threads)
 
+    @pytest.mark.parametrize("threads", [2.5, 1.0, True])
+    def test_non_integer_threads_raise_before_any_work(self, monkeypatch, threads):
+        # 2.5 raised a TypeError from the pool; True ran as 1
+        dataset = _grid_dataset(np.random.default_rng(6))
+        model = fit(dataset, SgfcfConfig(K=4))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("work started with a non-integer thread count")
+
+        monkeypatch.setattr(evaluation, "build_graph", forbidden)
+        monkeypatch.setattr(evaluation, "_evaluate_pass", forbidden)
+        with pytest.raises(ConfigError, match="threads must be an integer"):
+            evaluate(model, dataset, k=5, threads=threads)
+        with pytest.raises(ConfigError, match="threads must be an integer"):
+            grid_search(dataset, GridSpec(axes={"K": [2, 3]}), k=5, threads=threads)
+
     def test_evaluation_logs_its_pool(self, caplog):
         dataset = _grid_dataset(np.random.default_rng(13))
         model = fit(dataset, SgfcfConfig(K=4, gamma=0.2))
@@ -811,8 +834,8 @@ class TestGridSearch:
         # under `taskset -c 0` on a 2-core host os.cpu_count() is still 2
         dataset = _grid_dataset(np.random.default_rng(13))
         model = fit(dataset, SgfcfConfig(K=4))
-        monkeypatch.setattr(evaluation.os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        monkeypatch.setattr(evaluation.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(parallel.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(parallel.os, "cpu_count", lambda: 4)
         monkeypatch.setattr(evaluation, "EVAL_CHUNK", 4)
         with caplog.at_level(logging.DEBUG, logger="sgfcf"):
             evaluate(model, dataset, k=5, threads=0)

@@ -1,4 +1,5 @@
 import logging
+import sys
 import tracemalloc
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import eval_jacobi
 
 from sgfcf import (
+    BandFilter,
     ExponentialFilter,
     HomophilyScores,
     IgfConfig,
@@ -20,8 +22,8 @@ from sgfcf import (
     homophilic_ratio_all,
     map_homo_to_beta,
 )
-from sgfcf import filters
-from sgfcf.errors import ConfigError, OddDelta, SizeCapExceeded
+from sgfcf import filters, parallel
+from sgfcf.errors import BandOutOfRange, ConfigError, OddDelta, SizeCapExceeded
 from sgfcf.filters import write_homophily_csv
 from sgfcf.theory import random_bipartite_graph
 
@@ -106,6 +108,21 @@ class TestEvalFilter:
     def test_non_finite_beta_rejected(self, family, beta):
         with pytest.raises(ConfigError, match="beta"):
             family(beta=beta)
+
+    @pytest.mark.parametrize("order", [2.5, 2.0, True])
+    @pytest.mark.parametrize("family", [MarkovFilter, JacobiFilter])
+    def test_non_integer_order_rejected(self, family, order):
+        # order=2.5 built, and eval_filter then raised a TypeError
+        with pytest.raises(ConfigError, match="order must be an integer"):
+            family(order=order)
+
+    @pytest.mark.parametrize("k_lo", [2.5, 1.0, True])
+    def test_non_integer_band_start_rejected(self, k_lo):
+        # k_lo=2.5 built, and fit then raised "slice indices must be integers"
+        with pytest.raises(ConfigError, match="k_lo must be an integer"):
+            BandFilter(k_lo=k_lo)
+        with pytest.raises(BandOutOfRange):
+            BandFilter(k_lo=0)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     @pytest.mark.parametrize("end", ["a", "b"])
@@ -227,6 +244,7 @@ class TestHomophily:
         rng = np.random.default_rng(6)
         graph = random_graph(rng, 40, 30)
         monkeypatch.setattr(filters, "COOCCURRENCE_BLOCK_BYTES", block_bytes(7, (40, 30)))
+        monkeypatch.setattr(parallel, "available_cpus", lambda: 1)
         with caplog.at_level(logging.DEBUG, logger="sgfcf"):
             homophilic_pair_counts(graph, delta=2)
         messages = [r.getMessage() for r in caplog.records if r.name == "sgfcf"]
@@ -235,6 +253,26 @@ class TestHomophily:
             "user homophily: 5 co-occurrence blocks of 7 columns over 30 neighbors",
             "item homophily: 6 co-occurrence blocks of 7 columns over 40 neighbors",
         ]
+
+    # inclusive at delta 2 and strict at delta 4 both run the blocked count
+    @pytest.mark.parametrize("delta, mode", [(2, "inclusive"), (4, "strict")])
+    def test_counts_do_not_depend_on_the_worker_count(self, monkeypatch, delta, mode):
+        graph = graph_from_matrix(random_bipartite_graph(np.random.default_rng(21), 300, 200, exponent=2.1))
+        # strict at delta 4 counts what inclusive at 2 does, and the oracle
+        # takes a second for the one against several for the other
+        expected = homophily_counts_bruteforce(graph, 2)
+        # a few columns per block, so every worker takes many blocks
+        monkeypatch.setattr(filters, "COOCCURRENCE_BLOCK_BYTES", block_bytes(6, (300, 200)))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for cpus in (1, 2, 3):
+                monkeypatch.setattr(parallel, "available_cpus", lambda: cpus)
+                users, items = homophilic_pair_counts(graph, delta, mode)
+                assert np.array_equal(users, expected[0]), cpus
+                assert np.array_equal(items, expected[1]), cpus
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestIgfMapping:

@@ -89,6 +89,18 @@ class TestFit:
         with pytest.raises(ConfigError):
             SgfcfConfig(K=1, gamma=-0.5)
 
+    @pytest.mark.parametrize("K", [2.5, float("nan"), True, 4.0])
+    def test_non_integer_K_rejected_when_the_config_is_built(self, K):
+        # K=2.5 built, and fit then raised numpy's IndexError
+        with pytest.raises(ConfigError, match="K must be an integer"):
+            SgfcfConfig(K=K)
+
+    @pytest.mark.parametrize("delta", [4.0, 2.5, True])
+    def test_non_integer_delta_rejected_when_the_config_is_built(self, delta):
+        # delta=4.0 built, and homophily then raised a TypeError
+        with pytest.raises(ConfigError, match="delta must be an integer"):
+            SgfcfConfig(K=4, delta=delta)
+
     @pytest.mark.parametrize("gamma", [float("nan"), float("inf")])
     def test_non_finite_gamma_rejected(self, gamma):
         # nan scored every item NaN, inf left recommend nothing to return
@@ -96,7 +108,11 @@ class TestFit:
             SgfcfConfig(K=1, gamma=gamma)
 
     @pytest.mark.parametrize(
-        "field, value", [("svd_oversample", 3), ("svd_power_iters", 0), ("seed", -1)]
+        "field, value",
+        [
+            ("svd_oversample", 3), ("svd_power_iters", 0), ("seed", -1),
+            ("svd_oversample", 8.0), ("svd_power_iters", 2.5), ("seed", True),
+        ],
     )
     def test_svd_settings_rejected_when_the_config_is_built(self, field, value):
         with pytest.raises(ConfigError, match=field.removeprefix("svd_")):
@@ -300,6 +316,13 @@ class TestRecommend:
         model = fit(small_dataset(rng), SgfcfConfig(K=2))
         with pytest.raises(ConfigError):
             recommend(model, 0, k=0)
+
+    @pytest.mark.parametrize("k", [2.5, 3.0, True])
+    def test_non_integer_k_rejected(self, k):
+        # k=2.5 raised numpy's "Partition index must be integer"
+        model = fit(small_dataset(np.random.default_rng(13)), SgfcfConfig(K=2))
+        with pytest.raises(ConfigError, match="k must be an integer"):
+            recommend(model, 0, k=k)
 
 
 _score_values = st.one_of(

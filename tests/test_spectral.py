@@ -17,7 +17,7 @@ from sgfcf import (
     top_k_svd,
     truncated_svd,
 )
-from sgfcf import spectral
+from sgfcf import parallel, spectral
 from sgfcf.errors import ConfigError, InvalidTotal, KTooLarge, LengthMismatch, SizeCapExceeded
 from sgfcf.graph import NormalizedMatrix
 from sgfcf.spectral import TruncatedSpectrum
@@ -102,6 +102,14 @@ class TestTruncatedSvd:
         norm = normalized(random_graph(np.random.default_rng(7), 10, 8))
         with pytest.raises(ConfigError, match="seed"):
             solver(norm, K=2, seed=-1)
+
+    @pytest.mark.parametrize("solver", [truncated_svd, gram_svd, top_k_svd])
+    @pytest.mark.parametrize("K", [2.5, 2.0, True])
+    def test_non_integer_K_rejected(self, solver, K):
+        # K=2.5 raised numpy's IndexError or a TypeError
+        norm = normalized(random_graph(np.random.default_rng(7), 10, 8))
+        with pytest.raises(ConfigError, match="K must be an integer"):
+            solver(norm, K=K)
 
 
 def _graded_matrix(n_rows, sigma, seed):
@@ -322,6 +330,22 @@ def test_gram_path_matches_dense_svd_within_its_backward_error(matrix, K):
     assert (np.abs(spec.sigma - sigma[: len(spec)]) <= bound).all()
     residual = np.linalg.norm(dense @ spec.Q - spec.P * spec.sigma, axis=0)
     assert (residual <= bound * sigma[0] / spec.sigma + eta * sigma[0]).all()
+
+
+@pytest.mark.parametrize("shape", [(300, 200), (200, 300)], ids=["items-fewer", "users-fewer"])
+def test_gram_path_does_not_depend_on_the_worker_count(monkeypatch, shape):
+    norm = normalized(graph_from_matrix(random_bipartite_graph(np.random.default_rng(9), *shape, exponent=2.1)))
+    A = norm.values
+    S = A.T if shape[1] < shape[0] else A
+    whole = (S @ S.T).toarray()
+    spectra = []
+    for cpus in (1, 3):
+        monkeypatch.setattr(parallel, "available_cpus", lambda: cpus)
+        assert np.array_equal(spectral._sparse_gram(sp.csr_matrix(S), sp.csr_matrix(S.T)), whole)
+        spectra.append(gram_svd(norm, 20))
+    one, three = spectra
+    for name in ("sigma", "P", "Q"):
+        assert np.array_equal(getattr(one, name), getattr(three, name)), name
 
 
 def _bench_shapes():
