@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateSplit, MalformedLine, MissingFile
+from .errors import ConfigError, DegenerateSplit, MalformedLine, MissingFile, check_integer
 
 FORMATS = ("tsv_pairs", "csv_pairs")
 STRATEGIES = ("per_user", "global")
@@ -52,18 +52,6 @@ class IdMaps:
     def n_items(self) -> int:
         return len(self.item_index)
 
-    def user_tokens(self) -> list[str]:
-        out = [""] * len(self.user_index)
-        for tok, idx in self.user_index.items():
-            out[idx] = tok
-        return out
-
-    def item_tokens(self) -> list[str]:
-        out = [""] * len(self.item_index)
-        for tok, idx in self.item_index.items():
-            out[idx] = tok
-        return out
-
 
 @dataclass(frozen=True)
 class SplitConfig:
@@ -85,6 +73,7 @@ class SplitConfig:
                 f"train_ratio + val_ratio must be < 1, got "
                 f"{self.train_ratio} + {self.val_ratio}"
             )
+        check_integer("seed", self.seed)
         if self.seed < 0:
             raise ConfigError("seed must be a non-negative integer")
         if self.strategy not in STRATEGIES:

@@ -13,12 +13,12 @@ import itertools
 import logging
 import math
 import numbers
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
 
+from . import parallel
 from .dataset import InteractionDataset
 from .errors import (
     BandOutOfRange,
@@ -32,15 +32,15 @@ from .errors import (
 from .filters import BandFilter, IgfConfig
 from .graph import G2NConfig, build_graph, g2n_normalize
 from .model import RankedList, SgfcfConfig, add_gamma_term, fit, gamma_block, svd_settings, top_k
-from .parallel import available_cpus
 from .spectral import top_k_svd
 
 GRID_AXES = ("alpha", "epsilon", "K", "beta", "beta1", "beta2", "gamma")
 # Tuning lattices; axes must sit on multiples of these steps.
 AXIS_STEPS = {"alpha": 1.0, "epsilon": 0.02, "beta": 0.1, "beta1": 0.1, "beta2": 0.1, "gamma": 0.1}
-# Most users whose score rows an evaluation holds at once. Its pool of w
-# workers scores chunks of EVAL_CHUNK // w users, so memory stays at about
-# EVAL_CHUNK score rows (and their top-k work) whatever the pool size.
+# Most users whose score rows an evaluation holds at once. At w workers the
+# calling thread and w - 1 pool threads score chunks of EVAL_CHUNK // w
+# users, so memory stays at about EVAL_CHUNK score rows (and their top-k
+# work) whatever the worker count.
 EVAL_CHUNK = 1024
 # Most bytes of user and item factors that grid_search keeps alive in one
 # validation pass; an (alpha, epsilon) group's factor sets beyond it are
@@ -121,11 +121,12 @@ def evaluate(
     train_csr for exclusion, such as an SgfcfModel. Users whose
     held-out set is empty are skipped, not zero-scored. Each user's top k
     comes from the same ``top_k`` as ``recommend``: score-descending,
-    ties broken by ascending item id. The users are scored in chunks on a
-    pool of ``threads`` workers (0 = every CPU the process may run on,
-    ``parallel.available_cpus``); at most EVAL_CHUNK score rows are in
-    flight at once, whatever the pool size, and the metrics do not depend
-    on it. A ``k`` or ``threads`` that is no integer (a bool or float
+    ties broken by ascending item id. The users are scored in chunks by
+    ``threads`` workers (0 = every CPU the process may run on,
+    ``parallel.available_cpus``): the calling thread and ``threads - 1``
+    threads of a ``parallel.BlockPool``. At most EVAL_CHUNK score rows are
+    in flight at once, whatever the worker count, and the metrics do not
+    depend on it. A ``k`` or ``threads`` that is no integer (a bool or float
     included), a ``k`` below 1 or ``threads`` below 0 raises ConfigError.
     """
     _check_threads(threads)
@@ -140,9 +141,11 @@ def _evaluate_pass(groups, dataset: InteractionDataset, k: int, split: str, thre
     ``add_gamma_term``). The scorers share one train matrix; those with a
     gamma above 0 are SgfcfModels of one normalized matrix. Per chunk of
     users, the exclusion, the ``gamma_block`` and each scorer's score_users
-    run once. The chunks run on a pool of ``threads`` workers (0 = all
-    cores), and each scoring's per-user metrics are joined in chunk order,
-    so no result depends on the pool or the chunk size. Returns one list of
+    run once. The chunks run on a ``parallel.BlockPool`` of ``threads``
+    workers (0 = every CPU the process may run on), capped at the chunk
+    count, and each chunk's metrics are stored at its index, so each
+    scoring's per-user metrics are joined in chunk order and no result
+    depends on the worker count or the chunk size. Returns one list of
     results per group, aligned with its gammas.
     """
     _check_cutoff(k)
@@ -155,7 +158,7 @@ def _evaluate_pass(groups, dataset: InteractionDataset, k: int, split: str, thre
     if len(evaluable) == 0:
         raise NoEvaluableUsers(f"no user has interactions in the {split} split")
 
-    workers = min(threads or available_cpus(), EVAL_CHUNK)
+    workers = min(threads or parallel.available_cpus(), EVAL_CHUNK)
     size = EVAL_CHUNK // workers
     chunks = [evaluable[start : start + size] for start in range(0, len(evaluable), size)]
     workers = min(workers, len(chunks))
@@ -198,8 +201,14 @@ def _evaluate_pass(groups, dataset: InteractionDataset, k: int, split: str, thre
             del base, scores  # before the next scorer's rows are made
         return out
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        per_chunk = list(pool.map(score_chunk, chunks))
+    per_chunk = [None] * len(chunks)
+
+    def score_chunks(share):
+        for n, users in share:
+            per_chunk[n] = score_chunk(users)
+
+    with parallel.BlockPool(workers) as pool:
+        pool.run(score_chunks, enumerate(chunks))
 
     def mean(g, j, metric):
         # cumsum adds the users left to right, as a running total does
@@ -337,10 +346,11 @@ def grid_search(
     config accepts (an epsilon above 0, a gamma below 0) raises ConfigError
     first. A pair's configs are validated by ``_validate``, in passes over
     the users within GRID_FACTOR_BYTES of factors each; under an explicit
-    filter, the beta axes share one factor set. ``threads`` sizes
-    each pass's chunk pool and the winner's test evaluate (0 = every CPU
-    the process may run on; a non-integer or a value below 0 raises
-    ConfigError); it does not change any result. It does not size
+    filter, the beta axes share one factor set. ``threads`` is the worker
+    count of each pass and of the winner's test evaluate: the calling
+    thread and ``threads - 1`` pool threads score the users' chunks (0 =
+    every CPU the process may run on; a non-integer or a value below 0
+    raises ConfigError); it does not change any result. It does not size
     homophily or the Gram path's matrix formation, which run on every CPU
     the process may run on.
     """

@@ -179,9 +179,3 @@ def assemble_adjacency(norm: NormalizedMatrix) -> np.ndarray:
     adjacency[n_users:, :n_users] = dense.T
     return adjacency
 
-
-def export_matrixmarket(norm: NormalizedMatrix, path: str) -> None:
-    """Dump the reweighted matrix in MatrixMarket coordinate format."""
-    from scipy.io import mmwrite
-
-    mmwrite(path, norm.values.tocoo())

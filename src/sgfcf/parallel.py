@@ -1,9 +1,10 @@
-"""Independent blocks of work spread over every CPU the process may run on.
+"""Independent blocks of work spread over a number of workers, by default
+every CPU the process may run on.
 
 The calling thread takes a share of the blocks and a pool adds one thread
-per further CPU, so on one CPU no thread is started. The threads overlap
-where the blocks spend their time: in scipy's sparse products, which run
-without the interpreter lock.
+per further worker, so one worker starts no thread. The threads overlap
+where the blocks spend their time: in scipy's sparse products and in
+numpy and BLAS work, which release the interpreter lock.
 """
 
 from __future__ import annotations
@@ -23,11 +24,12 @@ def available_cpus() -> int:
 
 
 class BlockPool:
-    """The calling thread plus ``available_cpus() - 1`` pool threads; use it
-    in a ``with`` statement, which joins the threads on exit."""
+    """The calling thread plus ``workers - 1`` pool threads (0 workers =
+    ``available_cpus()``); use it in a ``with`` statement, which joins the
+    threads on exit."""
 
-    def __init__(self):
-        self.workers = available_cpus()
+    def __init__(self, workers: int = 0):
+        self.workers = workers or available_cpus()
         self._pool = ThreadPoolExecutor(self.workers - 1) if self.workers > 1 else None
 
     def __enter__(self) -> "BlockPool":

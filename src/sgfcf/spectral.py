@@ -97,8 +97,7 @@ class TruncatedSpectrum:
 
     def truncate(self, K: int) -> "TruncatedSpectrum":
         """First K triplets. Normalization is preserved (same sigma_1)."""
-        if K > len(self):
-            raise KTooLarge(f"requested K={K} from a spectrum of length {len(self)}")
+        _check_K(K, len(self))
         return TruncatedSpectrum(
             sigma=self.sigma[:K],
             P=self.P[:, :K],
@@ -140,10 +139,10 @@ def _finalize(U: np.ndarray, sigma: np.ndarray, V: np.ndarray, K: int) -> Trunca
     )
 
 
-def _check_K(shape: tuple[int, int], K: int) -> None:
+def _check_K(K: int, largest: int) -> None:
     check_integer("K", K)
-    if not 1 <= K <= min(shape):
-        raise KTooLarge(f"K must be in [1, {min(shape)}], got {K}")
+    if not 1 <= K <= largest:
+        raise KTooLarge(f"K must be in [1, {largest}], got {K}")
 
 
 def validate_svd_settings(oversample: int, power_iters: int, seed: int) -> None:
@@ -233,7 +232,7 @@ def truncated_svd(
     roundoff (see ``_rayleigh_ritz`` for the sqrt(eps) guard).
     """
     A = _as_matrix(norm)
-    _check_K(A.shape, K)
+    _check_K(K, min(A.shape))
     validate_svd_settings(oversample, power_iters, seed)
     # W^T row-major: its products give the same bits as A.T's, faster
     At = norm.values_t if isinstance(norm, NormalizedMatrix) else A.T
@@ -278,7 +277,7 @@ def gram_svd(norm, K: int) -> TruncatedSpectrum:
     may run on (see ``_sparse_gram``); its bits do not depend on how many.
     """
     A = _as_matrix(norm)
-    _check_K(A.shape, K)
+    _check_K(K, min(A.shape))
     items_small = A.shape[1] < A.shape[0]
     S = A.T if items_small else A
     N = S.shape[0]
@@ -398,7 +397,7 @@ def top_k_svd(
     ``sgfcf`` logger.
     """
     A = _as_matrix(norm)
-    _check_K(A.shape, K)
+    _check_K(K, min(A.shape))
     validate_svd_settings(oversample, power_iters, seed)
     m, n = A.shape
     N, L = min(m, n), max(m, n)
@@ -441,8 +440,7 @@ def dense_svd(norm) -> TruncatedSpectrum:
 
 def appro_measure(spec: TruncatedSpectrum, K: int, frobenius_sq_total: float) -> float:
     """Fraction of total Frobenius energy captured by the top-K values."""
-    if K > len(spec):
-        raise KTooLarge(f"K={K} exceeds spectrum length {len(spec)}")
+    _check_K(K, len(spec))
     partial = float(np.square(spec.sigma[:K]).sum())
     if frobenius_sq_total + 1e-12 * max(1.0, partial) < partial:
         raise InvalidTotal(

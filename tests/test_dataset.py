@@ -66,7 +66,6 @@ class TestIdMaps:
         maps = ingest(tiny_log_file).id_maps
         assert maps.user_index == {"u1": 0, "u2": 1, "u3": 2}
         assert maps.item_index == {"i1": 0, "i2": 1, "i3": 2}
-        assert maps.user_tokens() == ["u1", "u2", "u3"]
 
     def test_pairs_are_records_in_ids(self, tmp_path):
         path = tmp_path / "ids.tsv"
@@ -158,6 +157,13 @@ class TestSplit:
             SplitConfig(train_ratio=0.0)
         with pytest.raises(ConfigError):
             SplitConfig(train_ratio=0.9, val_ratio=0.2)
+
+    @pytest.mark.parametrize("seed", [2.5, True, "3"])
+    def test_non_integer_seed_rejected(self, seed):
+        # 2.5 built and failed in numpy at split time, True split as seed 1,
+        # and "3" raised a TypeError
+        with pytest.raises(ConfigError, match="seed must be an integer"):
+            SplitConfig(train_ratio=0.8, seed=seed)
 
     def test_id_density(self, tiny_log_file):
         dataset = split(ingest(tiny_log_file), SplitConfig(train_ratio=0.5, seed=1))

@@ -12,7 +12,7 @@ from sgfcf import (
     graph_from_matrix,
 )
 from sgfcf.errors import ConfigError, EmptyTrainSplit, SizeCapExceeded
-from sgfcf.graph import duplicate_item_sources, export_matrixmarket
+from sgfcf.graph import duplicate_item_sources
 
 from conftest import random_graph
 from oracles import duplicate_sources_bruteforce
@@ -182,17 +182,6 @@ class TestAssembleAdjacency:
         norm = g2n_normalize(graph_from_matrix(R), G2NConfig())
         with pytest.raises(SizeCapExceeded):
             assemble_adjacency(norm)
-
-
-def test_matrixmarket_round_trip(tmp_path):
-    from scipy.io import mmread
-
-    rng = np.random.default_rng(7)
-    norm = g2n_normalize(random_graph(rng, 8, 5), G2NConfig())
-    path = tmp_path / "norm.mtx"
-    export_matrixmarket(norm, str(path))
-    back = mmread(str(path))
-    assert np.allclose(back.toarray(), norm.values.toarray())
 
 
 def _pooled_columns(seed, n_users, n_items):

@@ -5,8 +5,19 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from sgfcf import G2NConfig, g2n_normalize, gram_svd, graph_from_matrix, homophilic_pair_counts
-from sgfcf import filters, parallel
+from sgfcf import (
+    G2NConfig,
+    SgfcfConfig,
+    dataset_from_pairs,
+    evaluate,
+    fit,
+    g2n_normalize,
+    gram_svd,
+    graph_from_matrix,
+    homophilic_pair_counts,
+)
+from sgfcf import evaluation, filters, parallel
+from sgfcf.model import SgfcfModel
 from sgfcf.theory import random_bipartite_graph
 
 
@@ -17,6 +28,16 @@ class Boom(Exception):
 @pytest.fixture
 def graph():
     return graph_from_matrix(random_bipartite_graph(np.random.default_rng(3), 120, 80, exponent=2.1))
+
+
+@pytest.fixture
+def scored():
+    """A gamma model and the dataset it was fitted on; 42 users hold test pairs."""
+    coo = random_bipartite_graph(np.random.default_rng(3), 120, 80, exponent=2.1).tocoo()
+    pairs = np.column_stack([coo.row, coo.col])[np.random.default_rng(4).permutation(coo.nnz)]
+    cut = 4 * len(pairs) // 5
+    dataset = dataset_from_pairs(pairs[:cut], test=pairs[cut:], n_users=120, n_items=80)
+    return fit(dataset, SgfcfConfig(K=8, gamma=0.2)), dataset
 
 
 def fail_on_call(real, n):
@@ -31,7 +52,7 @@ def fail_on_call(real, n):
     return wrapper
 
 
-def test_one_cpu_starts_no_pool_thread(monkeypatch, graph):
+def test_one_cpu_starts_no_pool_thread(monkeypatch, graph, scored):
     pools = []
 
     class Spy(parallel.ThreadPoolExecutor):
@@ -41,15 +62,21 @@ def test_one_cpu_starts_no_pool_thread(monkeypatch, graph):
 
     monkeypatch.setattr(parallel, "ThreadPoolExecutor", Spy)
     monkeypatch.setattr(parallel, "available_cpus", lambda: 1)
+    monkeypatch.setattr(evaluation, "EVAL_CHUNK", 12)
+    model, dataset = scored
     homophilic_pair_counts(graph)
     gram_svd(g2n_normalize(graph, G2NConfig()), 8)
+    evaluate(model, dataset, threads=1)
+    evaluate(model, dataset, threads=0)
     assert pools == []
     # one pool for both homophily sides, one for the Gram matrix, each of
-    # a thread fewer than the CPUs
+    # a thread fewer than the CPUs, and one of 2 threads for 3 workers'
+    # chunks of 4 users
     monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
     homophilic_pair_counts(graph)
     gram_svd(g2n_normalize(graph, G2NConfig()), 8)
-    assert pools == [(1,), (1,)]
+    evaluate(model, dataset, threads=3)
+    assert pools == [(1,), (1,), (2,)]
 
 
 @pytest.mark.parametrize("cpus", [1, 3])
@@ -71,6 +98,17 @@ def test_an_error_in_a_gram_piece_propagates(monkeypatch, graph, cpus):
     baseline = threading.active_count()
     with pytest.raises(Boom):
         gram_svd(norm, 8)
+    assert threading.active_count() == baseline
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_an_error_in_an_evaluate_chunk_propagates(monkeypatch, scored, threads):
+    monkeypatch.setattr(evaluation, "EVAL_CHUNK", 12)
+    monkeypatch.setattr(SgfcfModel, "score_users", fail_on_call(SgfcfModel.score_users, 2))
+    model, dataset = scored
+    baseline = threading.active_count()
+    with pytest.raises(Boom):
+        evaluate(model, dataset, threads=threads)
     assert threading.active_count() == baseline
 
 

@@ -490,6 +490,16 @@ class TestApproMeasure:
         spec = _make_spectrum([1.0])
         with pytest.raises(KTooLarge):
             appro_measure(spec, 2, 1.0)
+        # truncate and appro_measure take K in [1, len(spec)] only: 2.5
+        # raised a TypeError, True truncated to 1 triplet, 0 to none, and
+        # -1 cut the last triplet
+        spec = _make_spectrum([2.0, 1.0, 1.0])
+        for K, error in [(4, KTooLarge), (0, KTooLarge), (-1, KTooLarge), (2.5, ConfigError), (True, ConfigError)]:
+            with pytest.raises(error):
+                appro_measure(spec, K, 6.0)
+            with pytest.raises(error):
+                spec.truncate(K)
+        assert len(spec.truncate(3)) == 3
 
 
 def _make_spectrum(sigma):
