@@ -8,6 +8,7 @@ over evaluable users.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import itertools
 import logging
@@ -102,6 +103,14 @@ def _check_cutoff(k: int, name: str = "k") -> None:
         raise ConfigError(f"{name} must be >= 1, got {k}")
 
 
+def _check_band_sizes(values, what: str) -> None:
+    """Raise ConfigError unless each value is a finite number, bools
+    excluded, that is an integer >= 1 (2.0 counts as 2, 2.5 does not)."""
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v) or v != int(v) or v < 1:
+            raise ConfigError(f"{what} needs integer K >= 1, got {v!r}")
+
+
 def _check_threads(threads: int) -> None:
     check_integer("threads", threads)
     if threads < 0:
@@ -126,8 +135,12 @@ def evaluate(
     ``parallel.available_cpus``): the calling thread and ``threads - 1``
     threads of a ``parallel.BlockPool``. At most EVAL_CHUNK score rows are
     in flight at once, whatever the worker count, and the metrics do not
-    depend on it. A ``k`` or ``threads`` that is no integer (a bool or float
-    included), a ``k`` below 1 or ``threads`` below 0 raises ConfigError.
+    depend on it. While more than one worker scores, numpy's and scipy's
+    OpenBLAS builds run 1 thread each (``parallel.one_blas_thread``). That
+    setting is process-global for the pass, is restored when it ends, and
+    is a no-op without OpenBLAS. A ``k`` or ``threads`` that is no integer
+    (a bool or float included), a ``k`` below 1 or ``threads`` below 0
+    raises ConfigError.
     """
     _check_threads(threads)
     return _evaluate_pass([(scorer, [0.0])], dataset, k, split, threads)[0][0]
@@ -145,7 +158,8 @@ def _evaluate_pass(groups, dataset: InteractionDataset, k: int, split: str, thre
     workers (0 = every CPU the process may run on), capped at the chunk
     count, and each chunk's metrics are stored at its index, so each
     scoring's per-user metrics are joined in chunk order and no result
-    depends on the worker count or the chunk size. Returns one list of
+    depends on the worker count or the chunk size. On more than one worker
+    the pass runs inside ``parallel.one_blas_thread``. Returns one list of
     results per group, aligned with its gammas.
     """
     _check_cutoff(k)
@@ -162,11 +176,6 @@ def _evaluate_pass(groups, dataset: InteractionDataset, k: int, split: str, thre
     size = EVAL_CHUNK // workers
     chunks = [evaluable[start : start + size] for start in range(0, len(evaluable), size)]
     workers = min(workers, len(chunks))
-    log.debug(
-        "evaluate %s: %d scorings, %d users evaluated, %d skipped, %d chunks of up to %d users on %d threads",
-        split, sum(len(gammas) for _, gammas in groups), len(evaluable),
-        dataset.n_users - len(evaluable), len(chunks), size, workers,
-    )
     train_csr = groups[0][0].train_csr
     norm = next((scorer.norm for scorer, gammas in groups if max(gammas) > 0), None)
     discounts = 1.0 / np.log2(np.arange(2, k + 2))
@@ -207,7 +216,14 @@ def _evaluate_pass(groups, dataset: InteractionDataset, k: int, split: str, thre
         for n, users in share:
             per_chunk[n] = score_chunk(users)
 
-    with parallel.BlockPool(workers) as pool:
+    pin = parallel.one_blas_thread() if workers > 1 else contextlib.nullcontext(False)
+    with pin as pinned, parallel.BlockPool(workers) as pool:
+        log.debug(
+            "evaluate %s with BLAS %s: %d scorings, %d users evaluated, %d skipped, "
+            "%d chunks of up to %d users on %d threads",
+            split, "pinned to 1 thread" if pinned else "not pinned", sum(len(gammas) for _, gammas in groups),
+            len(evaluable), dataset.n_users - len(evaluable), len(chunks), size, workers,
+        )
         pool.run(score_chunks, enumerate(chunks))
 
     def mean(g, j, metric):
@@ -244,13 +260,16 @@ def frequency_sweep(
     grid values beyond its length (a rank-deficient matrix yields fewer
     triplets) are clamped to it. Returns one row per distinct K with
     ``fraction`` = K / len(spectrum) and both metrics at ``metric_k``. An
-    empty grid or a K that is no integer >= 1 raises ConfigError.
+    empty grid or a K that is no integer >= 1, as ``GridSpec``'s K axis
+    checks it (a bool, a string or 2.5; 2.0 counts as 2), raises
+    ConfigError before any work.
     """
     _check_cutoff(metric_k, "metric_k")
-    K_grid = sorted(set(K_grid))
-    if not K_grid or K_grid[0] < 1 or not all(float(K).is_integer() for K in K_grid):
-        raise ConfigError(f"frequency sweep needs one or more integer K >= 1, got {K_grid}")
-    K_grid = [int(K) for K in K_grid]
+    K_grid = list(K_grid)
+    if not K_grid:
+        raise ConfigError("frequency sweep needs one or more integer K >= 1, got none")
+    _check_band_sizes(K_grid, "frequency sweep")
+    K_grid = sorted({int(K) for K in K_grid})
     graph = build_graph(dataset)
     if spectrum is None:
         spectrum = top_k_svd(norm, min(K_grid[-1], min(norm.shape)), **svd_settings(SgfcfConfig(seed=seed)))
@@ -290,21 +309,15 @@ class GridSpec:
                 raise ConfigError(f"axis {name!r} must be a list of numbers, got {values!r}")
             if not values:
                 raise ConfigError(f"axis {name!r} is empty")
+            if name == "K":
+                _check_band_sizes(values, "K axis")
+                continue
+            step = AXIS_STEPS[name]
             for v in values:
                 if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
                     raise ConfigError(f"axis {name!r} value {v!r} is not a finite number")
-            if name == "K":
-                if any(v != int(v) for v in values):
-                    raise ConfigError(f"K axis values must be integers, got {list(values)}")
-                if any(v < 1 for v in values):
-                    raise ConfigError("K axis values must be >= 1")
-            else:
-                step = AXIS_STEPS[name]
-                for v in values:
-                    if abs(v / step - round(v / step)) > 1e-9:
-                        raise ConfigError(
-                            f"axis {name!r} value {v} is not on the step-{step} lattice"
-                        )
+                if abs(v / step - round(v / step)) > 1e-9:
+                    raise ConfigError(f"axis {name!r} value {v} is not on the step-{step} lattice")
         if self.selection_metric not in ("ndcg", "recall"):
             raise ConfigError(f"selection_metric must be 'ndcg' or 'recall', got {self.selection_metric!r}")
 
@@ -350,9 +363,12 @@ def grid_search(
     count of each pass and of the winner's test evaluate: the calling
     thread and ``threads - 1`` pool threads score the users' chunks (0 =
     every CPU the process may run on; a non-integer or a value below 0
-    raises ConfigError); it does not change any result. It does not size
+    raises ConfigError); it does not change any result. On more than one
+    worker each pass and the test evaluate hold numpy's and scipy's
+    OpenBLAS builds at 1 thread, process-wide while they run, and restore
+    them afterwards; without OpenBLAS nothing is pinned. It does not size
     homophily or the Gram path's matrix formation, which run on every CPU
-    the process may run on.
+    the process may run on and with OpenBLAS's own thread count.
     """
     _check_cutoff(k)
     _check_threads(threads)

@@ -437,7 +437,7 @@ class TestFrequencySweep:
             with pytest.raises(ConfigError):
                 frequency_sweep(dataset, norm, [1, 4], metric_k=metric_k)
 
-    @pytest.mark.parametrize("K_grid", [[2.5, 4.9], [2, 4.5], []], ids=str)
+    @pytest.mark.parametrize("K_grid", [[2.5, 4.9], [2, 4.5], [], [True, 3], ["3"], [float("nan")]], ids=str)
     def test_non_integer_or_empty_grid_raises_before_any_work(self, monkeypatch, K_grid):
         # [2.5, 4.9] once gave rows for K 2 and 4, and [] no rows at all
         dataset = _sweep_dataset(np.random.default_rng(2))
@@ -450,6 +450,13 @@ class TestFrequencySweep:
         monkeypatch.setattr(evaluation, "top_k_svd", forbidden)
         with pytest.raises(ConfigError, match="integer K"):
             frequency_sweep(dataset, norm, K_grid)
+
+    def test_integral_floats_count_as_integers(self):
+        dataset = _sweep_dataset(np.random.default_rng(2))
+        norm = g2n_normalize(build_graph(dataset), G2NConfig())
+        rows = frequency_sweep(dataset, norm, [2.0, np.int64(4), 2])
+        assert [row["K"] for row in rows] == [2, 4]
+        assert rows == frequency_sweep(dataset, norm, [2, 4])
 
     def test_band_and_mirror_band_agree_on_metrics(self):
         # scores from band [1, K] and from the mirrored (n - K) eigenvector
@@ -828,6 +835,13 @@ class TestGridSearch:
         message = record.getMessage()
         assert f"{n_users} users evaluated, {30 - n_users} skipped" in message
         assert f"{-(-n_users // 2)} chunks of up to 2 users on 2 threads" in message
+        pinned = "pinned to 1 thread" if parallel._openblas_builds() else "not pinned"
+        assert message.startswith(f"evaluate test with BLAS {pinned}: ")
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="sgfcf"):
+            evaluate(model, dataset, k=5, threads=1)
+        (record,) = [r for r in caplog.records if r.name == "sgfcf"]
+        assert record.getMessage().startswith("evaluate test with BLAS not pinned: ")
         assert logging.getLogger("sgfcf").handlers == []
 
     def test_all_cores_means_those_the_process_may_run_on(self, monkeypatch, caplog):
