@@ -30,10 +30,11 @@ from . import theory
 from .errors import ConfigError, SgfcfError
 
 # Command-level values that no config dataclass holds, each taken by the
-# commands whose parser defines it. Every model, filter and split default
-# comes from its dataclass: a key left out of the flags and the config
-# file takes the library's default.
+# commands that list its option in COMMAND_OPTIONS. Every model, filter and
+# split default comes from its dataclass: a key left out of the flags and
+# the config file takes the library's default.
 DEFAULTS = {
+    "out": "runs",
     "format": "tsv",
     "x": 0.8,  # x and val are the CLI's split protocol
     "val": 0.05,
@@ -62,119 +63,80 @@ FILTERS = {
 CONFIG_KEYS = {"filter", *SPLIT_FIELDS, *G2N_FIELDS, *IGF_FIELDS, *MODEL_FIELDS}
 CONFIG_KEYS.update(key for _, fields in FILTERS.values() for key in fields)
 
+GRID_OPTIONS = tuple(f"grid_{axis}" for axis in ev.GRID_AXES)
+# Every option as its dest and its add_argument keywords. Its flag is
+# "--" + dest with "-" for "_", and a --config file sets it by its dest,
+# through its type (str when it has none).
+OPTIONS = {
+    "out": {"help": "output root directory"},
+    "config": {"help": "JSON config file; flags override it"},
+    "data": {"help": "interaction file path"},
+    "format": {"choices": list(FORMATS)},
+    "x": {"type": float, "help": "train ratio"},
+    "val": {"type": float, "help": "validation ratio"},
+    "split_strategy": {"choices": list(ds.STRATEGIES)},
+    "filter": {"choices": ["igf", *FILTERS], "help": "igf = individualized monomial (default)"},
+    "homo_mode": {"choices": ["inclusive", "strict"]},
+    "recommend_k": {"type": int, "help": "also dump top-k lists"},
+    "k": {"type": int, "help": "metric cutoff"},
+    "K_grid": {"help": "comma-separated band sizes"},
+    "selection_metric": {"choices": ["ndcg", "recall"]},
+    "threads": {"type": int, "help": "0 = all available"},
+    **dict.fromkeys(
+        ("seed", "K", "delta", "filter_order", "oversample", "power_iters", "metric_k"),
+        {"type": int},
+    ),
+    **dict.fromkeys(
+        ("alpha", "epsilon", "beta", "beta1", "beta2", "gamma", "filter_beta", "jacobi_a", "jacobi_b"),
+        {"type": float},
+    ),
+    **dict.fromkeys(GRID_OPTIONS, {"help": "comma-separated values"}),
+}
+COMMON = ("out", "config", "seed")
+DATA = ("data", "format")
+SPLIT = ("x", "val", "split_strategy")
+MODEL = (
+    "K", "alpha", "epsilon", "beta", "beta1", "beta2", "gamma", "delta", "filter",
+    "filter_beta", "filter_order", "jacobi_a", "jacobi_b", "homo_mode", "oversample", "power_iters",
+)
+# Each command's help line and its options, in --help order.
+COMMAND_OPTIONS = {
+    "ingest": ("read and deduplicate an interaction file", ("out", "config", *DATA)),
+    "split": ("ingest and write a split manifest", (*COMMON, *DATA, *SPLIT)),
+    "fit": ("fit a model and write its summary", (*COMMON, *DATA, *SPLIT, *MODEL, "recommend_k")),
+    "eval": ("fit and evaluate on the test split", (*COMMON, *DATA, *SPLIT, *MODEL, "k")),
+    "sweep": (
+        "frequency sweep with the uniform band filter",
+        (*COMMON, *DATA, *SPLIT, "alpha", "epsilon", "K_grid", "metric_k"),
+    ),
+    "grid": (
+        "hyperparameter grid search",
+        (*COMMON, *DATA, *SPLIT, *MODEL, "k", *GRID_OPTIONS, "selection_metric", "threads"),
+    ),
+    "spectrum": (
+        "export singular values and the appro curve",
+        (*COMMON, *DATA, *SPLIT, "K", "alpha", "epsilon", "oversample", "power_iters"),
+    ),
+    "theory-check": ("run all theorem oracles", COMMON),
+}
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="sgfcf", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, seed=True):
-        p.add_argument("--out", default="runs", help="output root directory")
-        p.add_argument("--config", default=None, help="JSON config file; flags override it")
-        if seed:
-            p.add_argument("--seed", type=int, default=None)
-
-    def add_data(p):
-        p.add_argument("--data", required=False, default=None, help="interaction file path")
-        p.add_argument("--format", choices=["tsv", "csv"], default=None)
-
-    def add_split(p):
-        p.add_argument("--x", type=float, default=None, help="train ratio")
-        p.add_argument("--val", type=float, default=None, help="validation ratio")
-        p.add_argument("--split-strategy", choices=["per_user", "global"], default=None)
-
-    def add_model(p):
-        p.add_argument("--K", type=int, default=None)
-        p.add_argument("--alpha", type=float, default=None)
-        p.add_argument("--epsilon", type=float, default=None)
-        p.add_argument("--beta", type=float, default=None)
-        p.add_argument("--beta1", type=float, default=None)
-        p.add_argument("--beta2", type=float, default=None)
-        p.add_argument("--gamma", type=float, default=None)
-        p.add_argument("--delta", type=int, default=None)
-        p.add_argument(
-            "--filter",
-            choices=["igf", "monomial", "exponential", "markov", "jacobi"],
-            default=None,
-            help="igf = individualized monomial (default)",
-        )
-        p.add_argument("--filter-beta", type=float, default=None)
-        p.add_argument("--filter-order", type=int, default=None)
-        p.add_argument("--jacobi-a", type=float, default=None)
-        p.add_argument("--jacobi-b", type=float, default=None)
-        p.add_argument("--homo-mode", choices=["inclusive", "strict"], default=None)
-        p.add_argument("--oversample", type=int, default=None)
-        p.add_argument("--power-iters", type=int, default=None)
-
-    p = sub.add_parser("ingest", help="read and deduplicate an interaction file")
-    add_common(p, seed=False)
-    add_data(p)
-
-    p = sub.add_parser("split", help="ingest and write a split manifest")
-    add_common(p)
-    add_data(p)
-    add_split(p)
-
-    p = sub.add_parser("fit", help="fit a model and write its summary")
-    add_common(p)
-    add_data(p)
-    add_split(p)
-    add_model(p)
-    p.add_argument("--recommend-k", type=int, default=None, help="also dump top-k lists")
-
-    p = sub.add_parser("eval", help="fit and evaluate on the test split")
-    add_common(p)
-    add_data(p)
-    add_split(p)
-    add_model(p)
-    p.add_argument("--k", type=int, default=None, help="metric cutoff")
-
-    p = sub.add_parser("sweep", help="frequency sweep with the uniform band filter")
-    add_common(p)
-    add_data(p)
-    add_split(p)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--K-grid", default=None, help="comma-separated band sizes")
-    p.add_argument("--metric-k", type=int, default=None)
-
-    p = sub.add_parser("grid", help="hyperparameter grid search")
-    add_common(p)
-    add_data(p)
-    add_split(p)
-    add_model(p)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--grid-alpha", default=None, help="comma-separated values")
-    p.add_argument("--grid-epsilon", default=None)
-    p.add_argument("--grid-K", default=None)
-    p.add_argument("--grid-beta", default=None)
-    p.add_argument("--grid-beta1", default=None)
-    p.add_argument("--grid-beta2", default=None)
-    p.add_argument("--grid-gamma", default=None)
-    p.add_argument("--selection-metric", choices=["ndcg", "recall"], default=None)
-    p.add_argument("--threads", type=int, default=None, help="0 = all available")
-
-    p = sub.add_parser("spectrum", help="export singular values and the appro curve")
-    add_common(p)
-    add_data(p)
-    add_split(p)
-    p.add_argument("--K", type=int, default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--oversample", type=int, default=None)
-    p.add_argument("--power-iters", type=int, default=None)
-
-    p = sub.add_parser("theory-check", help="run all theorem oracles")
-    add_common(p)
-
+    for command, (help_line, options) in COMMAND_OPTIONS.items():
+        p = sub.add_parser(command, help=help_line)
+        for dest in options:
+            p.add_argument("--" + dest.replace("_", "-"), **OPTIONS[dest])
     return parser
 
 
-def _config_types(parser: argparse.ArgumentParser, command: str) -> dict:
+def _config_types(command: str) -> dict:
     """Keys a --config file may set for ``command``, each with its
-    option's type (None for an untyped option): the command's options,
-    plus the axes table for ``grid``."""
-    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    types = {a.dest: a.type for a in sub.choices[command]._actions if a.dest not in ("help", "config")}
+    option's type (str for an untyped option, as argparse reads its flag):
+    the command's options, plus the axes table for ``grid`` (None)."""
+    _, options = COMMAND_OPTIONS[command]
+    types = {dest: OPTIONS[dest].get("type", str) for dest in options if dest != "config"}
     return types | {"grid": None} if command == "grid" else types
 
 
@@ -185,7 +147,7 @@ def _resolve_config(args: argparse.Namespace, types: dict) -> dict:
     file value goes through its option's type as the flag's text would,
     so ``{"gamma": 0}`` and ``--gamma 0`` resolve alike."""
     file_config = {}
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             file_config = json.load(fh)
         unknown = set(file_config) - set(types)
@@ -341,19 +303,21 @@ def _cmd_fit(resolved: dict) -> int:
         raise ConfigError(f"--recommend-k must be >= 1, got {recommend_k}")
     dataset = _load_dataset(resolved)
     config = _model_config(resolved)
-    graph = gr.build_graph(dataset)
-    homophily = None
-    if config.filter is None:
-        # computed even when beta1 == beta2, where fit skips it: the
-        # artifact still reports it
+    graph = homophily = None
+    if config.filter is None and config.shared_filter is not None:
+        # fit skips homophily at beta1 == beta2, but the artifact still
+        # reports it; computed first, so a delta it rejects fails before the SVD
+        graph = gr.build_graph(dataset)
         homophily = ft.homophilic_ratio_all(graph, delta=config.delta, mode=config.homo_mode)
     model = md.fit(dataset, config, graph=graph, homophily=homophily)
     out, record = _run_dir(resolved, split=dataset.split_config, model=model.config)
     _write_json(md.model_summary(model), record, os.path.join(out, "model_summary.json"))
     spec.write_spectrum_csv(model.spectrum, os.path.join(out, "spectrum.csv"))
-    if homophily is not None:
-        profile = ft.map_homo_to_beta(homophily, config.igf, scope=config.homo_scope)
-        ft.write_homophily_csv(homophily, profile, os.path.join(out, "homophily.csv"))
+    if model.homophily is not None:
+        profile = model.profile
+        if profile is None:
+            profile = ft.map_homo_to_beta(model.homophily, config.igf, scope=config.homo_scope)
+        ft.write_homophily_csv(model.homophily, profile, os.path.join(out, "homophily.csv"))
     if recommend_k is not None:
         md.write_recommendations_csv(
             model, range(model.n_users), recommend_k, os.path.join(out, "recommendations.csv")
@@ -514,7 +478,7 @@ def run_command(argv: list[str]) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        resolved = _resolve_config(args, _config_types(parser, args.command))
+        resolved = _resolve_config(args, _config_types(args.command))
         return COMMANDS[args.command](resolved)
     except SgfcfError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -28,7 +28,6 @@ class InteractionLog:
     array of (user_id, item_id)."""
 
     records: list[tuple[str, str]]
-    source_path: str
     id_maps: IdMaps
     pairs: np.ndarray = field(repr=False, compare=False)
     duplicates_dropped: int = 0
@@ -147,7 +146,6 @@ def ingest(path: str, format: str = "tsv_pairs") -> InteractionLog:
             item_ids.append(item_index.setdefault(item, len(item_index)))
     return InteractionLog(
         records=records,
-        source_path=path,
         id_maps=IdMaps(user_index=user_index, item_index=item_index),
         pairs=np.column_stack(
             [np.array(user_ids, dtype=np.int64), np.array(item_ids, dtype=np.int64)]

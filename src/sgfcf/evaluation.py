@@ -246,10 +246,10 @@ def frequency_sweep(
     K_grid,
     metric_k: int = 20,
     spectrum=None,
-    split: str = "test",
     seed: int = 0,
 ) -> list[dict]:
-    """Evaluate the uniform band filter [1, K] for each K in the grid.
+    """Evaluate the uniform band filter [1, K] on the test split for each
+    K in the grid.
 
     Each point is a ``BandFilter()`` config on one graph and one spectrum,
     validated by ``_validate`` at ``threads=0``, as ``grid_search``
@@ -279,7 +279,7 @@ def frequency_sweep(
             f"band [1, {K_grid[-1]}] invalid for a spectrum of length {len(spectrum)}"
         )
     configs = [SgfcfConfig(K=K, g2n=norm.config, filter=BandFilter()) for K in K_grid]
-    results = _validate(configs, dataset, graph, norm, spectrum, None, metric_k, split, threads=0)
+    results = _validate(configs, dataset, graph, norm, spectrum, None, metric_k, "test", threads=0)
     return [
         {"K": c.K, "fraction": c.K / len(spectrum), "recall": r.recall_at_k, "ndcg": r.ndcg_at_k}
         for c, r in zip(configs, results)

@@ -238,6 +238,7 @@ def fit(
 
 
 def _check_user(model: SgfcfModel, u: int) -> None:
+    check_integer("user id", u)
     if not 0 <= u < model.n_users:
         raise UnknownUser(f"user id {u} outside [0, {model.n_users})")
 
@@ -271,8 +272,13 @@ def score_users(model: SgfcfModel, users) -> np.ndarray:
     """Score rows for a batch of users (rows align with ``users``).
 
     Memory is O(len(users) * max(|U|, |I|)); callers bound it by chunking.
+    A non-empty batch must be of integer dtype (bools are not), else
+    ConfigError.
     """
-    users = np.asarray(users, dtype=np.int64)
+    users = np.asarray(users)
+    if len(users) and users.dtype.kind not in "iu":
+        raise ConfigError(f"user ids must be integers, got dtype {users.dtype}")
+    users = users.astype(np.int64, copy=False)
     if len(users) and (users.min() < 0 or users.max() >= model.n_users):
         raise UnknownUser("user id outside valid range in batch")
     scores = model.user_factors[users] @ model.item_factors.T
@@ -429,14 +435,14 @@ def serialize_config(config) -> dict:
     return payload
 
 
-def write_recommendations_csv(model, users, k: int, path: str, exclude_train: bool = True) -> None:
-    """Dump top-k lists as ``user_id,rank,item_id,score`` rows."""
+def write_recommendations_csv(model, users, k: int, path: str) -> None:
+    """Dump top-k lists, train items excluded, as ``user_id,rank,item_id,score`` rows."""
     import csv as _csv
 
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = _csv.writer(fh)
         writer.writerow(["user_id", "rank", "item_id", "score"])
         for u in users:
-            ranked = model.recommend(int(u), k=k, exclude_train=exclude_train)
+            ranked = model.recommend(int(u), k=k)
             for rank, (item, score) in enumerate(zip(ranked.items, ranked.scores), start=1):
                 writer.writerow([ranked.user_id, rank, int(item), repr(float(score))])

@@ -107,8 +107,13 @@ class TruncatedSpectrum:
 
 
 def _as_matrix(norm) -> sp.csr_matrix | np.ndarray:
+    """The matrix behind ``norm``. A raw matrix holding NaN or inf raises
+    ConfigError before it reaches LAPACK; a NormalizedMatrix is finite by
+    construction and is not scanned."""
     if isinstance(norm, NormalizedMatrix):
         return norm.values
+    if not np.isfinite(sp.csr_matrix(norm).data if sp.issparse(norm) else norm).all():
+        raise ConfigError("matrix holds NaN or infinite values")
     return norm
 
 

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from sgfcf import JacobiFilter, MarkovFilter, SgfcfConfig, SplitConfig
-from sgfcf.cli import run_command
+from sgfcf.cli import COMMAND_OPTIONS, MODEL, run_command
+from sgfcf.evaluation import GRID_AXES
 from sgfcf.model import serialize_config
 
 
@@ -437,3 +438,136 @@ class TestArgErrors:
         # each subcommand heads its own line of the listing, with its help after it
         for name in ("ingest", "split", "fit", "eval", "sweep", "grid", "spectrum", "theory-check"):
             assert re.search(rf"^ +{name} +\S", out, re.MULTILINE), name
+
+
+class TestOptionTable:
+    # a value every option may take on the data_file fixture, by config key
+    VALUES = {
+        "seed": 3, "format": "tsv", "x": 0.7, "val": 0.1, "split_strategy": "per_user",
+        "K": 4, "alpha": 1, "epsilon": -0.4, "beta": 1.2, "beta1": 1.0, "beta2": 1.4, "gamma": 0.1,
+        "delta": 2, "filter": "igf", "filter_beta": 1.5, "filter_order": 3, "jacobi_a": 0.5,
+        "jacobi_b": 0.5, "homo_mode": "inclusive", "oversample": 6, "power_iters": 3,
+        "recommend_k": 2, "k": 5, "K_grid": "2,4", "metric_k": 5, "grid_alpha": "0,1",
+        "grid_epsilon": "-0.4", "grid_K": "4", "grid_beta": "1.2", "grid_beta1": "1.0",
+        "grid_beta2": "1.4", "grid_gamma": "0.1", "selection_metric": "recall", "threads": 1,
+        "grid": {"K": [4, 6]},
+    }
+
+    @staticmethod
+    def _help_flags(command, capsys):
+        assert run_command([command, "--help"]) == 0
+        options = capsys.readouterr().out.split("options:\n", 1)[1]
+        return re.findall(r"^ {2}(?:-h, )?(--[\w-]+)", options, re.MULTILINE)
+
+    @pytest.mark.parametrize("command", list(COMMAND_OPTIONS))
+    def test_help_lists_each_flag_once(self, command, capsys):
+        flags = self._help_flags(command, capsys)
+        assert len(flags) == len(set(flags))
+        keys = set(COMMAND_OPTIONS[command][1])
+        assert set(flags) == {"--help"} | {"--" + key.replace("_", "-") for key in keys}
+
+    @pytest.mark.parametrize("command", list(COMMAND_OPTIONS))
+    def test_config_file_may_set_every_key_its_flags_take(
+        self, command, data_file, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        keys = [flag[2:].replace("-", "_") for flag in self._help_flags(command, capsys)]
+        keys = [key for key in keys if key not in ("help", "config", "out", "data")]
+        out = tmp_path / "root"
+        config = {key: self.VALUES[key] for key in keys} | {"out": str(out)}
+        if command != "theory-check":
+            config["data"] = data_file
+        if command == "grid":
+            config["grid"] = self.VALUES["grid"]
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        assert run_command([command, "--config", str(config_path)]) == 0
+        record = _load(os.path.join(_only_run_dir(str(out)), "run_config.json"))
+        assert record.get("seed") == config.get("seed")
+        # one key of another command is one too many
+        extra = next(key for key in self.VALUES if key not in config)
+        config_path.write_text(json.dumps(config | {extra: self.VALUES[extra]}))
+        shutil.rmtree(out)
+        assert run_command([command, "--config", str(config_path)]) == 1
+        assert f"config keys not taken by {command!r}: [{extra!r}]" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_file_sets_the_output_root(self, data_file, tmp_path, monkeypatch):
+        # the file's out key was once accepted and then lost to the "runs" default
+        monkeypatch.chdir(tmp_path)
+        config_path = tmp_path / "out.json"
+        config_path.write_text(json.dumps({"out": "from_file"}))
+        assert run_command(["ingest", "--data", data_file, "--config", str(config_path)]) == 0
+        assert not os.path.exists("runs")
+        (name,) = os.listdir("from_file")
+        # an explicit --out beats the file, and the run directory's name
+        # does not depend on where the root came from
+        argv = ["ingest", "--data", data_file, "--config", str(config_path), "--out", "from_flag"]
+        assert run_command(argv) == 0
+        assert os.listdir("from_flag") == [name]
+        assert os.listdir("from_file") == [name]
+
+    def test_config_file_text_options_take_the_flags_text(self, data_file, tmp_path, monkeypatch):
+        # a number for a text option once reached os.path.join as an int and
+        # gave a grid record other than its flag's
+        monkeypatch.chdir(tmp_path)
+        config_path = tmp_path / "text.json"
+        config_path.write_text(json.dumps({"out": 7, "grid_K": 4}))
+        assert run_command(["grid", "--data", data_file, "--config", str(config_path), "--k", "5"]) == 0
+        argv = ["grid", "--data", data_file, "--grid-K", "4", "--k", "5", "--out", "7"]
+        assert run_command(argv) == 0
+        (name,) = os.listdir("7")
+        assert _load(os.path.join("7", name, "run_config.json"))["grid_K"] == "4"
+
+    def test_readme_names_the_tables_model_options_and_grid_axes(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        match = re.search(r"The model options are `([^`]*)`, and the grid axes\s+`([^`]*)`", readme)
+        assert match, "README's model-option sentence is missing"
+        assert match[1].split() == ["--" + key.replace("_", "-") for key in MODEL]
+        assert tuple(match[2].split()) == GRID_AXES
+
+
+class TestFitStages:
+    def _counting(self, monkeypatch, module, name):
+        calls = []
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, **kw: calls.append(name) or real(*a, **kw))
+        return calls
+
+    @pytest.mark.parametrize(
+        "flags, cli_calls, fit_calls",
+        [
+            # individualized: fit builds both, so fit_seconds covers them
+            (["--beta1", "1.0", "--beta2", "1.4"], 0, 1),
+            # shared beta: fit skips homophily, the CLI computes it for homophily.csv
+            ([], 1, 0),
+            # an explicit family reports no homophily at all
+            (["--filter", "markov"], 0, 0),
+        ],
+    )
+    def test_fit_builds_the_graph_and_homophily_it_uses(
+        self, data_file, tmp_path, monkeypatch, flags, cli_calls, fit_calls
+    ):
+        from sgfcf import filters, graph, model
+
+        cli_graph = self._counting(monkeypatch, graph, "build_graph")
+        cli_homophily = self._counting(monkeypatch, filters, "homophilic_ratio_all")
+        fit_graph = self._counting(monkeypatch, model, "build_graph")
+        fit_homophily = self._counting(monkeypatch, model, "homophilic_ratio_all")
+        out = str(tmp_path / "runs")
+        assert run_command(["fit", "--data", data_file, "--K", "4", "--out", out, *flags]) == 0
+        assert (len(cli_graph), len(cli_homophily)) == (cli_calls, cli_calls)
+        assert (len(fit_graph), len(fit_homophily)) == (1 - cli_calls, fit_calls)
+        run_dir = _only_run_dir(out)
+        assert os.path.exists(os.path.join(run_dir, "homophily.csv")) == (flags[:1] != ["--filter"])
+
+    def test_fit_delta_four_above_the_exact_cap_fails_with_a_beta_range(self, tmp_path, capsys):
+        lines = [f"user{u}\titem{(7 * u + 13 * j) % 120}" for u in range(150) for j in range(12)]
+        data = tmp_path / "wide.tsv"
+        data.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "r"
+        argv = ["fit", "--data", str(data), "--K", "4", "--delta", "4", "--beta1", "0.8", "--beta2", "1.2"]
+        assert run_command(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "200 nodes" in err and "Traceback" not in err
+        assert not out.exists()

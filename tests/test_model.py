@@ -214,6 +214,25 @@ class TestScoreUser:
             score_user(model, model.n_users)
         with pytest.raises(UnknownUser):
             score_user(model, -1)
+        with pytest.raises(UnknownUser):
+            recommend(model, model.n_users)
+        with pytest.raises(UnknownUser):
+            score_users(model, [0, model.n_users])
+        # Python ints, numpy integers and an empty batch stay valid
+        row = score_user(model, 2)
+        assert np.array_equal(score_user(model, np.int64(2)), row)
+        assert np.array_equal(recommend(model, np.int64(2)).items, recommend(model, 2).items)
+        assert np.array_equal(score_users(model, [2])[0], score_users(model, np.array([2], dtype=np.int32))[0])
+        assert score_users(model, []).shape == (0, model.n_items)
+
+    @pytest.mark.parametrize("u", [1.5, True, np.float64(2.0), "3", np.bool_(True)], ids=repr)
+    def test_non_integer_user_id_raises_config_error(self, u):
+        # these once scored users 1, 1, 2 and 3 in a batch and raised numpy
+        # errors one at a time
+        model = fit(small_dataset(np.random.default_rng(7)), SgfcfConfig(K=2))
+        for call in (score_user, recommend, lambda m, u: score_users(m, [u])):
+            with pytest.raises(ConfigError, match="user id"):
+                call(model, u)
 
     def test_joint_sign_flip_invariance(self):
         rng = np.random.default_rng(8)

@@ -423,6 +423,27 @@ def test_top_k_svd_logs_its_pick(caplog):
     assert logging.getLogger("sgfcf").handlers == []
 
 
+@pytest.mark.parametrize(
+    "solver",
+    [
+        lambda A: truncated_svd(A, 4),
+        lambda A: gram_svd(A, 4),
+        lambda A: top_k_svd(A, 4),
+        dense_svd,
+    ],
+    ids=["truncated_svd", "gram_svd", "top_k_svd", "dense_svd"],
+)
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("dense", [False, True], ids=["sparse", "dense"])
+def test_a_raw_matrix_holding_nan_or_inf_raises_config_error(solver, bad, dense):
+    # one stored NaN once reached LAPACK: LinAlgError from the Krylov path and
+    # the dense oracle, scipy's ValueError from the Gram path
+    A = random_graph(np.random.default_rng(16), 30, 20).row_major.copy()
+    A.data[3] = bad
+    with pytest.raises(ConfigError, match="NaN or infinite"):
+        solver(A.toarray() if dense else A)
+
+
 class TestDenseSvd:
     def test_rank_deficient_pruning(self):
         # all-ones 2x2: classic normalization gives sigma = [1, 0]; the
