@@ -14,7 +14,6 @@ from .dataset import (
     SplitConfig,
     dataset_from_pairs,
     ingest,
-    load_manifest,
     save_manifest,
     split,
 )

@@ -148,8 +148,17 @@ def _resolve_config(args: argparse.Namespace, types: dict) -> dict:
     so ``{"gamma": 0}`` and ``--gamma 0`` resolve alike."""
     file_config = {}
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            file_config = json.load(fh)
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                file_config = json.load(fh)
+        except OSError as exc:
+            raise ConfigError(f"cannot read --config {args.config}: {exc.strerror}") from None
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise ConfigError(f"--config {args.config} is not valid JSON: {exc}") from None
+        if not isinstance(file_config, dict):
+            raise ConfigError(
+                f"--config {args.config} must hold a JSON object, got {json.dumps(file_config)[:40]}"
+            )
         unknown = set(file_config) - set(types)
         if unknown:
             raise ConfigError(f"config keys not taken by {args.command!r}: {sorted(unknown)}")

@@ -21,19 +21,18 @@ FORMATS = ("tsv_pairs", "csv_pairs")
 STRATEGIES = ("per_user", "global")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InteractionLog:
-    """Deduplicated (user_token, item_token) pairs in file order, with the
-    dense ids assigned to their tokens and the same pairs as an (n, 2)
-    array of (user_id, item_id)."""
+    """Deduplicated interactions in file order as an (n, 2) array of
+    (user_id, item_id), the dense ids assigned to their tokens, and the
+    number of later copies of a pair that were dropped."""
 
-    records: list[tuple[str, str]]
     id_maps: IdMaps
-    pairs: np.ndarray = field(repr=False, compare=False)
+    pairs: np.ndarray = field(repr=False)
     duplicates_dropped: int = 0
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.pairs)
 
 
 @dataclass(frozen=True)
@@ -99,10 +98,6 @@ class InteractionDataset:
     def n_items(self) -> int:
         return self.id_maps.n_items
 
-    @property
-    def counts(self) -> tuple[int, int, int]:
-        return (self.n_users, self.n_items, len(self.train))
-
 
 def ingest(path: str, format: str = "tsv_pairs") -> InteractionLog:
     """Read an interaction file, dropping duplicate pairs (first kept).
@@ -120,11 +115,8 @@ def ingest(path: str, format: str = "tsv_pairs") -> InteractionLog:
     sep = "," if format == "csv_pairs" else None
     user_index: dict[str, int] = {}
     item_index: dict[str, int] = {}
-    records: list[tuple[str, str]] = []
     user_ids: list[int] = []
     item_ids: list[int] = []
-    seen: set[tuple[str, str]] = set()
-    dropped = 0
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
@@ -136,21 +128,16 @@ def ingest(path: str, format: str = "tsv_pairs") -> InteractionLog:
             user, item = fields[0].strip(), fields[1].strip()
             if not user or not item:
                 raise MalformedLine(line_no, "empty user or item token")
-            pair = (user, item)
-            if pair in seen:
-                dropped += 1
-                continue
-            seen.add(pair)
-            records.append(pair)
             user_ids.append(user_index.setdefault(user, len(user_index)))
             item_ids.append(item_index.setdefault(item, len(item_index)))
+    users, items = np.array(user_ids, dtype=np.int64), np.array(item_ids, dtype=np.int64)
+    # A repeated pair's tokens already had ids, so only its later copies go.
+    _, first = np.unique(users * len(item_index) + items, return_index=True)
+    first.sort()
     return InteractionLog(
-        records=records,
         id_maps=IdMaps(user_index=user_index, item_index=item_index),
-        pairs=np.column_stack(
-            [np.array(user_ids, dtype=np.int64), np.array(item_ids, dtype=np.int64)]
-        ),
-        duplicates_dropped=dropped,
+        pairs=np.column_stack([users[first], items[first]]),
+        duplicates_dropped=len(users) - len(first),
     )
 
 
@@ -214,26 +201,38 @@ def dataset_from_pairs(
     test=(),
     n_users: int | None = None,
     n_items: int | None = None,
-    seed: int = 0,
 ) -> InteractionDataset:
-    """Build a dataset directly from integer pair lists (testing and
-    synthetic-data convenience; ids must already be dense)."""
+    """Build a dataset directly from (user_id, item_id) integer pairs
+    (testing and synthetic-data convenience; ids must already be dense).
+    A size left out is the largest id given plus one. Raises ConfigError
+    for pairs that are not two integer columns, an id outside its size,
+    or no pairs to infer a size from."""
 
-    def as_array(p):
-        arr = np.asarray(list(p), dtype=np.int64)
-        return arr.reshape(-1, 2) if arr.size else np.empty((0, 2), dtype=np.int64)
+    def as_array(name, p):
+        try:
+            arr = np.asarray(list(p))
+            valid = arr.size == 0 or (arr.ndim == 2 and arr.shape[1] == 2 and arr.dtype.kind in "iu")
+        except ValueError:  # rows of different lengths
+            valid = False
+        if not valid:
+            raise ConfigError(f"{name} must be (user, item) pairs of integers")
+        return arr.astype(np.int64).reshape(-1, 2)
 
-    train_a, val_a, test_a = as_array(train), as_array(val), as_array(test)
-    stacked = np.vstack([a for a in (train_a, val_a, test_a) if len(a)])
+    train_a, val_a, test_a = as_array("train", train), as_array("val", val), as_array("test", test)
+    stacked = np.vstack([train_a, val_a, test_a])
+    if not len(stacked) and None in (n_users, n_items):
+        raise ConfigError("no pairs to infer n_users or n_items from")
     if n_users is None:
         n_users = int(stacked[:, 0].max()) + 1
     if n_items is None:
         n_items = int(stacked[:, 1].max()) + 1
+    if len(stacked) and (stacked.min() < 0 or stacked[:, 0].max() >= n_users or stacked[:, 1].max() >= n_items):
+        raise ConfigError(f"user ids must lie in [0, {n_users}) and item ids in [0, {n_items})")
     id_maps = IdMaps(
         user_index={str(u): u for u in range(n_users)},
         item_index={str(i): i for i in range(n_items)},
     )
-    return InteractionDataset(train=train_a, val=val_a, test=test_a, id_maps=id_maps, seed=seed)
+    return InteractionDataset(train=train_a, val=val_a, test=test_a, id_maps=id_maps)
 
 
 def save_manifest(dataset: InteractionDataset, path: str) -> None:
@@ -249,17 +248,3 @@ def save_manifest(dataset: InteractionDataset, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh)
 
-
-def load_manifest(path: str) -> InteractionDataset:
-    if not os.path.isfile(path):
-        raise MissingFile(f"no such file: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    return dataset_from_pairs(
-        manifest["train"],
-        manifest.get("val", ()),
-        manifest.get("test", ()),
-        n_users=manifest["users"],
-        n_items=manifest["items"],
-        seed=manifest.get("seed", 0),
-    )

@@ -98,6 +98,27 @@ def dense_rank_band(matrix, k_lo, k_hi):
     return U[:, k_lo - 1 : k_hi] @ Vt[k_lo - 1 : k_hi]
 
 
+def ingest_loop(text, sep):
+    """Per-line ingest with a set of the token pairs seen: a line's pair is
+    dropped if seen before, else its tokens get the next free ids on first
+    appearance. ``sep`` as for ``str.split``. Returns the (n, 2) id pairs,
+    the user and item id maps and the number of lines dropped."""
+    user_index, item_index, seen, pairs = {}, {}, set(), []
+    dropped = 0
+    for line in text.splitlines():
+        if not line.strip():
+            continue
+        fields = line.strip().split(sep)
+        pair = (fields[0].strip(), fields[1].strip())
+        if pair in seen:
+            dropped += 1
+            continue
+        seen.add(pair)
+        user = user_index.setdefault(pair[0], len(user_index))
+        pairs.append((user, item_index.setdefault(pair[1], len(item_index))))
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2), user_index, item_index, dropped
+
+
 def split_loop(records, train_ratio, val_ratio, seed, strategy):
     """Per-record id lookup and a per-user Python loop: the reference that
     ``dataset.split`` must reproduce exactly, rng stream included.

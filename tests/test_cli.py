@@ -75,6 +75,15 @@ class TestIngestSplit:
     def test_missing_file(self, tmp_path):
         assert run_command(["ingest", "--data", str(tmp_path / "nope.tsv")]) == 1
 
+    def test_ingest_counts_the_duplicates_it_drops(self, tmp_path):
+        path = tmp_path / "dup.tsv"
+        path.write_text("u1\ti1\nu2\ti1\nu1\ti1\t99\n\nu2\ti2\nu2\ti1\nu1\ti1\n")
+        out = str(tmp_path / "runs")
+        assert run_command(["ingest", "--data", str(path), "--out", out]) == 0
+        payload = _load(os.path.join(_only_run_dir(out), "ingest.json"))
+        assert (payload["records"], payload["duplicates_dropped"]) == (3, 3)
+        assert (payload["users"], payload["items"]) == (2, 2)
+
 
 class TestFitEval:
     def test_fit_artifacts(self, data_file, tmp_path):
@@ -310,6 +319,29 @@ class TestSweepGridSpectrum:
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps({"bogus": 1}))
         assert run_command(["eval", "--data", data_file, "--config", str(config_path)]) == 1
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (None, "cannot read --config"),  # no such file
+            ("{bad", "is not valid JSON"),
+            ("5", "must hold a JSON object"),
+            ("null", "must hold a JSON object"),
+            ("[]", "must hold a JSON object"),
+        ],
+    )
+    def test_unreadable_config_fails_cleanly(self, data_file, tmp_path, capsys, text, message):
+        # each raised FileNotFoundError, JSONDecodeError, TypeError or
+        # AttributeError as a traceback
+        config_path = tmp_path / "config.json"
+        if text is not None:
+            config_path.write_text(text)
+        out = tmp_path / "runs"
+        argv = ["ingest", "--data", data_file, "--config", str(config_path), "--out", str(out)]
+        assert run_command(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and "Traceback" not in err
+        assert not out.exists()
 
 
 class TestRunRecord:

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from sgfcf import SplitConfig, ingest, split, save_manifest, load_manifest
+from sgfcf import SplitConfig, ingest, split, save_manifest
 from sgfcf.dataset import dataset_from_pairs
 from sgfcf.errors import ConfigError, DegenerateSplit, MalformedLine, MissingFile
 
-from oracles import split_loop
+from oracles import ingest_loop, split_loop
 
 
 class TestIngest:
@@ -18,7 +18,9 @@ class TestIngest:
         log = ingest(str(path))
         assert len(log) == 2
         assert log.duplicates_dropped == 1
-        assert log.records == [("u1", "i1"), ("u2", "i1")]
+        assert log.pairs.tolist() == [[0, 0], [1, 0]]
+        assert log.id_maps.user_index == {"u1": 0, "u2": 1}
+        assert log.id_maps.item_index == {"i1": 0}
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.tsv"
@@ -41,13 +43,17 @@ class TestIngest:
         path = tmp_path / "extra.tsv"
         path.write_text("u1 i1 1234567 x\nu2 i2 999\n")
         log = ingest(str(path))
-        assert log.records == [("u1", "i1"), ("u2", "i2")]
+        assert log.pairs.tolist() == [[0, 0], [1, 1]]
+        assert log.id_maps.user_index == {"u1": 0, "u2": 1}
+        assert log.id_maps.item_index == {"i1": 0, "i2": 1}
 
     def test_csv_format(self, tmp_path):
         path = tmp_path / "pairs.csv"
         path.write_text("u1,i1\nu2,i2\n")
         log = ingest(str(path), "csv_pairs")
-        assert log.records == [("u1", "i1"), ("u2", "i2")]
+        assert log.pairs.tolist() == [[0, 0], [1, 1]]
+        assert log.id_maps.user_index == {"u1": 0, "u2": 1}
+        assert log.id_maps.item_index == {"i1": 0, "i2": 1}
 
     def test_empty_token_rejected(self, tmp_path):
         path = tmp_path / "empty_tok.csv"
@@ -72,9 +78,9 @@ class TestIdMaps:
         path.write_text("b x\na y\nb x\nc x\na z\nb y\n")
         log = ingest(str(path))
         maps = log.id_maps
-        expected = [(maps.user_index[u], maps.item_index[i]) for u, i in log.records]
         assert log.pairs.dtype == np.int64
-        assert log.pairs.tolist() == [list(p) for p in expected]
+        # the first copy of each pair, in file order: b x, a y, c x, a z, b y
+        assert log.pairs.tolist() == [[0, 0], [1, 1], [2, 0], [1, 2], [0, 1]]
         assert maps.user_index == {"b": 0, "a": 1, "c": 2}
         assert maps.item_index == {"x": 0, "y": 1, "z": 2}
 
@@ -107,13 +113,14 @@ class TestSplit:
 
     def test_partition_property(self, tmp_path):
         path = tmp_path / "part.tsv"
-        path.write_text("".join(f"u{u} i{(u * 5 + j) % 11}\n" for u in range(6) for j in range(8)))
+        tokens = [(f"u{u}", f"i{(u * 5 + j) % 11}") for u in range(6) for j in range(8)]
+        path.write_text("".join(f"{u} {i}\n" for u, i in tokens))
         log = ingest(str(path))
         dataset = split(log, SplitConfig(train_ratio=0.5, val_ratio=0.25, seed=3))
         parts = [set(map(tuple, arr.tolist())) for arr in (dataset.train, dataset.val, dataset.test)]
         assert sum(len(p) for p in parts) == len(log)
         assert parts[0] | parts[1] | parts[2] == {
-            (dataset.id_maps.user_index[u], dataset.id_maps.item_index[i]) for u, i in log.records
+            (dataset.id_maps.user_index[u], dataset.id_maps.item_index[i]) for u, i in tokens
         }
         assert not (parts[0] & parts[1] or parts[0] & parts[2] or parts[1] & parts[2])
 
@@ -220,25 +227,47 @@ def test_split_matches_loop_reference(tmp_path_factory, lines, train_ratio, val_
         dataset = split(log, cfg)
     except DegenerateSplit:
         return
-    want = split_loop(log.records, train_ratio, val_ratio, seed, strategy)
+    records = list(dict.fromkeys((f"u{u}", f"i{i}") for u, i in lines))  # first copy kept
+    want = split_loop(records, train_ratio, val_ratio, seed, strategy)
     for got, expected in zip((dataset.train, dataset.val, dataset.test), want):
         assert got.dtype == expected.dtype
         assert got.reshape(-1, 2).tolist() == expected.reshape(-1, 2).tolist()
 
 
+TOKENS = st.text("ab1", min_size=1, max_size=2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    # a line is blank, or a user, an item and extra fields such as a timestamp
+    lines=st.lists(
+        st.one_of(
+            st.sampled_from(["", "  ", "\t"]),
+            st.tuples(TOKENS, TOKENS, st.lists(st.sampled_from(["7", "x", "1.5"]), max_size=2)),
+        ),
+        max_size=60,
+    ),
+    csv=st.booleans(),
+    pad=st.sampled_from(["", " ", "\t"]),
+)
+def test_ingest_matches_per_line_reference(tmp_path_factory, lines, csv, pad):
+    sep = pad + ("," if csv else " ") + pad
+    text = "".join(
+        (line if isinstance(line, str) else sep.join([line[0], line[1], *line[2]])) + "\n" for line in lines
+    )
+    path = tmp_path_factory.mktemp("ingest") / "log.txt"
+    path.write_text(text)
+    log = ingest(str(path), "csv_pairs" if csv else "tsv_pairs")
+    pairs, user_index, item_index, dropped = ingest_loop(text, "," if csv else None)
+    assert log.pairs.dtype == np.int64
+    assert log.pairs.reshape(-1, 2).tolist() == pairs.tolist()
+    assert log.id_maps.user_index == user_index
+    assert log.id_maps.item_index == item_index
+    assert log.duplicates_dropped == dropped
+    assert len(log) == len(pairs)
+
+
 class TestManifest:
-    def test_round_trip(self, toy_dataset, tmp_path):
-        path = tmp_path / "manifest.json"
-        save_manifest(toy_dataset, str(path))
-        loaded = load_manifest(str(path))
-        assert np.array_equal(loaded.train, toy_dataset.train)
-        assert np.array_equal(loaded.test, toy_dataset.test)
-        assert loaded.n_users == toy_dataset.n_users
-
-    def test_load_missing_manifest(self, tmp_path):
-        with pytest.raises(MissingFile):
-            load_manifest(str(tmp_path / "absent.json"))
-
     def test_manifest_schema(self, toy_dataset, tmp_path):
         path = tmp_path / "manifest.json"
         save_manifest(toy_dataset, str(path))
@@ -249,4 +278,47 @@ class TestManifest:
 
 def test_dataset_from_pairs_counts():
     dataset = dataset_from_pairs([(0, 0), (1, 1)], test=[(0, 1)])
-    assert dataset.counts == (2, 2, 2)
+    assert (dataset.n_users, dataset.n_items, len(dataset.train), len(dataset.test)) == (2, 2, 2, 1)
+
+
+class TestDatasetFromPairs:
+    @pytest.mark.parametrize(
+        "train",
+        [
+            [(0, 1.5)],  # became item 1
+            [(0, 1, 2)],  # a reshape ValueError
+            [(0, 1), (0, 1, 2)],
+            [("0", "1")],
+        ],
+    )
+    def test_pairs_not_two_integer_columns_raise(self, train):
+        with pytest.raises(ConfigError, match="pairs of integers"):
+            dataset_from_pairs(train, n_users=3, n_items=3)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"train": [(0, 2)], "n_items": 2},
+            {"train": [(2, 0)], "n_users": 2},
+            {"train": [(0, 0)], "test": [(0, 5)], "n_items": 3},
+            {"train": [(-1, 0)]},
+            {"train": [(0, 0)], "val": [(0, -1)]},
+        ],
+    )
+    def test_ids_outside_the_size_raise(self, kwargs):
+        # each passed until fit or evaluate raised scipy's ValueError
+        with pytest.raises(ConfigError, match="ids must lie in"):
+            dataset_from_pairs(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [{}, {"n_users": 2}, {"n_items": 2}])
+    def test_no_pairs_to_infer_a_size_raise(self, kwargs):
+        with pytest.raises(ConfigError, match="no pairs to infer"):
+            dataset_from_pairs([], **kwargs)
+
+    def test_given_sizes_and_empty_splits_stay_valid(self):
+        dataset = dataset_from_pairs(np.array([[0, 1]], dtype=np.int32), n_users=3, n_items=4)
+        assert dataset.train.dtype == np.int64
+        assert dataset.train.tolist() == [[0, 1]]
+        assert dataset.val.shape == dataset.test.shape == (0, 2)
+        assert (dataset.n_users, dataset.n_items) == (3, 4)
+        assert len(dataset_from_pairs([], n_users=2, n_items=2).train) == 0
