@@ -14,7 +14,6 @@ from .dataset import (
     SplitConfig,
     dataset_from_pairs,
     ingest,
-    save_manifest,
     split,
 )
 from .errors import SgfcfError

@@ -7,12 +7,15 @@ builds the library's config dataclasses from the options given, so model,
 filter and split defaults are the library's. It writes its artifacts into
 a directory named by a content hash of its record (the configs it built,
 its command-level values and the data file's SHA-256) and embeds that
-record and its seed in each JSON report.
+record and its seed in each JSON report. This module is the one that
+writes files: the library returns data, and each command turns it into
+its CSV rows and JSON payloads.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import os
@@ -215,18 +218,45 @@ def _run_dir(resolved: dict, **configs) -> tuple[str, dict]:
     os.makedirs(out, exist_ok=True)
     # CSV artifacts cannot carry metadata, so the run directory itself
     # records the run next to them.
-    with open(os.path.join(out, "run_config.json"), "w", encoding="utf-8") as fh:
-        json.dump(record, fh, indent=2, sort_keys=True)
+    _dump_json(os.path.join(out, "run_config.json"), record, indent=2, sort_keys=True)
     return out, record
 
 
+def _dump_json(path: str, payload, **options) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, **options)
+
+
 def _write_json(payload: dict, record: dict, path: str) -> None:
+    """A report: ``payload`` with the run's record, its seed and a timestamp."""
     payload = dict(payload, config=record)
     if "seed" in record:
         payload["seed"] = record["seed"]
     payload["timestamp"] = datetime.now(timezone.utc).isoformat()
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, default=float)
+    _dump_json(path, payload, indent=2, default=float)
+
+
+def _write_csv(path: str, header: list[str], rows) -> None:
+    """A data table: ``header``, then one line per row. A float is written
+    in its shortest round-trip form, so the table reads back bit for bit."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _write_spectrum(spectrum: spec.TruncatedSpectrum, out: str) -> None:
+    """``spectrum.csv``, as ``fit`` and ``spectrum`` write it."""
+    rows = zip(range(1, len(spectrum) + 1), spectrum.sigma.tolist(), spectrum.sigma_normalized.tolist())
+    _write_csv(os.path.join(out, "spectrum.csv"), ["k", "sigma", "sigma_normalized"], rows)
+
+
+def _recommendation_rows(model: md.SgfcfModel, k: int):
+    """Each user's top-k list, train items excluded, as (user, rank, item, score)."""
+    for u in range(model.n_users):
+        ranked = model.recommend(u, k=k)
+        for rank, (item, score) in enumerate(zip(ranked.items.tolist(), ranked.scores.tolist()), start=1):
+            yield u, rank, item, score
 
 
 def _ingest(resolved: dict) -> ds.InteractionLog:
@@ -290,7 +320,15 @@ def _cmd_ingest(resolved: dict) -> int:
 def _cmd_split(resolved: dict) -> int:
     dataset = _load_dataset(resolved)
     out, record = _run_dir(resolved, split=dataset.split_config)
-    ds.save_manifest(dataset, os.path.join(out, "split.json"))
+    manifest = {
+        "users": dataset.n_users,
+        "items": dataset.n_items,
+        "train": dataset.train.tolist(),
+        "val": dataset.val.tolist(),
+        "test": dataset.test.tolist(),
+        "seed": dataset.split_config.seed,
+    }
+    _dump_json(os.path.join(out, "split.json"), manifest)
     _write_json(
         {
             "users": dataset.n_users,
@@ -321,15 +359,25 @@ def _cmd_fit(resolved: dict) -> int:
     model = md.fit(dataset, config, graph=graph, homophily=homophily)
     out, record = _run_dir(resolved, split=dataset.split_config, model=model.config)
     _write_json(md.model_summary(model), record, os.path.join(out, "model_summary.json"))
-    spec.write_spectrum_csv(model.spectrum, os.path.join(out, "spectrum.csv"))
+    _write_spectrum(model.spectrum, out)
     if model.homophily is not None:
         profile = model.profile
         if profile is None:
             profile = ft.map_homo_to_beta(model.homophily, config.igf, scope=config.homo_scope)
-        ft.write_homophily_csv(model.homophily, profile, os.path.join(out, "homophily.csv"))
+        rows = [
+            (node_type, node_id, score, beta)
+            for node_type, scores, betas in (
+                ("user", model.homophily.user_scores, profile.user_beta),
+                ("item", model.homophily.item_scores, profile.item_beta),
+            )
+            for node_id, (score, beta) in enumerate(zip(scores.tolist(), betas.tolist()))
+        ]
+        _write_csv(os.path.join(out, "homophily.csv"), ["node_type", "node_id", "score", "beta"], rows)
     if recommend_k is not None:
-        md.write_recommendations_csv(
-            model, range(model.n_users), recommend_k, os.path.join(out, "recommendations.csv")
+        _write_csv(
+            os.path.join(out, "recommendations.csv"),
+            ["user_id", "rank", "item_id", "score"],
+            _recommendation_rows(model, recommend_k),
         )
     print(f"fit in {model.fit_seconds:.2f}s -> {out}")
     return 0
@@ -375,7 +423,8 @@ def _cmd_sweep(resolved: dict) -> int:
         dataset, norm, K_list, metric_k=resolved["metric_k"], seed=_seed(resolved)
     )
     out, record = _run_dir(resolved, split=dataset.split_config, g2n=norm.config)
-    ev.write_sweep_csv(rows, os.path.join(out, "sweep.csv"))
+    header = ["K", "fraction", "recall", "ndcg"]
+    _write_csv(os.path.join(out, "sweep.csv"), header, ([row[c] for c in header] for row in rows))
     _write_json({"points": rows}, record, os.path.join(out, "sweep.json"))
     best = max(rows, key=lambda r: r["recall"])
     print(f"best K={best['K']} recall@{resolved['metric_k']}={best['recall']:.4f} -> {out}")
@@ -401,7 +450,7 @@ def _cmd_grid(resolved: dict) -> int:
     base = _model_config(resolved)
     result = ev.grid_search(dataset, grid, k=resolved["k"], base=base, threads=resolved["threads"])
     out, record = _run_dir(resolved, split=dataset.split_config, model=base)
-    ev.write_grid_csv(result.table, os.path.join(out, "grid.csv"))
+    _write_csv(os.path.join(out, "grid.csv"), list(result.table[0]), (row.values() for row in result.table))
     _write_json(
         {
             "best_config": md.serialize_config(result.best_config),
@@ -435,8 +484,8 @@ def _cmd_spectrum(resolved: dict) -> int:
     spectrum = spec.top_k_svd(norm, config.K, **md.svd_settings(config))
     curve = spec.appro_curve(spectrum, norm.frobenius_sq())
     out, record = _run_dir(resolved, split=dataset.split_config, model=config)
-    spec.write_spectrum_csv(spectrum, os.path.join(out, "spectrum.csv"))
-    spec.write_stats_csv(curve, os.path.join(out, "stats.csv"))
+    _write_spectrum(spectrum, out)
+    _write_csv(os.path.join(out, "stats.csv"), ["k", "appro"], enumerate(curve.tolist(), start=1))
     _write_json(
         {"K": len(spectrum), "sigma_1": float(spectrum.sigma[0])},
         record,
@@ -451,7 +500,7 @@ def _cmd_theory_check(resolved: dict) -> int:
     reports = theory.run_all_checks(seed=record["seed"])
     all_passed = True
     for report in reports:
-        theory.write_report_json(report, os.path.join(out, f"theory_{report.check_name}.json"))
+        _dump_json(os.path.join(out, f"theory_{report.check_name}.json"), report.to_dict(), indent=2)
         status = "PASS" if report.passed else "FAIL"
         print(
             f"[{status}] {report.check_name}: max_abs_error={report.max_abs_error:.3e} "

@@ -8,7 +8,6 @@ order of first appearance, and splits are reproducible given a seed.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass, field
@@ -87,7 +86,6 @@ class InteractionDataset:
     val: np.ndarray
     test: np.ndarray
     id_maps: IdMaps
-    seed: int = 0
     split_config: SplitConfig | None = field(default=None, compare=False)
 
     @property
@@ -185,7 +183,6 @@ def split(log: InteractionLog, cfg: SplitConfig) -> InteractionDataset:
         val=pairs[(rank >= n_train) & (rank < n_train + n_val)],
         test=pairs[rank >= n_train + n_val],
         id_maps=log.id_maps,
-        seed=cfg.seed,
         split_config=cfg,
     )
     if cfg.val_ratio > 0 and len(dataset.val) == 0:
@@ -205,8 +202,14 @@ def dataset_from_pairs(
     """Build a dataset directly from (user_id, item_id) integer pairs
     (testing and synthetic-data convenience; ids must already be dense).
     A size left out is the largest id given plus one. Raises ConfigError
-    for pairs that are not two integer columns, an id outside its size,
-    or no pairs to infer a size from."""
+    for a size given that is not an integer or is negative, pairs that
+    are not two integer columns, an id outside its size, or no pairs to
+    infer a size from."""
+    for name, size in (("n_users", n_users), ("n_items", n_items)):
+        if size is not None:
+            check_integer(name, size)
+            if size < 0:
+                raise ConfigError(f"{name} must be >= 0, got {size}")
 
     def as_array(name, p):
         try:
@@ -233,18 +236,3 @@ def dataset_from_pairs(
         item_index={str(i): i for i in range(n_items)},
     )
     return InteractionDataset(train=train_a, val=val_a, test=test_a, id_maps=id_maps)
-
-
-def save_manifest(dataset: InteractionDataset, path: str) -> None:
-    """Write the split manifest as JSON."""
-    manifest = {
-        "users": dataset.n_users,
-        "items": dataset.n_items,
-        "train": dataset.train.tolist(),
-        "val": dataset.val.tolist(),
-        "test": dataset.test.tolist(),
-        "seed": dataset.seed,
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh)
-

@@ -9,7 +9,6 @@ over evaluable users.
 from __future__ import annotations
 
 import contextlib
-import csv
 import itertools
 import logging
 import math
@@ -203,7 +202,7 @@ def _evaluate_pass(groups, dataset: InteractionDataset, k: int, split: str, thre
             for n, gamma in enumerate(gammas):
                 scores = base if n == len(gammas) - 1 else base.copy()
                 if gamma > 0:
-                    add_gamma_term(scorer, scores, gamma, block)
+                    add_gamma_term(scores, gamma, block)
                 scores[excluded] = -np.inf
                 metrics.append(user_metrics(scores, users))
             out.append(metrics)
@@ -487,22 +486,3 @@ def _factor_batches(members: dict, n_nodes: int) -> list[list]:
         batches[-1].append(key)
         used += size
     return batches
-
-
-def write_sweep_csv(rows: list[dict], path: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["K", "fraction", "recall", "ndcg"])
-        for row in rows:
-            writer.writerow([row["K"], repr(row["fraction"]), repr(row["recall"]), repr(row["ndcg"])])
-
-
-def write_grid_csv(table: list[dict], path: str) -> None:
-    if not table:
-        return
-    fields = list(table[0].keys())
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
-        writer.writeheader()
-        for row in table:
-            writer.writerow(row)

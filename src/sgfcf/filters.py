@@ -10,7 +10,6 @@ nodes with coherent histories get sharper low-pass filters.
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 from dataclasses import dataclass
@@ -392,13 +391,3 @@ def _linear_map(values: np.ndarray, lo: float, hi: float, cfg: IgfConfig) -> np.
     if hi <= lo:
         return np.full(len(values), cfg.beta, dtype=np.float64)
     return cfg.beta1 + (values - lo) * (cfg.beta2 - cfg.beta1) / (hi - lo)
-
-
-def write_homophily_csv(scores: HomophilyScores, profile: IgfProfile, path: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["node_type", "node_id", "score", "beta"])
-        for node_id, (score, beta) in enumerate(zip(scores.user_scores, profile.user_beta)):
-            writer.writerow(["user", node_id, repr(float(score)), repr(float(beta))])
-        for node_id, (score, beta) in enumerate(zip(scores.item_scores, profile.item_beta)):
-            writer.writerow(["item", node_id, repr(float(score)), repr(float(beta))])

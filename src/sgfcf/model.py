@@ -281,10 +281,10 @@ def score_users(model: SgfcfModel, users) -> np.ndarray:
     users = users.astype(np.int64, copy=False)
     if len(users) and (users.min() < 0 or users.max() >= model.n_users):
         raise UnknownUser("user id outside valid range in batch")
-    scores = model.user_factors[users] @ model.item_factors.T
+    scores = _tie_duplicates(model, model.user_factors[users] @ model.item_factors.T)
     if model.config.gamma > 0:
-        return add_gamma_term(model, scores, model.config.gamma, gamma_block(model.norm, users))
-    return _tie_duplicates(model, scores)
+        return add_gamma_term(scores, model.config.gamma, gamma_block(model.norm, users))
+    return scores
 
 
 def gamma_block(norm: NormalizedMatrix, users: np.ndarray) -> np.ndarray:
@@ -301,16 +301,19 @@ def gamma_block(norm: NormalizedMatrix, users: np.ndarray) -> np.ndarray:
 GAMMA_TILE = 256
 
 
-def add_gamma_term(model: SgfcfModel, scores: np.ndarray, gamma: float, block: np.ndarray) -> np.ndarray:
-    """``scores += gamma * block.T`` in place, then the duplicate-item ties.
+def add_gamma_term(scores: np.ndarray, gamma: float, block: np.ndarray) -> np.ndarray:
+    """``scores += gamma * block.T`` in place.
 
     The add runs over GAMMA_TILE item columns at a time, which keeps the
     transposed reads in cache and never materializes the whole scaled
-    transpose; each entry gets the same single add either way.
+    transpose; each entry gets the same single add either way. A
+    duplicate item's row of ``gamma_block`` equals its source's bit for
+    bit (their columns of W are equal, and the sparse product sums each
+    in the same order), so scores tied before the add stay tied after it.
     """
     for start in range(0, block.shape[0], GAMMA_TILE):
         scores[:, start : start + GAMMA_TILE] += gamma * block[start : start + GAMMA_TILE].T
-    return _tie_duplicates(model, scores)
+    return scores
 
 
 # Columns per group of top_k's group maxima.
@@ -433,16 +436,3 @@ def serialize_config(config) -> dict:
         name = type(family).__name__.removesuffix("Filter").lower()
         payload["filter"] = {"family": name, **payload["filter"]}
     return payload
-
-
-def write_recommendations_csv(model, users, k: int, path: str) -> None:
-    """Dump top-k lists, train items excluded, as ``user_id,rank,item_id,score`` rows."""
-    import csv as _csv
-
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = _csv.writer(fh)
-        writer.writerow(["user_id", "rank", "item_id", "score"])
-        for u in users:
-            ranked = model.recommend(int(u), k=k)
-            for rank, (item, score) in enumerate(zip(ranked.items, ranked.scores), start=1):
-                writer.writerow([ranked.user_id, rank, int(item), repr(float(score))])

@@ -52,7 +52,6 @@ do not produce noise-dominated vectors.
 
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass
 
@@ -473,20 +472,3 @@ def ratio_curve(spec_a: TruncatedSpectrum, spec_b: TruncatedSpectrum) -> np.ndar
     ratio = spec_a.sigma_normalized / spec_b.sigma_normalized
     ratio[0] = 1.0
     return ratio
-
-
-def write_spectrum_csv(spec: TruncatedSpectrum, path: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "sigma", "sigma_normalized"])
-        for k in range(len(spec)):
-            writer.writerow([k + 1, repr(float(spec.sigma[k])), repr(float(spec.sigma_normalized[k]))])
-
-
-def write_stats_csv(curve: np.ndarray, path: str) -> None:
-    """Write an ``appro_curve`` as ``k,appro`` rows."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "appro"])
-        for k, value in enumerate(curve, start=1):
-            writer.writerow([k, repr(float(value))])

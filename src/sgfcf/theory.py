@@ -9,7 +9,6 @@ worst observed error is within the check's tolerance.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -425,8 +424,3 @@ def run_all_checks(seed: int = 0) -> list[TheoryReport]:
         check_lgcn_expressiveness(seed=seed),
         check_sgf_svd_equivalence(seed=seed),
     ]
-
-
-def write_report_json(report: TheoryReport, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report.to_dict(), fh, indent=2)

@@ -14,6 +14,18 @@ def tiny_log_file(tmp_path):
 
 
 @pytest.fixture
+def data_file(tmp_path):
+    rng = np.random.default_rng(0)
+    lines = set()
+    for u in range(30):
+        for _ in range(rng.integers(4, 14)):
+            lines.add(f"user{u}\titem{rng.integers(0, 40)}")
+    path = tmp_path / "interactions.tsv"
+    path.write_text("\n".join(sorted(lines)) + "\n")
+    return str(path)
+
+
+@pytest.fixture
 def toy_dataset():
     """3 users x 3 items with one held-out test interaction per user."""
     return dataset_from_pairs(

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import re
@@ -12,18 +13,6 @@ from sgfcf import JacobiFilter, MarkovFilter, SgfcfConfig, SplitConfig
 from sgfcf.cli import COMMAND_OPTIONS, MODEL, run_command
 from sgfcf.evaluation import GRID_AXES
 from sgfcf.model import serialize_config
-
-
-@pytest.fixture
-def data_file(tmp_path):
-    rng = np.random.default_rng(0)
-    lines = set()
-    for u in range(30):
-        for _ in range(rng.integers(4, 14)):
-            lines.add(f"user{u}\titem{rng.integers(0, 40)}")
-    path = tmp_path / "interactions.tsv"
-    path.write_text("\n".join(sorted(lines)) + "\n")
-    return str(path)
 
 
 @pytest.fixture
@@ -96,7 +85,8 @@ class TestFitEval:
         summary = _load(os.path.join(run_dir, "model_summary.json"))
         assert summary["K"] == 8
         assert summary["config"]["model"]["K"] == 8
-        assert os.path.exists(os.path.join(run_dir, "spectrum.csv"))
+        spectrum = Path(run_dir, "spectrum.csv").read_text().splitlines()
+        assert spectrum[0] == "k,sigma,sigma_normalized" and len(spectrum) == 1 + 8
         assert os.path.exists(os.path.join(run_dir, "homophily.csv"))
 
     def test_eval_report(self, data_file, tmp_path):
@@ -558,6 +548,53 @@ class TestOptionTable:
         assert match[1].split() == ["--" + key.replace("_", "-") for key in MODEL]
         assert tuple(match[2].split()) == GRID_AXES
 
+    # flags that make each command write every file it can
+    ARTIFACT_RUNS = {
+        "ingest": [],
+        "split": [],
+        "fit": ["--K", "4", "--recommend-k", "2"],
+        "eval": ["--K", "4"],
+        "sweep": ["--K-grid", "1,2"],
+        "grid": ["--grid-K", "2,4", "--k", "5"],
+        "spectrum": ["--K", "4"],
+        "theory-check": [],
+    }
+
+    @staticmethod
+    def _readme_artifacts():
+        """README's table of the files the commands write, as
+        {file: (commands, CSV columns)}."""
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        table = readme.split("| file | commands | CSV columns |\n|---|---|---|\n", 1)[1]
+        artifacts = {}
+        for line in table.split("\n\n", 1)[0].splitlines():
+            name, commands, columns = (cell.strip() for cell in line.strip("|").split("|"))
+            if commands == "every command":
+                commands = set(COMMAND_OPTIONS)
+            else:
+                commands = set(re.findall(r"`([\w-]+)`", commands)) & set(COMMAND_OPTIONS)
+            artifacts[name.strip("`")] = (commands, columns.strip("`").split())
+        return artifacts
+
+    @pytest.mark.parametrize("command", list(COMMAND_OPTIONS))
+    def test_readme_names_the_files_each_command_writes(self, command, data_file, tmp_path):
+        artifacts = self._readme_artifacts()
+        data = [] if command == "theory-check" else ["--data", data_file]
+        out = str(tmp_path / "runs")
+        assert run_command([command, *data, *self.ARTIFACT_RUNS[command], "--out", out]) == 0
+        run_dir = Path(_only_run_dir(out))
+        named = {name for name, (commands, _) in artifacts.items() if command in commands}
+        written = set(os.listdir(run_dir))
+        if command == "theory-check":
+            checks = _load(run_dir / "theory_summary.json")["checks"]
+            named = named - {"theory_<check>.json"} | {f"theory_{c['check_name']}.json" for c in checks}
+        assert written == named
+        for name in written:
+            columns = artifacts.get(name, (None, []))[1]
+            assert (name.endswith(".csv") and columns) or (name.endswith(".json") and not columns), name
+            if columns:
+                assert (run_dir / name).read_text().splitlines()[0].split(",") == columns
+
 
 class TestFitStages:
     def _counting(self, monkeypatch, module, name):
@@ -603,3 +640,54 @@ class TestFitStages:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "200 nodes" in err and "Traceback" not in err
         assert not out.exists()
+
+
+def _file_writes(source: str) -> list[str]:
+    """Lines of ``source`` that import csv or call ``open`` (or a
+    ``.open`` method) with a mode that writes, or one not spelled out."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import) and any(a.name == "csv" for a in node.names):
+            found.append(f"{node.lineno}: import csv")
+        elif isinstance(node, ast.ImportFrom) and node.module == "csv":
+            found.append(f"{node.lineno}: from csv import")
+        elif isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Name) and func.id == "open":
+                positional = node.args[1:2]
+            elif isinstance(func, ast.Attribute) and func.attr == "open":
+                positional = node.args[:1]
+            else:
+                continue
+            modes = [kw.value for kw in node.keywords if kw.arg == "mode"] or positional
+            for mode in modes:
+                if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)) or set(mode.value) & set("wax+"):
+                    found.append(f"{node.lineno}: open for writing")
+    return found
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "import csv",
+        "def f():\n    import csv as _csv",
+        "from csv import writer",
+        "open('p', 'w')",
+        "open('p', mode='a', encoding='utf-8')",
+        "open('p', 'r+')",
+        "open('p', MODE)",
+        "path.open('x')",
+    ],
+)
+def test_file_write_finder_sees_each_form(source):
+    assert _file_writes(source)
+
+
+def test_only_the_cli_writes_files():
+    # the artifact formats are one decision: the library returns data and
+    # sgfcf.cli writes every file; reading (open(p) or open(p, "rb")) is fine
+    package = Path(__file__).parents[1] / "src" / "sgfcf"
+    writes = {path.name: _file_writes(path.read_text(encoding="utf-8")) for path in package.glob("*.py")}
+    assert writes.pop("cli.py")
+    assert {name: found for name, found in writes.items() if found} == {}
+    assert _file_writes("open('p')\nopen('p', 'rb')\nopen('p', mode='r', encoding='utf-8')") == []

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from sgfcf import SplitConfig, ingest, split, save_manifest
+from sgfcf import SplitConfig, ingest, split
+from sgfcf.cli import run_command
 from sgfcf.dataset import dataset_from_pairs
 from sgfcf.errors import ConfigError, DegenerateSplit, MalformedLine, MissingFile
 
@@ -268,12 +269,18 @@ def test_ingest_matches_per_line_reference(tmp_path_factory, lines, csv, pad):
 
 
 class TestManifest:
-    def test_manifest_schema(self, toy_dataset, tmp_path):
-        path = tmp_path / "manifest.json"
-        save_manifest(toy_dataset, str(path))
-        payload = json.loads(path.read_text())
+    def test_manifest_schema(self, data_file, tmp_path):
+        out = tmp_path / "runs"
+        argv = ["split", "--data", data_file, "--x", "0.7", "--val", "0.1", "--seed", "3", "--out", str(out)]
+        assert run_command(argv) == 0
+        (run_dir,) = out.iterdir()
+        payload = json.loads((run_dir / "split.json").read_text())
         assert set(payload) == {"users", "items", "train", "val", "test", "seed"}
-        assert payload["train"] == toy_dataset.train.tolist()
+        assert payload["seed"] == 3
+        dataset = split(ingest(data_file), SplitConfig(train_ratio=0.7, val_ratio=0.1, seed=3))
+        assert (payload["users"], payload["items"]) == (dataset.n_users, dataset.n_items)
+        for part in ("train", "val", "test"):
+            assert payload[part] == getattr(dataset, part).tolist()
 
 
 def test_dataset_from_pairs_counts():
@@ -308,6 +315,21 @@ class TestDatasetFromPairs:
     def test_ids_outside_the_size_raise(self, kwargs):
         # each passed until fit or evaluate raised scipy's ValueError
         with pytest.raises(ConfigError, match="ids must lie in"):
+            dataset_from_pairs(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"n_users": 2.5}, "n_users must be an integer"),  # a TypeError from range
+            ({"n_items": 3.0}, "n_items must be an integer"),
+            ({"n_users": True}, "n_users must be an integer"),
+            ({"n_users": -3, "train": []}, "n_users must be >= 0"),  # built 0 users
+            ({"n_items": -1, "train": []}, "n_items must be >= 0"),
+        ],
+    )
+    def test_sizes_not_non_negative_integers_raise(self, kwargs, message):
+        kwargs = {"train": [(0, 0)], "n_users": 3, "n_items": 3} | kwargs
+        with pytest.raises(ConfigError, match=message):
             dataset_from_pairs(**kwargs)
 
     @pytest.mark.parametrize("kwargs", [{}, {"n_users": 2}, {"n_items": 2}])

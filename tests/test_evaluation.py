@@ -1,6 +1,7 @@
 import gc
 import logging
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,8 +27,9 @@ from sgfcf import (
     recall_at_k,
 )
 from sgfcf import evaluation, parallel
+from sgfcf.cli import run_command
 from sgfcf.errors import BandOutOfRange, ConfigError, EmptyTestSet, EmptyValidation, KTooLarge, NoEvaluableUsers
-from sgfcf.evaluation import write_grid_csv, write_sweep_csv
+from sgfcf.evaluation import GRID_AXES
 from sgfcf.model import RankedList
 from sgfcf.spectral import top_k_svd
 from sgfcf.theory import random_bipartite_graph
@@ -246,7 +248,7 @@ def test_golden_metrics_with_ties(igf, k, recall, ndcg):
     ]
     + [pytest.param(SgfcfConfig(K=12, filter=BandFilter()), id="band")],
 )
-def test_duplicate_items_score_bitwise_like_their_source(config):
+def test_duplicate_items_score_bitwise_like_their_source(config, monkeypatch):
     dataset = _tied_dataset()
     model = fit(dataset, config)
     sources = duplicate_sources_bruteforce(model.train_csr.toarray())
@@ -257,6 +259,14 @@ def test_duplicate_items_score_bitwise_like_their_source(config):
     for u in range(model.n_users):
         row = model.score_user(u)
         assert np.array_equal(row[copies], row[sources[copies]])
+    # the grid's path: one gamma-0 fit, each gamma added to its scores
+    ranked, real_top_k = [], evaluation.top_k
+    monkeypatch.setattr(evaluation, "top_k", lambda scores, k: ranked.append(scores.copy()) or real_top_k(scores, k))
+    gammas = [0.0, 0.3, 0.2]
+    evaluation._evaluate_pass([(fit(dataset, replace(config, gamma=0.0)), gammas)], dataset, 5, "test", 1)
+    assert len(ranked) == len(gammas)
+    for scores in ranked:
+        assert np.array_equal(scores[:, copies], scores[:, sources[copies]])
 
 
 class _RowScorer:
@@ -517,16 +527,13 @@ class TestFrequencySweep:
         assert frequency_sweep(dataset, norm, K_grid, metric_k=5, spectrum=spectrum) == want
         assert passes == ([4] if budget > 1 else [1] * 4)
 
-    def test_csv_export(self, tmp_path):
-        rng = np.random.default_rng(2)
-        dataset = _sweep_dataset(rng)
-        norm = g2n_normalize(build_graph(dataset), G2NConfig())
-        rows = frequency_sweep(dataset, norm, [1, 4])
-        path = tmp_path / "sweep.csv"
-        write_sweep_csv(rows, str(path))
-        lines = path.read_text().strip().splitlines()
+    def test_csv_export(self, data_file, tmp_path):
+        out = tmp_path / "runs"
+        assert run_command(["sweep", "--data", data_file, "--K-grid", "1,4", "--out", str(out)]) == 0
+        (run_dir,) = out.iterdir()
+        lines = (run_dir / "sweep.csv").read_text().strip().splitlines()
         assert lines[0] == "K,fraction,recall,ndcg"
-        assert len(lines) == 3
+        assert [line.split(",")[0] for line in lines[1:]] == ["1", "4"]
 
 
 def _grid_dataset(rng):
@@ -856,13 +863,13 @@ class TestGridSearch:
         (record,) = [r for r in caplog.records if r.name == "sgfcf"]
         assert record.getMessage().endswith("on 1 threads")
 
-    def test_grid_csv(self, tmp_path):
-        rng = np.random.default_rng(8)
-        dataset = _grid_dataset(rng)
-        result = grid_search(dataset, GridSpec(axes={"K": [2, 3]}), k=5)
-        path = tmp_path / "grid.csv"
-        write_grid_csv(result.table, str(path))
-        lines = path.read_text().strip().splitlines()
+    def test_grid_csv(self, data_file, tmp_path):
+        out = tmp_path / "runs"
+        argv = ["grid", "--data", data_file, "--grid-K", "2,3", "--k", "5", "--out", str(out)]
+        assert run_command(argv) == 0
+        (run_dir,) = out.iterdir()
+        lines = (run_dir / "grid.csv").read_text().strip().splitlines()
+        assert lines[0] == ",".join([*GRID_AXES, "val_recall", "val_ndcg", "users_evaluated"])
         assert len(lines) == 3
 
 

@@ -1,3 +1,4 @@
+import json
 import logging
 import sys
 import tracemalloc
@@ -23,8 +24,8 @@ from sgfcf import (
     map_homo_to_beta,
 )
 from sgfcf import filters, parallel
+from sgfcf.cli import run_command
 from sgfcf.errors import BandOutOfRange, ConfigError, OddDelta, SizeCapExceeded
-from sgfcf.filters import write_homophily_csv
 from sgfcf.theory import random_bipartite_graph
 
 from conftest import random_graph
@@ -356,13 +357,15 @@ class TestIgfMapping:
             IgfConfig(beta=1.5, beta2=1.2)
 
 
-def test_homophily_csv_export(tmp_path):
-    rng = np.random.default_rng(7)
-    graph = random_graph(rng, 6, 5)
-    scores = homophilic_ratio_all(graph, delta=2)
-    profile = map_homo_to_beta(scores, IgfConfig(beta=1.0, beta1=0.5, beta2=1.5))
-    path = tmp_path / "homo.csv"
-    write_homophily_csv(scores, profile, str(path))
-    lines = path.read_text().strip().splitlines()
+def test_homophily_csv_export(data_file, tmp_path):
+    out = tmp_path / "runs"
+    argv = ["fit", "--data", data_file, "--K", "4", "--beta1", "0.5", "--beta2", "1.5", "--out", str(out)]
+    assert run_command(argv) == 0
+    (run_dir,) = out.iterdir()
+    summary = json.loads((run_dir / "model_summary.json").read_text())
+    lines = (run_dir / "homophily.csv").read_text().strip().splitlines()
     assert lines[0] == "node_type,node_id,score,beta"
-    assert len(lines) == 1 + 6 + 5
+    assert len(lines) == 1 + summary["n_users"] + summary["n_items"]
+    node_types = [line.split(",")[0] for line in lines[1:]]
+    assert node_types == ["user"] * summary["n_users"] + ["item"] * summary["n_items"]
+    assert all(0.5 <= float(line.split(",")[3]) <= 1.5 for line in lines[1:])

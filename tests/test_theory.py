@@ -1,8 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from sgfcf import G2NConfig, dense_svd, g2n_normalize, graph_from_matrix
+from sgfcf.cli import run_command
 from sgfcf.theory import (
     LgcnFitInstance,
     TheoryReport,
@@ -15,7 +18,6 @@ from sgfcf.theory import (
     random_bipartite_graph,
     run_all_checks,
     sample_lgcn_instance,
-    write_report_json,
 )
 
 
@@ -213,14 +215,15 @@ class TestRunner:
         assert report.passed == (report.max_abs_error <= report.tolerance)
 
     def test_report_json(self, tmp_path):
-        import json
-
-        report = check_spectral_symmetry(trials=2, seed=16)
-        path = tmp_path / "report.json"
-        write_report_json(report, str(path))
-        payload = json.loads(path.read_text())
-        assert payload["check_name"] == "spectral_symmetry"
-        assert payload["passed"] is True
-        assert set(payload) == {
-            "check_name", "instances_run", "max_abs_error", "tolerance", "passed", "details",
-        }
+        out = tmp_path / "runs"
+        assert run_command(["theory-check", "--seed", "1", "--out", str(out)]) == 0
+        (run_dir,) = out.iterdir()
+        paths = sorted(set(run_dir.glob("theory_*.json")) - {run_dir / "theory_summary.json"})
+        assert len(paths) == 6
+        for path in paths:
+            payload = json.loads(path.read_text())
+            assert path.name == f"theory_{payload['check_name']}.json"
+            assert payload["passed"] is True
+            assert set(payload) == {
+                "check_name", "instances_run", "max_abs_error", "tolerance", "passed", "details",
+            }
