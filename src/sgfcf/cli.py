@@ -30,7 +30,7 @@ from . import graph as gr
 from . import model as md
 from . import spectral as spec
 from . import theory
-from .errors import ConfigError, SgfcfError
+from .errors import ConfigError, SgfcfError, check_integer
 
 # Command-level values that no config dataclass holds, each taken by the
 # commands that list its option in COMMAND_OPTIONS. Every model, filter and
@@ -187,8 +187,7 @@ def _given(resolved: dict, fields: dict[str, str]) -> dict:
 
 def _seed(resolved: dict) -> int:
     seed = resolved.get("seed", md.SgfcfConfig.seed)
-    if seed < 0:
-        raise ConfigError(f"--seed must be >= 0, got {seed}")
+    check_integer("--seed", seed, lo=0)
     return seed
 
 
@@ -346,8 +345,8 @@ def _cmd_split(resolved: dict) -> int:
 
 def _cmd_fit(resolved: dict) -> int:
     recommend_k = resolved.get("recommend_k")
-    if recommend_k is not None and recommend_k < 1:
-        raise ConfigError(f"--recommend-k must be >= 1, got {recommend_k}")
+    if recommend_k is not None:
+        check_integer("--recommend-k", recommend_k, lo=1)
     dataset = _load_dataset(resolved)
     config = _model_config(resolved)
     graph = homophily = None

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateSplit, MalformedLine, MissingFile, check_integer
+from .errors import ConfigError, DegenerateSplit, MalformedLine, MissingFile, check_integer, check_real
 
 FORMATS = ("tsv_pairs", "csv_pairs")
 STRATEGIES = ("per_user", "global")
@@ -61,6 +61,8 @@ class SplitConfig:
     strategy: str = "per_user"
 
     def __post_init__(self):
+        check_real("train_ratio", self.train_ratio)
+        check_real("val_ratio", self.val_ratio)
         if not 0.0 < self.train_ratio < 1.0:
             raise ConfigError(f"train_ratio must be in (0,1), got {self.train_ratio}")
         if not 0.0 <= self.val_ratio < 1.0:
@@ -70,9 +72,7 @@ class SplitConfig:
                 f"train_ratio + val_ratio must be < 1, got "
                 f"{self.train_ratio} + {self.val_ratio}"
             )
-        check_integer("seed", self.seed)
-        if self.seed < 0:
-            raise ConfigError("seed must be a non-negative integer")
+        check_integer("seed", self.seed, lo=0)
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"unknown split strategy {self.strategy!r}")
 
@@ -207,9 +207,7 @@ def dataset_from_pairs(
     infer a size from."""
     for name, size in (("n_users", n_users), ("n_items", n_items)):
         if size is not None:
-            check_integer(name, size)
-            if size < 0:
-                raise ConfigError(f"{name} must be >= 0, got {size}")
+            check_integer(name, size, lo=0)
 
     def as_array(name, p):
         try:

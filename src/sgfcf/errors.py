@@ -1,5 +1,6 @@
 """Exception hierarchy shared by all sgfcf modules."""
 
+import math
 import numbers
 
 
@@ -73,8 +74,25 @@ class ConfigError(SgfcfError):
     pass
 
 
-def check_integer(name: str, value) -> None:
+def _check_bounds(name: str, value, lo, hi, error: type[SgfcfError]) -> None:
+    if (lo is not None and value < lo) or (hi is not None and value > hi):
+        bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise error(f"{name} must be {bound}, got {value}")
+
+
+def check_integer(name: str, value, lo=None, hi=None, error: type[SgfcfError] = ConfigError) -> None:
     """Raise ConfigError unless ``value`` is an integer; a bool, or a float
-    such as 2.0, is not one."""
+    such as 2.0, is not one. An integer below ``lo`` or above ``hi`` (a
+    bound left None is open; ``hi`` comes with ``lo``) raises ``error``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
+    _check_bounds(name, value, lo, hi, error)
+
+
+def check_real(name: str, value, lo=None, hi=None) -> None:
+    """Raise ConfigError unless ``value`` is a finite real number, not a
+    bool, inside the closed bounds ``lo`` and ``hi`` as ``check_integer``
+    takes them."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    _check_bounds(name, value, lo, hi, ConfigError)

@@ -11,14 +11,12 @@ from __future__ import annotations
 import contextlib
 import itertools
 import logging
-import math
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
 
-from . import parallel
+from . import filters, parallel
 from .dataset import InteractionDataset
 from .errors import (
     BandOutOfRange,
@@ -28,6 +26,7 @@ from .errors import (
     KTooLarge,
     NoEvaluableUsers,
     check_integer,
+    check_real,
 )
 from .filters import BandFilter, IgfConfig
 from .graph import G2NConfig, build_graph, g2n_normalize
@@ -96,24 +95,13 @@ def ndcg_at_k(ranked, test_items) -> float:
     return min(float(dcg / idcg), 1.0)
 
 
-def _check_cutoff(k: int, name: str = "k") -> None:
-    check_integer(name, k)
-    if k < 1:
-        raise ConfigError(f"{name} must be >= 1, got {k}")
-
-
 def _check_band_sizes(values, what: str) -> None:
     """Raise ConfigError unless each value is a finite number, bools
     excluded, that is an integer >= 1 (2.0 counts as 2, 2.5 does not)."""
     for v in values:
-        if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v) or v != int(v) or v < 1:
+        check_real(f"{what}: integer K", v, lo=1)
+        if v != int(v):
             raise ConfigError(f"{what} needs integer K >= 1, got {v!r}")
-
-
-def _check_threads(threads: int) -> None:
-    check_integer("threads", threads)
-    if threads < 0:
-        raise ConfigError(f"threads must be >= 0 (0 = all cores), got {threads}")
 
 
 def evaluate(
@@ -141,7 +129,7 @@ def evaluate(
     (a bool or float included), a ``k`` below 1 or ``threads`` below 0
     raises ConfigError.
     """
-    _check_threads(threads)
+    check_integer("threads", threads, lo=0)
     return _evaluate_pass([(scorer, [0.0])], dataset, k, split, threads)[0][0]
 
 
@@ -161,7 +149,7 @@ def _evaluate_pass(groups, dataset: InteractionDataset, k: int, split: str, thre
     the pass runs inside ``parallel.one_blas_thread``. Returns one list of
     results per group, aligned with its gammas.
     """
-    _check_cutoff(k)
+    check_integer("k", k, lo=1)
     if split not in ("val", "test"):
         raise ConfigError(f"split must be 'val' or 'test', got {split!r}")
     pairs = getattr(dataset, split)
@@ -263,7 +251,7 @@ def frequency_sweep(
     checks it (a bool, a string or 2.5; 2.0 counts as 2), raises
     ConfigError before any work.
     """
-    _check_cutoff(metric_k, "metric_k")
+    check_integer("metric_k", metric_k, lo=1)
     K_grid = list(K_grid)
     if not K_grid:
         raise ConfigError("frequency sweep needs one or more integer K >= 1, got none")
@@ -313,8 +301,7 @@ class GridSpec:
                 continue
             step = AXIS_STEPS[name]
             for v in values:
-                if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
-                    raise ConfigError(f"axis {name!r} value {v!r} is not a finite number")
+                check_real(f"axis {name!r} value", v)
                 if abs(v / step - round(v / step)) > 1e-9:
                     raise ConfigError(f"axis {name!r} value {v} is not on the step-{step} lattice")
         if self.selection_metric not in ("ndcg", "recall"):
@@ -369,8 +356,8 @@ def grid_search(
     homophily or the Gram path's matrix formation, which run on every CPU
     the process may run on and with OpenBLAS's own thread count.
     """
-    _check_cutoff(k)
-    _check_threads(threads)
+    check_integer("k", k, lo=1)
+    check_integer("threads", threads, lo=0)
     if len(dataset.val) == 0:
         raise EmptyValidation("grid search needs a non-empty validation split")
     if base is None:
@@ -407,9 +394,8 @@ def grid_search(
         raise KTooLarge(f"K={K_max} exceeds min(|U|,|I|)={min(graph.n_users, graph.n_items)}")
     homophily = None
     if any(config.shared_filter is None for config in configs):
-        from .filters import homophilic_ratio_all
-
-        homophily = homophilic_ratio_all(graph, delta=base.delta, mode=base.homo_mode)
+        # looked up on the module per call, so a wrapper set on it sees the call
+        homophily = filters.homophilic_ratio_all(graph, delta=base.delta, mode=base.homo_mode)
 
     # Only the best group so far keeps its stages past its turn, for the
     # test refit.

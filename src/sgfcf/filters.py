@@ -11,14 +11,13 @@ nodes with coherent histories get sharper low-pass filters.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import BandOutOfRange, ConfigError, OddDelta, SizeCapExceeded, check_integer
+from .errors import BandOutOfRange, ConfigError, OddDelta, SizeCapExceeded, check_integer, check_real
 from .graph import BipartiteGraph
 from .parallel import BlockPool
 
@@ -44,8 +43,7 @@ class MonomialFilter:
     beta: float = 1.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.beta) and self.beta >= 0):
-            raise ConfigError(f"monomial beta must be finite and >= 0, got {self.beta}")
+        check_real("monomial beta", self.beta, lo=0)
 
 
 @dataclass(frozen=True)
@@ -55,8 +53,7 @@ class ExponentialFilter:
     beta: float = 1.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.beta) and self.beta >= 0):
-            raise ConfigError(f"exponential beta must be finite and >= 0, got {self.beta}")
+        check_real("exponential beta", self.beta, lo=0)
 
 
 @dataclass(frozen=True)
@@ -66,9 +63,7 @@ class MarkovFilter:
     order: int = 2
 
     def __post_init__(self):
-        check_integer("markov order", self.order)
-        if self.order < 1:
-            raise ConfigError(f"markov order must be >= 1, got {self.order}")
+        check_integer("markov order", self.order, lo=1)
 
 
 @dataclass(frozen=True)
@@ -81,11 +76,11 @@ class JacobiFilter:
     order: int = 3
 
     def __post_init__(self):
-        if not all(math.isfinite(v) and v > -1 for v in (self.a, self.b)):
-            raise ConfigError(f"jacobi requires finite a > -1 and b > -1, got a={self.a}, b={self.b}")
-        check_integer("jacobi order", self.order)
-        if self.order < 1:
-            raise ConfigError(f"jacobi order must be >= 1, got {self.order}")
+        check_real("jacobi a", self.a)
+        check_real("jacobi b", self.b)
+        if not (self.a > -1 and self.b > -1):
+            raise ConfigError(f"jacobi requires a > -1 and b > -1, got a={self.a}, b={self.b}")
+        check_integer("jacobi order", self.order, lo=1)
 
 
 @dataclass(frozen=True)
@@ -99,9 +94,7 @@ class BandFilter:
     k_lo: int = 1
 
     def __post_init__(self):
-        check_integer("band start k_lo", self.k_lo)
-        if self.k_lo < 1:
-            raise BandOutOfRange(f"band start k_lo must be >= 1, got {self.k_lo}")
+        check_integer("band start k_lo", self.k_lo, lo=1, error=BandOutOfRange)
 
 
 FilterFamily = Union[MonomialFilter, ExponentialFilter, MarkovFilter, JacobiFilter, BandFilter]
@@ -149,7 +142,6 @@ def _jacobi_sum(x: np.ndarray, a: float, b: float, order: int) -> np.ndarray:
     p_curr = (a - b) / 2.0 + (a + b + 2.0) / 2.0 * x  # P_1
     total += p_curr
     for k in range(2, order + 1):
-        c0 = 2.0 * k * (k + a + b) * (2.0 * k + a + b - 2.0)
         theta = (2.0 * k + a + b) * (2.0 * k + a + b - 1.0) / (2.0 * k * (k + a + b))
         theta_p = (
             (2.0 * k + a + b - 1.0) * (a * a - b * b)
@@ -159,8 +151,6 @@ def _jacobi_sum(x: np.ndarray, a: float, b: float, order: int) -> np.ndarray:
             (k + a - 1.0) * (k + b - 1.0) * (2.0 * k + a + b)
             / (k * (k + a + b) * (2.0 * k + a + b - 2.0))
         )
-        if c0 == 0.0:
-            raise ConfigError(f"jacobi recurrence degenerate at k={k} for a={a}, b={b}")
         p_next = theta * x * p_curr + theta_p * p_curr - theta_pp * p_prev
         total += p_next
         p_prev, p_curr = p_curr, p_next
@@ -191,10 +181,9 @@ class IgfConfig:
             object.__setattr__(self, "beta1", self.beta)
         if self.beta2 is None:
             object.__setattr__(self, "beta2", self.beta)
-        if not self.beta1 >= 0:
-            raise ConfigError(f"beta1 must be >= 0, got {self.beta1}")
-        if not math.isfinite(self.beta2):
-            raise ConfigError(f"beta2 must be finite, got {self.beta2}")
+        check_real("beta2", self.beta2)
+        check_real("beta1", self.beta1, lo=0)
+        check_real("beta", self.beta)
         if not self.beta1 <= self.beta <= self.beta2:
             raise ConfigError(
                 f"require beta1 <= beta <= beta2, got {self.beta1}, {self.beta}, {self.beta2}"

@@ -9,13 +9,12 @@ toward high-degree nodes, which sharpens the singular-value spectrum.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ConfigError, EmptyTrainSplit, SizeCapExceeded
+from .errors import ConfigError, EmptyTrainSplit, SizeCapExceeded, check_real
 
 # Hard cap on dense assemblies: verification oracles only run at desk scale.
 DENSE_ORACLE_CAP = 2000
@@ -51,10 +50,8 @@ class G2NConfig:
     epsilon: float = -0.5
 
     def __post_init__(self):
-        if not (math.isfinite(self.alpha) and self.alpha >= 0):
-            raise ConfigError(f"alpha must be finite and >= 0, got {self.alpha}")
-        if not -0.5 <= self.epsilon <= 0.0:
-            raise ConfigError(f"epsilon must be in [-0.5, 0], got {self.epsilon}")
+        check_real("alpha", self.alpha, lo=0)
+        check_real("epsilon", self.epsilon, -0.5, 0)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,6 @@ by gamma. There is no iterative training anywhere in the pipeline.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -21,7 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .dataset import InteractionDataset
-from .errors import ConfigError, KTooLarge, UnknownUser, check_integer
+from .errors import ConfigError, KTooLarge, UnknownUser, check_integer, check_real
 from .filters import (
     FilterFamily,
     HomophilyScores,
@@ -65,11 +64,8 @@ class SgfcfConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_integer("K", self.K)
-        if self.K < 1:
-            raise ConfigError(f"K must be >= 1, got {self.K}")
-        if not (math.isfinite(self.gamma) and self.gamma >= 0):
-            raise ConfigError(f"gamma must be finite and >= 0, got {self.gamma}")
+        check_integer("K", self.K, lo=1)
+        check_real("gamma", self.gamma, lo=0)
         if self.homo_scope not in ("per_side", "global"):
             raise ConfigError(f"homo_scope must be 'per_side' or 'global', got {self.homo_scope!r}")
         validate_delta(self.delta, self.homo_mode)
@@ -170,8 +166,9 @@ def fit(
     Precomputed stages can be passed in (grid search and frequency sweeps
     reuse spectra, grid search also homophily scores, across
     configurations); they must have been built for this config and graph,
-    else ConfigError. A passed spectrum must hold at least K triplets and
-    is cut to K. Anything omitted is derived from the dataset. Homophily
+    and a passed graph for the dataset's users and items, else
+    ConfigError. A passed spectrum must hold at least K triplets and is
+    cut to K. Anything omitted is derived from the dataset. Homophily
     runs before the SVD, so a config it rejects fails before the costly
     stage. Homophily and the exponent profile are built only for an
     individualized config; a shared one (``config.shared_filter``, which
@@ -180,13 +177,13 @@ def fit(
     in as ``model.homophily``.
     """
     start = time.perf_counter()
+    shape = (dataset.n_users, dataset.n_items)
     if graph is None:
         graph = build_graph(dataset)
-    if config.K > min(graph.n_users, graph.n_items):
-        raise KTooLarge(
-            f"K={config.K} exceeds min(|U|,|I|)={min(graph.n_users, graph.n_items)}"
-        )
-    shape = (graph.n_users, graph.n_items)
+    elif (graph.n_users, graph.n_items) != shape:
+        raise ConfigError(f"graph of {graph.n_users} x {graph.n_items} for a dataset of shape {shape}")
+    if config.K > min(shape):
+        raise KTooLarge(f"K={config.K} exceeds min(|U|,|I|)={min(shape)}")
     if norm is not None and (norm.config, norm.shape) != (config.g2n, shape):
         raise ConfigError(
             f"normalized matrix built for {norm.config} on {norm.shape}; config asks {config.g2n} on {shape}"
@@ -238,9 +235,7 @@ def fit(
 
 
 def _check_user(model: SgfcfModel, u: int) -> None:
-    check_integer("user id", u)
-    if not 0 <= u < model.n_users:
-        raise UnknownUser(f"user id {u} outside [0, {model.n_users})")
+    check_integer("user id", u, 0, model.n_users - 1, UnknownUser)
 
 
 def _tie_duplicates(model: SgfcfModel, scores: np.ndarray) -> np.ndarray:
@@ -400,9 +395,7 @@ def recommend(model: SgfcfModel, u: int, k: int = 10, exclude_train: bool = True
 
     Ranks like ``evaluate``: excluded items score -inf, ``top_k`` orders
     the row, and the list keeps only finite scores."""
-    check_integer("k", k)
-    if k < 1:
-        raise ConfigError(f"k must be >= 1, got {k}")
+    check_integer("k", k, lo=1)
     scores = score_user(model, u)
     if exclude_train:
         scores[model.train_items(u)] = -np.inf

@@ -96,7 +96,7 @@ class TruncatedSpectrum:
 
     def truncate(self, K: int) -> "TruncatedSpectrum":
         """First K triplets. Normalization is preserved (same sigma_1)."""
-        _check_K(K, len(self))
+        check_integer("K", K, 1, len(self), KTooLarge)
         return TruncatedSpectrum(
             sigma=self.sigma[:K],
             P=self.P[:, :K],
@@ -143,22 +143,11 @@ def _finalize(U: np.ndarray, sigma: np.ndarray, V: np.ndarray, K: int) -> Trunca
     )
 
 
-def _check_K(K: int, largest: int) -> None:
-    check_integer("K", K)
-    if not 1 <= K <= largest:
-        raise KTooLarge(f"K must be in [1, {largest}], got {K}")
-
-
 def validate_svd_settings(oversample: int, power_iters: int, seed: int) -> None:
     """Reject settings the Krylov path cannot run with."""
-    for name, value in (("oversample", oversample), ("power_iters", power_iters), ("seed", seed)):
-        check_integer(name, value)
-    if oversample < 4:
-        raise ConfigError(f"oversample must be >= 4, got {oversample}")
-    if power_iters < 1:
-        raise ConfigError(f"power_iters must be >= 1, got {power_iters}")
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
+    check_integer("oversample", oversample, lo=4)
+    check_integer("power_iters", power_iters, lo=1)
+    check_integer("seed", seed, lo=0)
 
 
 def _rayleigh_ritz(basis: np.ndarray, Bt: np.ndarray, K: int):
@@ -236,7 +225,7 @@ def truncated_svd(
     roundoff (see ``_rayleigh_ritz`` for the sqrt(eps) guard).
     """
     A = _as_matrix(norm)
-    _check_K(K, min(A.shape))
+    check_integer("K", K, 1, min(A.shape), KTooLarge)
     validate_svd_settings(oversample, power_iters, seed)
     # W^T row-major: its products give the same bits as A.T's, faster
     At = norm.values_t if isinstance(norm, NormalizedMatrix) else A.T
@@ -281,7 +270,7 @@ def gram_svd(norm, K: int) -> TruncatedSpectrum:
     may run on (see ``_sparse_gram``); its bits do not depend on how many.
     """
     A = _as_matrix(norm)
-    _check_K(K, min(A.shape))
+    check_integer("K", K, 1, min(A.shape), KTooLarge)
     items_small = A.shape[1] < A.shape[0]
     S = A.T if items_small else A
     N = S.shape[0]
@@ -401,7 +390,7 @@ def top_k_svd(
     ``sgfcf`` logger.
     """
     A = _as_matrix(norm)
-    _check_K(K, min(A.shape))
+    check_integer("K", K, 1, min(A.shape), KTooLarge)
     validate_svd_settings(oversample, power_iters, seed)
     m, n = A.shape
     N, L = min(m, n), max(m, n)
@@ -444,7 +433,7 @@ def dense_svd(norm) -> TruncatedSpectrum:
 
 def appro_measure(spec: TruncatedSpectrum, K: int, frobenius_sq_total: float) -> float:
     """Fraction of total Frobenius energy captured by the top-K values."""
-    _check_K(K, len(spec))
+    check_integer("K", K, 1, len(spec), KTooLarge)
     partial = float(np.square(spec.sigma[:K]).sum())
     if frobenius_sq_total + 1e-12 * max(1.0, partial) < partial:
         raise InvalidTotal(

@@ -609,6 +609,21 @@ class TestGridSearch:
         shared = grid_search(dataset, GridSpec(axes=axes), k=5)
         assert shared.table == [row for row in mixed.table if row["beta1"] == row["beta2"]]
 
+    def test_individualized_grid_computes_homophily_once(self, monkeypatch):
+        import sgfcf.filters
+
+        calls = []
+        original = sgfcf.filters.homophilic_ratio_all
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(sgfcf.filters, "homophilic_ratio_all", counted)
+        grid = GridSpec(axes={"K": [3, 4], "beta": [1.2], "beta1": [1.0, 1.2], "beta2": [1.2, 1.4]})
+        grid_search(_grid_dataset(np.random.default_rng(9)), grid, k=5)
+        assert len(calls) == 1
+
     def test_explicit_filter_base_fits_one_set_across_the_beta_axis(self, monkeypatch):
         # a shared filter reads no igf field: the three beta rows once took
         # three validation fits, plus the test refit

@@ -89,7 +89,7 @@ class TestFit:
         with pytest.raises(ConfigError):
             SgfcfConfig(K=1, gamma=-0.5)
 
-    @pytest.mark.parametrize("K", [2.5, float("nan"), True, 4.0])
+    @pytest.mark.parametrize("K", [2.5, float("nan"), True, 4.0, "4", None])
     def test_non_integer_K_rejected_when_the_config_is_built(self, K):
         # K=2.5 built, and fit then raised numpy's IndexError
         with pytest.raises(ConfigError, match="K must be an integer"):
@@ -681,6 +681,14 @@ class TestStagesMustMatch:
         spectrum = dense_svd(g2n_normalize(build_graph(other), G2NConfig()))
         with pytest.raises(ConfigError):
             fit(dataset, SgfcfConfig(K=3), spectrum=spectrum)
+
+    def test_graph_of_another_dataset_rejected(self, dataset):
+        # the norm, homophily and spectrum checks compare against the graph,
+        # so a wrong graph fitted a 24 x 16 model and evaluate raised IndexError
+        other = small_dataset(np.random.default_rng(27), 24, 16)
+        with pytest.raises(ConfigError, match="24 x 16"):
+            fit(dataset, SgfcfConfig(K=3), graph=build_graph(other))
+        fit(dataset, SgfcfConfig(K=3), graph=build_graph(dataset))
 
     def test_norm_of_another_graph_rejected(self, dataset):
         # same G2N config, more users: numpy's broadcast error before the check
