@@ -8,7 +8,6 @@ order of first appearance, and splits are reproducible given a seed.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass, field
 
@@ -139,44 +138,33 @@ def ingest(path: str, format: str = "tsv_pairs") -> InteractionLog:
     )
 
 
-def _round_half_up(x: float) -> int:
-    return int(math.floor(x + 0.5))
-
-
 def split(log: InteractionLog, cfg: SplitConfig) -> InteractionDataset:
     """Split a log into disjoint train/val/test pair sets.
 
-    The default strategy is per-user stratified: for each user,
-    round(train_ratio * n) interactions go to train (at least one),
-    round(val_ratio * n) to validation, and the remainder to test.
-    The ``global`` strategy shuffles all pairs once and slices by the
-    same rounded ratios. Deterministic given cfg.seed.
+    Pairs fall into groups, one per user under the default ``per_user``
+    strategy and one of all pairs under ``global``. Each group of n pairs
+    is shuffled, its first floor(train_ratio * n + 0.5) go to train (at
+    least one), the next floor(val_ratio * n + 0.5) to validation, and
+    the remainder to test: ratios round half up. Deterministic given
+    cfg.seed.
     """
     if len(log) == 0:
         raise DegenerateSplit("cannot split an empty interaction log")
     pairs = log.pairs
     rng = np.random.default_rng(cfg.seed)
-
-    if cfg.strategy == "global":
-        perm = rng.permutation(len(pairs))
-        n_train = max(1, _round_half_up(cfg.train_ratio * len(pairs)))
-        n_val = min(_round_half_up(cfg.val_ratio * len(pairs)), len(pairs) - n_train)
-        # rank[p] = the place of pair p in the shuffled order
-        rank = np.empty(len(pairs), dtype=np.int64)
-        rank[perm] = np.arange(len(pairs))
-    else:
-        order = np.argsort(pairs[:, 0], kind="stable")
-        counts = np.bincount(pairs[:, 0], minlength=log.id_maps.n_users)
-        # first[j]: where the user block holding sorted pair j starts
-        first = np.repeat(np.cumsum(counts) - counts, counts)
-        # One permutation per user, drawn in user order from the one
-        # stream; pair order[first + perm_u[j]] takes place j of user u.
-        local = np.concatenate([rng.permutation(n) for n in counts.tolist()])
-        rank = np.empty(len(pairs), dtype=np.int64)
-        rank[order[first + local]] = np.arange(len(pairs)) - first
-        n_train = np.clip(np.floor(cfg.train_ratio * counts + 0.5).astype(np.int64), 1, counts)
-        n_val = np.minimum(np.floor(cfg.val_ratio * counts + 0.5).astype(np.int64), counts - n_train)
-        n_train, n_val = n_train[pairs[:, 0]], n_val[pairs[:, 0]]
+    groups = pairs[:, 0] if cfg.strategy == "per_user" else np.zeros(len(pairs), dtype=np.int64)
+    order = np.argsort(groups, kind="stable")
+    counts = np.bincount(groups)
+    # first[j]: where the group block holding sorted pair j starts
+    first = np.repeat(np.cumsum(counts) - counts, counts)
+    # One permutation per group, drawn in group order from the one
+    # stream; pair order[first + perm_g[j]] takes place j of group g.
+    local = np.concatenate([rng.permutation(n) for n in counts.tolist()])
+    rank = np.empty(len(pairs), dtype=np.int64)
+    rank[order[first + local]] = np.arange(len(pairs)) - first
+    n_train = np.clip(np.floor(cfg.train_ratio * counts + 0.5).astype(np.int64), 1, counts)
+    n_val = np.minimum(np.floor(cfg.val_ratio * counts + 0.5).astype(np.int64), counts - n_train)
+    n_train, n_val = n_train[groups], n_val[groups]
 
     dataset = InteractionDataset(
         train=pairs[rank < n_train],

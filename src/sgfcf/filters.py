@@ -100,22 +100,12 @@ class BandFilter:
 FilterFamily = Union[MonomialFilter, ExponentialFilter, MarkovFilter, JacobiFilter, BandFilter]
 
 
-def power_clamped(sigma: np.ndarray, beta) -> np.ndarray:
-    """sigma^beta with 0^0 = 1 and 0^beta = 0 for beta > 0.
-
-    Values are clamped away from zero before powering so exponent
-    broadcasting never hits 0^0 ambiguity inside exp/log paths.
-    """
-    sigma = np.maximum(np.asarray(sigma, dtype=np.float64), 1e-300)
-    return np.power(sigma, beta)
-
-
 def eval_filter(family: FilterFamily, sigma_normalized: np.ndarray) -> np.ndarray:
     """Evaluate a filter family on normalized singular values in [0, 1],
     given in descending order (the band filter reads their positions)."""
     s = np.asarray(sigma_normalized, dtype=np.float64)
     if isinstance(family, MonomialFilter):
-        return power_clamped(s, family.beta)
+        return np.power(s, family.beta)
     if isinstance(family, ExponentialFilter):
         return np.exp(family.beta * (s - 1.0))
     if isinstance(family, MarkovFilter):
@@ -359,20 +349,16 @@ def map_homo_to_beta(
     """
     if scope not in ("per_side", "global"):
         raise ConfigError(f"scope must be 'per_side' or 'global', got {scope!r}")
+    users, items = scores.user_scores, scores.item_scores
     if scope == "global":
-        pooled = np.concatenate([scores.user_scores, scores.item_scores])
-        lo, hi = float(pooled.min()), float(pooled.max())
-        return IgfProfile(
-            user_beta=_linear_map(scores.user_scores, lo, hi, cfg),
-            item_beta=_linear_map(scores.item_scores, lo, hi, cfg),
-        )
+        pooled = np.concatenate([users, items])
+        user_range = item_range = (float(pooled.min()), float(pooled.max()))
+    else:
+        user_range = (float(users.min()), float(users.max()))
+        item_range = (float(items.min()), float(items.max()))
     return IgfProfile(
-        user_beta=_linear_map(
-            scores.user_scores, float(scores.user_scores.min()), float(scores.user_scores.max()), cfg
-        ),
-        item_beta=_linear_map(
-            scores.item_scores, float(scores.item_scores.min()), float(scores.item_scores.max()), cfg
-        ),
+        user_beta=_linear_map(users, *user_range, cfg),
+        item_beta=_linear_map(items, *item_range, cfg),
     )
 
 

@@ -30,7 +30,6 @@ from .filters import (
     eval_filter,
     homophilic_ratio_all,
     map_homo_to_beta,
-    power_clamped,
     validate_delta,
 )
 from .graph import (
@@ -142,13 +141,24 @@ def _factor_weights(
     g(sigma)^2. Individualized path: user u gets sigma^beta_u, item i gets
     sigma^beta_i, so the score picks up sigma^(beta_u + beta_i); each side
     gets an (n, K) weight.
+
+    Rows of P and Q have norm at most 1, so by Cauchy-Schwarz
+    max|user w| * max|item w| bounds every factor score. Raises
+    ConfigError, naming the filter, when that bound is not finite; an inf
+    or NaN weight makes it so.
     """
     sigma = spectrum.sigma_normalized
-    if profile is None:
-        user_w = item_w = eval_filter(config.shared_filter, sigma)[None, :]
-    else:
-        user_w = power_clamped(sigma[None, :], profile.user_beta[:, None])
-        item_w = power_clamped(sigma[None, :], profile.item_beta[:, None])
+    with np.errstate(over="ignore", invalid="ignore"):
+        if profile is None:
+            user_w = item_w = eval_filter(config.shared_filter, sigma)[None, :]
+        else:
+            user_w = np.power(sigma[None, :], profile.user_beta[:, None])
+            item_w = np.power(sigma[None, :], profile.item_beta[:, None])
+        # max|w| per side, NaN if any weight is NaN, with no n x K temporary
+        bound = np.maximum(user_w.max(), -user_w.min()) * np.maximum(item_w.max(), -item_w.min())
+    if not np.isfinite(bound):
+        name = config.shared_filter if profile is None else f"IGF over [{config.igf.beta1}, {config.igf.beta2}]"
+        raise ConfigError(f"{name} gives filter weights whose factor scores are not finite")
     return spectrum.P * user_w, spectrum.Q * item_w
 
 

@@ -68,6 +68,11 @@ class TestEvalFilter:
         # 0^beta = 0 for beta > 0 even through the clamped power
         assert eval_filter(MonomialFilter(beta=1.5), np.array([0.0]))[0] == pytest.approx(0.0, abs=1e-200)
 
+    def test_monomial_powers_zero_exactly(self):
+        # 0^beta = 0 for beta > 0 and 0^0 = 1, as np.power gives them
+        assert eval_filter(MonomialFilter(beta=0.5), [1.0, 0.0]).tolist() == [1.0, 0.0]
+        assert eval_filter(MonomialFilter(beta=0.0), [1.0, 0.0]).tolist() == [1.0, 1.0]
+
     def test_exponential_normalized_at_one(self):
         sigma = np.array([1.0, 0.6, 0.2])
         weights = eval_filter(ExponentialFilter(beta=2.5), sigma)

@@ -8,8 +8,11 @@ from hypothesis.extra.numpy import arrays
 
 from sgfcf import (
     BandFilter,
+    ExponentialFilter,
     G2NConfig,
     IgfConfig,
+    JacobiFilter,
+    MarkovFilter,
     MonomialFilter,
     SgfcfConfig,
     build_graph,
@@ -22,7 +25,7 @@ from sgfcf import (
     score_users,
     truncated_svd,
 )
-from sgfcf.errors import BandOutOfRange, ConfigError, KTooLarge, UnknownUser
+from sgfcf.errors import BandOutOfRange, ConfigError, KTooLarge, SgfcfError, UnknownUser
 from sgfcf import model as model_module
 from sgfcf.model import model_summary, serialize_config, top_k
 from sgfcf.theory import random_bipartite_graph
@@ -169,6 +172,44 @@ class TestFit:
     def test_bad_homo_scope_rejected(self):
         with pytest.raises(ConfigError):
             SgfcfConfig(K=1, homo_scope="pooled")
+
+
+WIDE_REALS = st.floats(0.0, 1e300) | st.sampled_from([0.0, 1.0, 1e6, 1e150, 1e200])
+FILTER_FAMILIES = st.one_of(
+    st.builds(MonomialFilter, WIDE_REALS),
+    st.builds(ExponentialFilter, WIDE_REALS),
+    st.builds(MarkovFilter, st.integers(1, 60)),
+    st.builds(
+        JacobiFilter,
+        st.floats(-1.0, 1e300, exclude_min=True) | st.just(1e200),
+        st.floats(-1.0, 1e300, exclude_min=True) | st.just(0.0),
+        st.integers(1, 8),
+    ),
+    st.builds(BandFilter, st.integers(1, 10)),
+)
+
+
+@pytest.fixture(scope="module")
+def filter_dataset():
+    return small_dataset(np.random.default_rng(3), n_users=30, n_items=20)
+
+
+@settings(max_examples=80, deadline=None)
+@given(family=FILTER_FAMILIES)
+def test_every_filter_scores_finitely_or_raises(filter_dataset, family):
+    # JacobiFilter(a=1e200, b=0) overflows to NaN weights; at order 1 the
+    # weights are finite but their scores are not
+    try:
+        model = fit(filter_dataset, SgfcfConfig(K=8, filter=family))
+    except SgfcfError:
+        return
+    assert np.isfinite(score_users(model, np.arange(model.n_users))).all()
+
+
+def test_overflowing_filter_raises_naming_it(filter_dataset):
+    for family in (JacobiFilter(a=1e200, b=0.0), JacobiFilter(a=1e200, b=0.0, order=1)):
+        with pytest.raises(ConfigError, match=r"JacobiFilter\(a=1e\+200, b=0.0, order=\d\) gives filter weights"):
+            fit(filter_dataset, SgfcfConfig(K=8, filter=family))
 
 
 class TestScoreUser:
