@@ -131,7 +131,9 @@ def _jacobi_sum(x: np.ndarray, a: float, b: float, order: int) -> np.ndarray:
     total = p_prev.copy()
     p_curr = (a - b) / 2.0 + (a + b + 2.0) / 2.0 * x  # P_1
     total += p_curr
-    for k in range(2, order + 1):
+    # numpy floats: a denominator that rounds to 0.0 gives a NaN or inf
+    # weight, which fit rejects, not a ZeroDivisionError
+    for k in np.arange(2.0, order + 1.0):
         theta = (2.0 * k + a + b) * (2.0 * k + a + b - 1.0) / (2.0 * k * (k + a + b))
         theta_p = (
             (2.0 * k + a + b - 1.0) * (a * a - b * b)

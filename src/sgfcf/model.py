@@ -148,7 +148,7 @@ def _factor_weights(
     or NaN weight makes it so.
     """
     sigma = spectrum.sigma_normalized
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if profile is None:
             user_w = item_w = eval_filter(config.shared_filter, sigma)[None, :]
         else:

@@ -32,18 +32,20 @@ about 0.35 s against 0.6 s, and a 5551 x 1524 basis 0.75 s against
 or a factor whose diagonal spreads past CHOLQR_MAX_SPREAD falls back to
 a Householder QR (``geqrf``, then ``orgqr``), the one path that handles
 rank-deficient and graded blocks; how many fell back is logged at DEBUG.
-scipy and numpy link separate OpenBLAS builds. GEMMs, ``eigh`` and the
-thin SVD stay on numpy, so the scipy calls form one stretch: each build's
-worker threads spin for about 0.1 s after a call and slow the other
-build's calls in that window on a 2-core host, and scipy's ``eigh`` and
-thin SVD measured no faster. When a ``NormalizedMatrix`` is passed, the
+scipy and numpy link separate OpenBLAS builds. The GEMMs and ``eigh``
+calls of the Rayleigh-Ritz step stay on numpy, so the scipy calls form one
+stretch: each build's worker threads spin for about 0.1 s after a call and
+slow the other build's calls in that window on a 2-core host, and scipy's
+``eigh`` measured no faster. When a ``NormalizedMatrix`` is passed, the
 A^T products run over its row-major ``values_t``, with the same bits.
 
-The Rayleigh-Ritz step goes through the small Gram matrix of the
-projection rather than a dense SVD of the wide projection itself, with a
-guard that falls back to the exact step when the Gram matrix cannot
-resolve the K-th value; the Gram path applies the same guard to its own
-eigenvectors.
+The Rayleigh-Ritz step never takes a dense SVD of the wide projection B:
+the top-K eigenvectors U_K of its small Gram matrix B B^T give the
+subspace, and a K x K eigendecomposition of (B^T U_K)^T (B^T U_K) the
+triplets. A thin SVD of B^T U_K finishes instead when the top-K values
+spread too widely for that square, and the exact step runs when the Gram
+matrix cannot resolve the K-th value; the Gram path applies the same guard
+to its own eigenvectors.
 
 All spectra are returned with a deterministic sign convention and with
 singular values below 1e-12 * sigma_1 pruned, so rank-deficient inputs
@@ -78,6 +80,18 @@ SQRT_EPS = float(np.sqrt(np.finfo(np.float64).eps))
 # Far below eps^-1/2 (6.7e7). At the benchmark's Krylov shapes the blocks
 # read at most 2.8 and the bases 17 to 40.
 CHOLQR_MAX_SPREAD = 1e5
+# Largest lambda_1 / lambda_K the K x K finish takes: its sigma = sqrt(mu)
+# loses relative accuracy as eps * lambda_1 / lambda_K. At this spread
+# sigma_K was 3.5e-15 from a dense SVD's at K = 500 (graded 6000 x 508
+# projection), as close as the thin SVD's, and 4e-14 to 6e-14 at 1e4. The
+# benchmark's spectra spread 8 to 18.
+RITZ_MAX_SPREAD = 100.0
+# Row block of the K x K finish's in-place rotation; at least one row
+RITZ_BLOCK_BYTES = 2**23
+# At one piece per worker, wide-igf's two concurrent halves of its 3200 x
+# 3200 sparse Gram product peaked at 235 to 282 MB RSS from run to run;
+# at four, 183 to 186 MB.
+GRAM_PIECES_PER_WORKER = 4
 
 log = logging.getLogger("sgfcf")
 
@@ -154,16 +168,47 @@ def _rayleigh_ritz(basis: np.ndarray, Bt: np.ndarray, K: int):
     """Top-K singular triplets of A restricted to an orthonormal basis of
     its row side, given Bt = A^T basis. Returns (left, sigma, right).
 
-    B = Bt^T; B B^T = U diag(lam) U^T and B^T U_K = V diag(sigma) Z^T, so
-    B's left singular vectors are U_K Z and A's are basis U_K Z. When
-    lambda_K <= sqrt(eps) * lambda_1 the top-K eigenvectors are not
-    resolved and all of U is kept: a thin SVD of B^T U with U orthogonal
-    is the exact Rayleigh-Ritz step again.
+    B = Bt^T; B B^T = U diag(lam) U^T, so M = B^T U_K has orthogonal
+    columns up to roundoff (M^T M = diag(lam_K)). The K x K eigenvectors Y
+    of M^T M = Y diag(mu) Y^T finish the step (Halko, Martinsson & Tropp
+    2011, section 5): sigma = sqrt(mu), B's right vectors are M Y / sigma
+    and A's left vectors basis U_K Y. M is rotated into M Y in place, one
+    row block of RITZ_BLOCK_BYTES at a time, so the step holds a single
+    L x K array. Squaring spreads the values it resolves, so when
+    lam_1 / lam_K is not below RITZ_MAX_SPREAD a thin SVD of M finishes
+    instead; and when lam_K <= sqrt(eps) * lam_1 the top-K eigenvectors
+    are not resolved and all of U is kept: a thin SVD of B^T U with U
+    orthogonal is the exact Rayleigh-Ritz step again. The finish taken,
+    and why, is logged at DEBUG.
     """
     lam, U = np.linalg.eigh(Bt.T @ Bt)
     lam, U = lam[::-1], U[:, ::-1]
+    if lam[0] < RITZ_MAX_SPREAD * lam[K - 1]:
+        log.debug(
+            "Rayleigh-Ritz top-%d of %d: K x K eigh, lambda_1/lambda_K %.3g below %g",
+            K, len(lam), lam[0] / lam[K - 1], RITZ_MAX_SPREAD,
+        )
+        U = U[:, :K]
+        M = Bt @ U
+        mu, Y = np.linalg.eigh(M.T @ M)
+        mu, Y = mu[::-1], np.ascontiguousarray(Y[:, ::-1])
+        rows = max(1, RITZ_BLOCK_BYTES // (8 * K))
+        for lo in range(0, len(M), rows):
+            M[lo : lo + rows] = M[lo : lo + rows] @ Y
+        sigma = np.sqrt(mu)
+        M /= sigma
+        return basis @ (U @ Y), sigma, M
     if lam[K - 1] > SQRT_EPS * lam[0]:
         U = U[:, :K]
+        log.debug(
+            "Rayleigh-Ritz top-%d of %d: thin SVD, lambda_1/lambda_K %.3g not below %g",
+            K, len(lam), lam[0] / lam[K - 1], RITZ_MAX_SPREAD,
+        )
+    else:
+        log.debug(
+            "Rayleigh-Ritz top-%d of %d: thin SVD of all %d, lambda_K <= sqrt(eps) lambda_1",
+            K, len(lam), len(lam),
+        )
     V, sigma, Zt = np.linalg.svd(Bt @ U, full_matrices=False)
     return basis @ (U @ Zt.T), sigma, V
 
@@ -220,9 +265,9 @@ def truncated_svd(
     result is exact up to roundoff.
 
     The projection B = basis^T A is S x |I| with S the basis width. Only
-    its S x S Gram matrix is decomposed (eigh), then a thin |I| x K SVD
-    of B^T U_K gives sigma and Q; this equals a dense SVD of B to
-    roundoff (see ``_rayleigh_ritz`` for the sqrt(eps) guard).
+    its S x S Gram matrix is decomposed (eigh), then the K x K Gram matrix
+    of B^T U_K (eigh again) gives sigma and Q; this equals a dense SVD of
+    B to roundoff (see ``_rayleigh_ritz`` for its thin-SVD fallbacks).
     """
     A = _as_matrix(norm)
     check_integer("K", K, 1, min(A.shape), KTooLarge)
@@ -260,11 +305,13 @@ def gram_svd(norm, K: int) -> TruncatedSpectrum:
     With S the N x L orientation of A whose rows are the smaller side
     (A itself, or A^T when items are fewer than users), the top-K
     eigenvectors of G = S S^T (LAPACK ``evr`` on that index subset) are
-    the basis of the Rayleigh-Ritz step, and users and items trade places
-    on the way out when S is A^T. When lambda_K <= sqrt(eps) * lambda_1
-    the subset's eigenvectors are not resolved; the full eigendecomposition
-    is taken instead, so the basis spans the whole smaller side and the
-    step is an exact SVD (it then holds two dense L x N arrays).
+    the basis of the Rayleigh-Ritz step, whose K x K eigendecomposition
+    (or, for a widely spread spectrum, thin SVD) of S^T basis gives the
+    triplets; users and items trade places on the way out when S is A^T.
+    When lambda_K <= sqrt(eps) * lambda_1 the subset's eigenvectors are
+    not resolved; the full eigendecomposition is taken instead, so the
+    basis spans the whole smaller side and the step is an exact SVD (it
+    then holds two dense L x N arrays).
 
     For a sparse A, G is filled in row pieces on every CPU the process
     may run on (see ``_sparse_gram``); its bits do not depend on how many.
@@ -291,12 +338,13 @@ def gram_svd(norm, K: int) -> TruncatedSpectrum:
 def _sparse_gram(S, St) -> np.ndarray:
     """The dense Gram matrix S S^T of a sparse S, given St = S^T.
 
-    The dense N x N array is allocated first and filled in one row piece
-    per worker of a ``BlockPool``: each worker holds the sparse product
-    of its piece only, never the whole sparse Gram matrix. The pieces
-    hold equal shares of the product's terms (a stored entry S[i, k]
-    meets row k of St), which balanced the workers better than equal
-    shares of S's stored entries. A row of a sparse product sums over the
+    The dense N x N array is allocated first and filled in
+    GRAM_PIECES_PER_WORKER row pieces per worker of a ``BlockPool``, each
+    drawn by whichever worker is free: a worker holds the sparse product
+    of one piece at a time, never the whole sparse Gram matrix. The
+    pieces hold equal shares of the product's terms (a stored entry
+    S[i, k] meets row k of St), which balanced the workers better than
+    equal shares of S's stored entries. A row of a sparse product sums over the
     row's own entries in stored order, so the pieces equal the rows of
     (S @ S^T).toarray() bit for bit.
     """
@@ -311,7 +359,8 @@ def _sparse_gram(S, St) -> np.ndarray:
             (S[lo:hi] @ St).toarray(out=G[lo:hi])
 
     with BlockPool() as pool:
-        cuts = np.searchsorted(ends, np.linspace(0, ends[-1], pool.workers + 1)[1:-1])
+        pieces = GRAM_PIECES_PER_WORKER * pool.workers
+        cuts = np.searchsorted(ends, np.linspace(0, ends[-1], pieces + 1)[1:-1])
         bounds = np.concatenate([[0], cuts, [N]])
         pool.run(fill, zip(bounds[:-1], bounds[1:]))
     return G
@@ -323,8 +372,8 @@ def _sparse_gram(S, St) -> np.ndarray:
 # their ratios decide the path.
 SPARSE_S = 1.5e-9  # one stored entry times one dense column, or one term of the sparse Gram product
 BLAS3_S = 4.1e-11  # one multiply-add of CholeskyQR2, a GEMM, or an order-C eigendecomposition's C^3
-VECTOR_S = 6.9e-10  # forming vectors: per L * K^2 of a thin SVD, per N^2 * K of ``evr``'s eigenvectors
-PASS_S = 1.7e-8  # one dense entry of a block, an eigh or thin SVD input, or the dense Gram matrix
+VECTOR_S = 6.9e-10  # forming vectors: per N^2 * K of ``evr``'s eigenvectors
+PASS_S = 1.7e-8  # one dense entry of a block, an eigh input or the Rayleigh-Ritz vectors, or the dense Gram matrix
 # Policy, not fitted: the Gram path is never taken when the small side's
 # dense Gram matrix (N^2 doubles) exceeds this; its peak is about 2.6 times that.
 GRAM_MAX_BYTES = 2**29
@@ -335,11 +384,12 @@ GRAM_ALWAYS_S = 1e-3
 
 
 def _rayleigh_ritz_cost(basis_rows: int, other_rows: int, C: int, K: int) -> float:
-    """Estimated seconds of ``_rayleigh_ritz`` on a basis of C columns."""
+    """Estimated seconds of ``_rayleigh_ritz`` on a basis of C columns,
+    finished by its K x K eigendecomposition; the thin-SVD fallback of a
+    widely spread spectrum is not counted."""
     return (
-        BLAS3_S * (C**3 + other_rows * C * C + (other_rows + basis_rows) * C * K)
-        + VECTOR_S * other_rows * K * K
-        + PASS_S * (C * C + other_rows * K)
+        BLAS3_S * (C**3 + K**3 + other_rows * (C * C + 2 * K * K) + (other_rows + basis_rows) * C * K)
+        + PASS_S * (C * C + K * K + other_rows * K)
     )
 
 

@@ -65,8 +65,8 @@ class TestEvalFilter:
         assert np.allclose(weights, [1.0, 0.25, 0.01])
 
     def test_monomial_zero_convention(self):
-        # 0^beta = 0 for beta > 0 even through the clamped power
-        assert eval_filter(MonomialFilter(beta=1.5), np.array([0.0]))[0] == pytest.approx(0.0, abs=1e-200)
+        # 0^beta = 0 exactly for beta > 0, as np.power gives it
+        assert eval_filter(MonomialFilter(beta=1.5), np.array([0.0]))[0] == 0.0
 
     def test_monomial_powers_zero_exactly(self):
         # 0^beta = 0 for beta > 0 and 0^0 = 1, as np.power gives them

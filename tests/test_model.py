@@ -1,9 +1,10 @@
+import re
 import time
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from sgfcf import (
@@ -196,6 +197,7 @@ def filter_dataset():
 
 @settings(max_examples=80, deadline=None)
 @given(family=FILTER_FAMILIES)
+@example(family=JacobiFilter(-0.9999999999999999, -0.9999999999999999, 2))
 def test_every_filter_scores_finitely_or_raises(filter_dataset, family):
     # JacobiFilter(a=1e200, b=0) overflows to NaN weights; at order 1 the
     # weights are finite but their scores are not
@@ -207,8 +209,14 @@ def test_every_filter_scores_finitely_or_raises(filter_dataset, family):
 
 
 def test_overflowing_filter_raises_naming_it(filter_dataset):
-    for family in (JacobiFilter(a=1e200, b=0.0), JacobiFilter(a=1e200, b=0.0, order=1)):
-        with pytest.raises(ConfigError, match=r"JacobiFilter\(a=1e\+200, b=0.0, order=\d\) gives filter weights"):
+    # at a = b = -1 + 2^-53 the recurrence's 2k + a + b - 2 rounds to 0.0
+    # at k = 2, which raised ZeroDivisionError
+    for family in (
+        JacobiFilter(a=1e200, b=0.0),
+        JacobiFilter(a=1e200, b=0.0, order=1),
+        JacobiFilter(-0.9999999999999999, -0.9999999999999999, 2),
+    ):
+        with pytest.raises(ConfigError, match=re.escape(f"{family} gives filter weights")):
             fit(filter_dataset, SgfcfConfig(K=8, filter=family))
 
 

@@ -1,4 +1,5 @@
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -282,11 +283,92 @@ def test_truncated_svd_logs_its_householder_fallbacks(caplog):
         truncated_svd(rank_one, 1)
         truncated_svd(A, 5, power_iters=1)
     records = [r for r in caplog.records if r.name == "sgfcf"]
-    assert [r.levelno for r in records] == [logging.DEBUG] * 2
+    assert [r.levelno for r in records] == [logging.DEBUG] * 4
+    # each followed by its Rayleigh-Ritz finish
     assert [r.getMessage() for r in records] == [
         "Krylov SVD of 40 x 25: 6 of 6 orthonormalizations fell back to Householder",
+        "Rayleigh-Ritz top-1 of 27: K x K eigh, lambda_1/lambda_K 1 below 100",
         "Krylov SVD of 40 x 30: 0 of 4 orthonormalizations fell back to Householder",
+        "Rayleigh-Ritz top-5 of 26: K x K eigh, lambda_1/lambda_K 5.46 below 100",
     ]
+    assert logging.getLogger("sgfcf").handlers == []
+
+
+def _ritz_inputs(grading, seed=0):
+    """A random sparse 300 x 3000 matrix with standard normal entries, its
+    rows scaled from 1 down to 10**-grading, an orthonormal basis of 80
+    columns on its row side, and Bt = A^T basis."""
+    rng = np.random.default_rng(seed)
+    R = sp.random(300, 3000, density=0.05, random_state=rng, data_rvs=rng.standard_normal, format="csr")
+    A = sp.diags(np.logspace(0, -grading, 300)) @ R
+    basis = np.linalg.qr(A @ rng.standard_normal((3000, 80)))[0]
+    return A, basis, A.T @ basis
+
+
+@pytest.mark.parametrize("grading, K, spread", [(0.0, 30, 1.29), (2.0, 60, 10.3)], ids=["flat", "graded"])
+def test_k_by_k_finish_matches_the_thin_svd_step(monkeypatch, grading, K, spread):
+    """Both finishes rotate the same top-K eigenvectors U_K of B B^T, so
+    the left subspace is basis U_K and the right one the range of B^T U_K
+    in either; only roundoff separates them."""
+    A, basis, Bt = _ritz_inputs(grading)
+    left, sigma, right = spectral._rayleigh_ritz(basis, Bt, K)
+    lam = np.linalg.svd(Bt, compute_uv=False) ** 2
+    assert lam[0] / lam[K - 1] == pytest.approx(spread, rel=1e-2)
+    monkeypatch.setattr(spectral, "RITZ_MAX_SPREAD", 0.0)  # always the thin SVD
+    left_svd, sigma_svd, right_svd = spectral._rayleigh_ritz(basis, Bt, K)
+    assert (np.abs(sigma - sigma_svd) / sigma_svd).max() <= 1e-13
+    for got, want in ((left, left_svd), (right, right_svd)):
+        assert np.abs(got.T @ got - np.eye(K)).max() <= 1e-13
+        assert np.linalg.norm(got @ got.T - want @ want.T, 2) <= 1e-13
+    assert np.abs(A.T @ left - right * sigma).max() <= 1e-13 * sigma[0]
+
+
+def test_k_by_k_finish_holds_one_tall_array(monkeypatch):
+    """Above its inputs the step holds M = Bt U_K (L x K) rotated in place
+    one block of rows at a time, the m x K left vectors, and arrays of C and
+    K columns: B B^T and its eigenvectors, M^T M and its, U_K and U_K Y. A
+    finish that keeps a second L x K array (a GEMM's M Y, or a thin SVD's
+    vectors) exceeds it."""
+    A, basis, Bt = _ritz_inputs(2.0)
+    (m, C), L, K, rows = basis.shape, Bt.shape[0], 60, 64
+    monkeypatch.setattr(spectral, "RITZ_BLOCK_BYTES", 8 * K * rows)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        spectral._rayleigh_ritz(basis, Bt, K)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    allocated = 8 * (L * K + rows * K + m * K + 2 * C * C + 2 * K * K + 2 * C * K + 2 * C)
+    assert peak <= allocated + 2**14, (peak, allocated)
+    assert allocated + 2**14 < 8 * 2 * L * K
+
+
+def _ritz_routes():
+    graded = _graded_matrix(90, np.logspace(0, -11, 60), seed=22)
+    flat = _graded_matrix(90, np.logspace(0, -0.5, 60), seed=22)
+    return [
+        pytest.param(flat, 20, "K x K eigh, lambda_1/lambda_K {} below 100", 10 ** (19 / 59), id="eigh"),
+        pytest.param(graded, 20, "thin SVD, lambda_1/lambda_K {} not below 100", 10 ** (22 * 19 / 59), id="spread"),
+        pytest.param(graded, 40, "thin SVD of all 60, lambda_K <= sqrt(eps) lambda_1", None, id="unresolved"),
+    ]
+
+
+@pytest.mark.parametrize("A, K, route, spread", _ritz_routes())
+def test_rayleigh_ritz_logs_its_finish(caplog, A, K, route, spread):
+    basis = np.linalg.qr(A)[0]
+    with caplog.at_level(logging.DEBUG, logger="sgfcf"):
+        spectral._rayleigh_ritz(basis, A.T @ basis, K)
+    (record,) = [r for r in caplog.records if r.name == "sgfcf"]
+    assert record.levelno == logging.DEBUG
+    message = record.getMessage()
+    prefix = f"Rayleigh-Ritz top-{K} of 60: "
+    if spread is None:
+        assert message == prefix + route
+    else:
+        head, tail = (prefix + route).split("{}")
+        assert message.startswith(head) and message.endswith(tail)
+        assert float(message[len(head) : -len(tail)]) == pytest.approx(spread, rel=1e-2)
     assert logging.getLogger("sgfcf").handlers == []
 
 
@@ -348,6 +430,22 @@ def test_gram_path_does_not_depend_on_the_worker_count(monkeypatch, shape):
         assert np.array_equal(getattr(one, name), getattr(three, name)), name
 
 
+def test_sparse_gram_holds_one_pieces_product_at_a_time(monkeypatch):
+    # pieces of equal terms hold about equal shares of the product's entries
+    A = normalized(graph_from_matrix(random_bipartite_graph(np.random.default_rng(9), 600, 300, exponent=2.1))).values
+    S, St = sp.csr_matrix(A.T), sp.csr_matrix(A)
+    whole = S @ St
+    product_bytes = whole.data.nbytes + whole.indices.nbytes + whole.indptr.nbytes
+    monkeypatch.setattr(parallel, "available_cpus", lambda: 1)
+    tracemalloc.start()
+    try:
+        spectral._sparse_gram(S, St)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - 8 * S.shape[0] ** 2 <= 2 * product_bytes / spectral.GRAM_PIECES_PER_WORKER
+
+
 def _bench_shapes():
     # users, items, target edges and exponent of perfbench/workloads.py's
     # graphs at its GRAPH_SEED 0, with each fit's K and power iterations
@@ -357,9 +455,9 @@ def _bench_shapes():
         pytest.param(2000, 4000, 60000, 3.0, 128, 2, "krylov", id="grid-tune-K128"),
         pytest.param(2000, 4000, 60000, 3.0, 64, 2, "krylov", id="grid-tune-K64"),
         pytest.param(2000, 4000, 60000, 3.0, 256, 2, "krylov", id="grid-tune-K256"),
-        # large K at CiteULike shape: Gram estimated at 122 s against
-        # Krylov's 144 s at K=2220, Krylov at 453 s against Gram's 547 s at
-        # K=5551. K=3885 is left out: Krylov's 289 s against Gram's 296 s is
+        # large K at CiteULike shape: Gram estimated at 72 s against
+        # Krylov's 94 s at K=2220, Krylov at 142 s against Gram's 237 s at
+        # K=5551. K=3885 is left out: Krylov's 136 s against Gram's 143 s is
         # too close for the pick to hold through a refit of the cost
         # constants.
         pytest.param(5551, 16981, 210537, 2.5, 2220, 8, "gram", id="citeulike-K2220"),
@@ -414,12 +512,16 @@ def test_top_k_svd_logs_its_pick(caplog):
     A = random_graph(rng, 40, 30).row_major
     with caplog.at_level(logging.DEBUG, logger="sgfcf"):
         top_k_svd(A, 5)
-    (record,) = [r for r in caplog.records if r.name == "sgfcf"]
-    assert record.levelno == logging.DEBUG
-    message = record.getMessage()
+    # the pick, then the solver's own lines: the Krylov path's fallback
+    # count, and either path's Rayleigh-Ritz finish
+    records = [r for r in caplog.records if r.name == "sgfcf"]
+    assert [r.levelno for r in records] == [logging.DEBUG] * len(records)
+    message = records[0].getMessage()
     assert "top-5 SVD of 40 x 30" in message
     assert "krylov" in message and "gram" in message
     assert message.endswith(("-> gram", "-> krylov"))
+    assert len(records) == (2 if message.endswith("-> gram") else 3)
+    assert records[-1].getMessage().startswith("Rayleigh-Ritz top-5 of ")
     assert logging.getLogger("sgfcf").handlers == []
 
 
