@@ -30,7 +30,7 @@ from .errors import (
 )
 from .filters import BandFilter, IgfConfig
 from .graph import G2NConfig, build_graph, g2n_normalize
-from .model import RankedList, SgfcfConfig, add_gamma_term, fit, gamma_block, svd_settings, top_k
+from .model import RankedList, SgfcfConfig, add_gamma_term, check_score_bound, fit, gamma_block, svd_settings, top_k
 from .spectral import top_k_svd
 
 GRID_AXES = ("alpha", "epsilon", "K", "beta", "beta1", "beta2", "gamma")
@@ -40,7 +40,7 @@ AXIS_STEPS = {"alpha": 1.0, "epsilon": 0.02, "beta": 0.1, "beta1": 0.1, "beta2":
 # calling thread and w - 1 pool threads score chunks of EVAL_CHUNK // w
 # users, so memory stays at about EVAL_CHUNK score rows (and their top-k
 # work) whatever the worker count.
-EVAL_CHUNK = 1024
+EVAL_CHUNK = 512
 # Most bytes of user and item factors that grid_search keeps alive in one
 # validation pass; an (alpha, epsilon) group's factor sets beyond it are
 # validated in further passes, each of which recomputes the exclusion and
@@ -159,6 +159,9 @@ def _evaluate_pass(groups, dataset: InteractionDataset, k: int, split: str, thre
     if len(evaluable) == 0:
         raise NoEvaluableUsers(f"no user has interactions in the {split} split")
 
+    for scorer, gammas in groups:
+        if max(gammas) > 0:  # a grid fits its scorers at gamma 0, so fit checked none of these
+            check_score_bound(scorer.factor_bound, max(gammas), scorer.norm)
     workers = min(threads or parallel.available_cpus(), EVAL_CHUNK)
     size = EVAL_CHUNK // workers
     chunks = [evaluable[start : start + size] for start in range(0, len(evaluable), size)]

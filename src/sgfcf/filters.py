@@ -102,8 +102,18 @@ FilterFamily = Union[MonomialFilter, ExponentialFilter, MarkovFilter, JacobiFilt
 
 def eval_filter(family: FilterFamily, sigma_normalized: np.ndarray) -> np.ndarray:
     """Evaluate a filter family on normalized singular values in [0, 1],
-    given in descending order (the band filter reads their positions)."""
+    given in descending order (the band filter reads their positions).
+    Raises ConfigError, naming the filter, when a weight is not finite (a
+    Jacobi recurrence that overflows or divides by zero)."""
     s = np.asarray(sigma_normalized, dtype=np.float64)
+    with np.errstate(all="ignore"):
+        weights = _filter_weights(family, s)
+    if not np.isfinite(weights).all():
+        raise ConfigError(f"{family!r} gives filter weights that are not finite")
+    return weights
+
+
+def _filter_weights(family: FilterFamily, s: np.ndarray) -> np.ndarray:
     if isinstance(family, MonomialFilter):
         return np.power(s, family.beta)
     if isinstance(family, ExponentialFilter):
@@ -132,7 +142,7 @@ def _jacobi_sum(x: np.ndarray, a: float, b: float, order: int) -> np.ndarray:
     p_curr = (a - b) / 2.0 + (a + b + 2.0) / 2.0 * x  # P_1
     total += p_curr
     # numpy floats: a denominator that rounds to 0.0 gives a NaN or inf
-    # weight, which fit rejects, not a ZeroDivisionError
+    # weight, which eval_filter rejects, not a ZeroDivisionError
     for k in np.arange(2.0, order + 1.0):
         theta = (2.0 * k + a + b) * (2.0 * k + a + b - 1.0) / (2.0 * k * (k + a + b))
         theta_p = (

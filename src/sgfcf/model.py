@@ -105,6 +105,7 @@ class SgfcfModel:
     item_factors: np.ndarray  # Q weighted by per-item filter values
     duplicate_items: np.ndarray  # items whose train column equals a lower id's
     duplicate_sources: np.ndarray  # the lowest id sharing each one's column
+    factor_bound: float  # bounds every factor score (see _factor_weights)
     homophily: HomophilyScores | None = None
     fit_seconds: float = 0.0
 
@@ -133,8 +134,9 @@ def _factor_weights(
     spectrum: TruncatedSpectrum,
     config: SgfcfConfig,
     profile: IgfProfile | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise filter values applied to P and Q.
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Row-wise filter values applied to P and Q, and a bound on every
+    factor score.
 
     Shared path (no profile): both sides get the (1, K) row g(sigma) of
     the config's shared filter, broadcast over nodes, so the score sees
@@ -144,22 +146,37 @@ def _factor_weights(
 
     Rows of P and Q have norm at most 1, so by Cauchy-Schwarz
     max|user w| * max|item w| bounds every factor score. Raises
-    ConfigError, naming the filter, when that bound is not finite; an inf
-    or NaN weight makes it so.
+    ConfigError, naming the filter, when a weight or that bound is not
+    finite.
     """
     sigma = spectrum.sigma_normalized
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        if profile is None:
-            user_w = item_w = eval_filter(config.shared_filter, sigma)[None, :]
-        else:
-            user_w = np.power(sigma[None, :], profile.user_beta[:, None])
-            item_w = np.power(sigma[None, :], profile.item_beta[:, None])
-        # max|w| per side, NaN if any weight is NaN, with no n x K temporary
+    if profile is None:
+        user_w = item_w = eval_filter(config.shared_filter, sigma)[None, :]
+    else:
+        user_w = np.power(sigma[None, :], profile.user_beta[:, None])
+        item_w = np.power(sigma[None, :], profile.item_beta[:, None])
+    with np.errstate(over="ignore"):
+        # max|w| per side, with no n x K temporary
         bound = np.maximum(user_w.max(), -user_w.min()) * np.maximum(item_w.max(), -item_w.min())
     if not np.isfinite(bound):
         name = config.shared_filter if profile is None else f"IGF over [{config.igf.beta1}, {config.igf.beta2}]"
         raise ConfigError(f"{name} gives filter weights whose factor scores are not finite")
-    return spectrum.P * user_w, spectrum.Q * item_w
+    return spectrum.P * user_w, spectrum.Q * item_w, float(bound)
+
+
+def check_score_bound(factor_bound: float, gamma: float, norm: NormalizedMatrix) -> None:
+    """Raise ConfigError unless factor_bound + gamma * b^3 is finite, with
+    b = sqrt(||W||_1 ||W||_inf) >= sigma_1(W). Every entry of W W^T W is at
+    most sigma_1^3 in magnitude, so the sum bounds every score at this
+    gamma; b takes one pass over W's stored entries."""
+    if gamma == 0:
+        return
+    W = abs(norm.values)
+    with np.errstate(over="ignore"):
+        b = np.sqrt(W.sum(axis=0).max() * W.sum(axis=1).max())
+        bound = factor_bound + gamma * b**3
+    if not np.isfinite(bound):
+        raise ConfigError(f"gamma={gamma} gives scores whose bound {factor_bound} + gamma * {b:.6g}^3 is not finite")
 
 
 def fit(
@@ -226,7 +243,8 @@ def fit(
     else:
         spectrum = spectrum.truncate(config.K)
 
-    user_factors, item_factors = _factor_weights(spectrum, config, profile)
+    user_factors, item_factors, factor_bound = _factor_weights(spectrum, config, profile)
+    check_score_bound(factor_bound, config.gamma, norm)
     sources = duplicate_item_sources(graph)
     copies = np.flatnonzero(sources != np.arange(graph.n_items))
     return SgfcfModel(
@@ -239,6 +257,7 @@ def fit(
         item_factors=item_factors,
         duplicate_items=copies,
         duplicate_sources=sources[copies],
+        factor_bound=factor_bound,
         homophily=homophily,
         fit_seconds=time.perf_counter() - start,
     )

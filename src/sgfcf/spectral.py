@@ -39,13 +39,15 @@ slow the other build's calls in that window on a 2-core host, and scipy's
 ``eigh`` measured no faster. When a ``NormalizedMatrix`` is passed, the
 A^T products run over its row-major ``values_t``, with the same bits.
 
-The Rayleigh-Ritz step never takes a dense SVD of the wide projection B:
-the top-K eigenvectors U_K of its small Gram matrix B B^T give the
-subspace, and a K x K eigendecomposition of (B^T U_K)^T (B^T U_K) the
-triplets. A thin SVD of B^T U_K finishes instead when the top-K values
-spread too widely for that square, and the exact step runs when the Gram
-matrix cannot resolve the K-th value; the Gram path applies the same guard
-to its own eigenvectors.
+The Rayleigh-Ritz step never takes a dense SVD of the wide projection B,
+nor holds it whole: its small Gram matrix B B^T is summed over row blocks
+of B^T = A^T basis, its top-K eigenvectors U_K give the subspace, and a
+K x K eigendecomposition of M^T M, with M = B^T U_K = A^T (basis U_K) one
+sparse product of K columns, the triplets. A thin SVD of B^T U_K, formed
+block by block, finishes instead when the top-K values spread too widely
+for that square, and the exact step runs when the Gram matrix cannot
+resolve the K-th value; the Gram path applies the same guard to its own
+eigenvectors.
 
 All spectra are returned with a deterministic sign convention and with
 singular values below 1e-12 * sigma_1 pruned, so rank-deficient inputs
@@ -86,7 +88,8 @@ CHOLQR_MAX_SPREAD = 1e5
 # projection), as close as the thin SVD's, and 4e-14 to 6e-14 at 1e4. The
 # benchmark's spectra spread 8 to 18.
 RITZ_MAX_SPREAD = 100.0
-# Row block of the K x K finish's in-place rotation; at least one row
+# Row block of the Rayleigh-Ritz step's streamed projection A^T basis and
+# of its K x K finish's in-place rotation; at least one row
 RITZ_BLOCK_BYTES = 2**23
 # At one piece per worker, wide-igf's two concurrent halves of its 3200 x
 # 3200 sparse Gram product peaked at 235 to 282 MB RSS from run to run;
@@ -141,8 +144,8 @@ def _finalize(U: np.ndarray, sigma: np.ndarray, V: np.ndarray, K: int) -> Trunca
     anchor = np.abs(U).argmax(axis=0)
     flip = np.sign(U[anchor, np.arange(K)])
     flip[flip == 0] = 1.0
-    U = U * flip
-    V = V * flip
+    U *= flip
+    V *= flip
     for M, name in ((U, "P"), (V, "Q")):
         gram_err = np.abs(M.T @ M - np.eye(K)).max() if K else 0.0
         if gram_err > ORTHONORMALITY_TOL:
@@ -164,32 +167,47 @@ def validate_svd_settings(oversample: int, power_iters: int, seed: int) -> None:
     check_integer("seed", seed, lo=0)
 
 
-def _rayleigh_ritz(basis: np.ndarray, Bt: np.ndarray, K: int):
+def _rayleigh_ritz(basis: np.ndarray, At, K: int):
     """Top-K singular triplets of A restricted to an orthonormal basis of
-    its row side, given Bt = A^T basis. Returns (left, sigma, right).
+    its row side, given the far-side operator At = A^T (sparse or dense).
+    Returns (left, sigma, right).
 
-    B = Bt^T; B B^T = U diag(lam) U^T, so M = B^T U_K has orthogonal
-    columns up to roundoff (M^T M = diag(lam_K)). The K x K eigenvectors Y
-    of M^T M = Y diag(mu) Y^T finish the step (Halko, Martinsson & Tropp
-    2011, section 5): sigma = sqrt(mu), B's right vectors are M Y / sigma
-    and A's left vectors basis U_K Y. M is rotated into M Y in place, one
-    row block of RITZ_BLOCK_BYTES at a time, so the step holds a single
-    L x K array. Squaring spreads the values it resolves, so when
-    lam_1 / lam_K is not below RITZ_MAX_SPREAD a thin SVD of M finishes
-    instead; and when lam_K <= sqrt(eps) * lam_1 the top-K eigenvectors
-    are not resolved and all of U is kept: a thin SVD of B^T U with U
-    orthogonal is the exact Rayleigh-Ritz step again. The finish taken,
-    and why, is logged at DEBUG.
+    With B = basis^T A, the C x C Gram matrix B B^T = U diag(lam) U^T is
+    summed over row blocks of Bt = At basis, RITZ_BLOCK_BYTES each, so Bt
+    is never held whole. M = B^T U_K = At (basis U_K) has orthogonal
+    columns up to roundoff (M^T M = diag(lam_K)) and takes one sparse
+    product of K columns. The K x K eigenvectors Y of M^T M = Y diag(mu)
+    Y^T finish the step (Halko, Martinsson & Tropp 2011, section 5):
+    sigma = sqrt(mu), B's right vectors are M Y / sigma and A's left
+    vectors (basis U_K) Y. M is rotated into M Y in place, one row block
+    at a time, so the step holds a single L x K array. Squaring spreads
+    the values it resolves, so when lam_1 / lam_K is not below
+    RITZ_MAX_SPREAD a thin SVD of Bt U_K finishes instead; and when lam_K
+    <= sqrt(eps) * lam_1 the top-K eigenvectors are not resolved and all
+    of U is kept: a thin SVD of Bt U with U orthogonal is the exact
+    Rayleigh-Ritz step again. Both fallbacks form Bt U one row block of Bt
+    at a time; At (basis U) would round worse on graded spectra. The
+    finish taken, and why, is logged at DEBUG.
     """
-    lam, U = np.linalg.eigh(Bt.T @ Bt)
+    # row slices of a CSC matrix (a raw CSR input's A.T) cost a full pass
+    At = sp.csr_matrix(At) if sp.issparse(At) else At
+    # scipy's sparse products copy a dense operand of any other order
+    basis = np.ascontiguousarray(basis)
+    C = basis.shape[1]
+    gram, part = np.zeros((C, C)), np.empty((C, C))
+    for _, block in _projection_blocks(At, basis):
+        gram += np.matmul(block.T, block, out=part)
+    del block, part
+    lam, U = np.linalg.eigh(gram)
+    del gram
     lam, U = lam[::-1], U[:, ::-1]
     if lam[0] < RITZ_MAX_SPREAD * lam[K - 1]:
         log.debug(
             "Rayleigh-Ritz top-%d of %d: K x K eigh, lambda_1/lambda_K %.3g below %g",
             K, len(lam), lam[0] / lam[K - 1], RITZ_MAX_SPREAD,
         )
-        U = U[:, :K]
-        M = Bt @ U
+        V = basis @ U[:, :K]
+        M = At @ V
         mu, Y = np.linalg.eigh(M.T @ M)
         mu, Y = mu[::-1], np.ascontiguousarray(Y[:, ::-1])
         rows = max(1, RITZ_BLOCK_BYTES // (8 * K))
@@ -197,7 +215,7 @@ def _rayleigh_ritz(basis: np.ndarray, Bt: np.ndarray, K: int):
             M[lo : lo + rows] = M[lo : lo + rows] @ Y
         sigma = np.sqrt(mu)
         M /= sigma
-        return basis @ (U @ Y), sigma, M
+        return V @ Y, sigma, M
     if lam[K - 1] > SQRT_EPS * lam[0]:
         U = U[:, :K]
         log.debug(
@@ -209,8 +227,21 @@ def _rayleigh_ritz(basis: np.ndarray, Bt: np.ndarray, K: int):
             "Rayleigh-Ritz top-%d of %d: thin SVD of all %d, lambda_K <= sqrt(eps) lambda_1",
             K, len(lam), len(lam),
         )
-    V, sigma, Zt = np.linalg.svd(Bt @ U, full_matrices=False)
+    BtU = np.empty((At.shape[0], U.shape[1]))
+    for lo, block in _projection_blocks(At, basis):
+        BtU[lo : lo + len(block)] = block @ U
+    del block
+    V, sigma, Zt = np.linalg.svd(BtU, full_matrices=False)
+    del BtU
     return basis @ (U @ Zt.T), sigma, V
+
+
+def _projection_blocks(At, basis):
+    """(row offset, block) over Bt = At basis, RITZ_BLOCK_BYTES of rows at
+    a time (at least one row)."""
+    rows = max(1, RITZ_BLOCK_BYTES // (8 * basis.shape[1]))
+    for lo in range(0, At.shape[0], rows):
+        yield lo, At[lo : lo + rows] @ basis
 
 
 def _householder_q(block: np.ndarray) -> np.ndarray:
@@ -264,10 +295,12 @@ def truncated_svd(
     once the basis spans the smaller dimension, at which point the
     result is exact up to roundoff.
 
-    The projection B = basis^T A is S x |I| with S the basis width. Only
-    its S x S Gram matrix is decomposed (eigh), then the K x K Gram matrix
-    of B^T U_K (eigh again) gives sigma and Q; this equals a dense SVD of
-    B to roundoff (see ``_rayleigh_ritz`` for its thin-SVD fallbacks).
+    The projection B = basis^T A is S x |I| with S the basis width, and
+    is never held whole. Only its S x S Gram matrix, summed over row
+    blocks of B^T, is decomposed (eigh), then the K x K Gram matrix of
+    B^T U_K = A^T (basis U_K) (eigh again) gives sigma and Q; this equals
+    a dense SVD of B to roundoff (see ``_rayleigh_ritz`` for its thin-SVD
+    fallbacks).
     """
     A = _as_matrix(norm)
     check_integer("K", K, 1, min(A.shape), KTooLarge)
@@ -289,6 +322,7 @@ def truncated_svd(
         Z, fell_back = _orthonormalize(np.asfortranarray(At @ Q))
         Q = basis[:, j * s : (j + 1) * s]
         Q[...] = A @ Z
+        del Z  # before the next block's n x s arrays are made
         fallbacks += fell_back + _orthonormalize(Q)[1]
     basis, fell_back = _orthonormalize(basis)
     fallbacks += fell_back
@@ -296,7 +330,10 @@ def truncated_svd(
         "Krylov SVD of %d x %d: %d of %d orthonormalizations fell back to Householder",
         m, n, fallbacks, 2 * blocks,
     )
-    return _finalize(*_rayleigh_ritz(basis, At @ basis, K), K)
+    # the step wants the basis C-ordered; Q's view would keep the Fortran copy
+    del Q
+    basis = np.ascontiguousarray(basis)
+    return _finalize(*_rayleigh_ritz(basis, At, K), K)
 
 
 def gram_svd(norm, K: int) -> TruncatedSpectrum:
@@ -319,17 +356,15 @@ def gram_svd(norm, K: int) -> TruncatedSpectrum:
     A = _as_matrix(norm)
     check_integer("K", K, 1, min(A.shape), KTooLarge)
     items_small = A.shape[1] < A.shape[0]
-    S = A.T if items_small else A
+    At = norm.values_t if isinstance(norm, NormalizedMatrix) else A.T
+    S, St = (At, A) if items_small else (A, At)
     N = S.shape[0]
-    if sp.issparse(A):
-        At = norm.values_t if isinstance(norm, NormalizedMatrix) else A.T
-        G = _sparse_gram(*((At, A) if items_small else (A, At)))
-    else:
-        G = S @ S.T
+    G = _sparse_gram(S, St) if sp.issparse(A) else S @ St
     lam, basis = scipy.linalg.eigh(G, subset_by_index=[N - K, N - 1], driver="evr")
     if lam[0] <= SQRT_EPS * lam[-1]:
         _, basis = scipy.linalg.eigh(G, driver="evd")
-    left, sigma, right = _rayleigh_ritz(basis, S.T @ basis, K)
+    del G
+    left, sigma, right = _rayleigh_ritz(basis, St, K)
     if items_small:
         left, right = right, left
     return _finalize(left, sigma, right, K)
@@ -383,12 +418,16 @@ GRAM_MAX_BYTES = 2**29
 GRAM_ALWAYS_S = 1e-3
 
 
-def _rayleigh_ritz_cost(basis_rows: int, other_rows: int, C: int, K: int) -> float:
-    """Estimated seconds of ``_rayleigh_ritz`` on a basis of C columns,
-    finished by its K x K eigendecomposition; the thin-SVD fallback of a
-    widely spread spectrum is not counted."""
+def _rayleigh_ritz_cost(basis_rows: int, other_rows: int, nnz: int, C: int, K: int) -> float:
+    """Estimated seconds of ``_rayleigh_ritz`` on a basis of C columns of a
+    matrix with nnz stored entries, finished by its K x K eigendecomposition:
+    the streamed Gram matrix, basis U_K, the sparse product A^T (basis U_K),
+    M^T M, the rotation and the left vectors. The sparse product A^T basis
+    behind the Gram matrix is the caller's to count; the thin-SVD fallback
+    of a widely spread spectrum is not counted."""
     return (
-        BLAS3_S * (C**3 + K**3 + other_rows * (C * C + 2 * K * K) + (other_rows + basis_rows) * C * K)
+        SPARSE_S * nnz * K
+        + BLAS3_S * (C**3 + K**3 + other_rows * (C * C + 2 * K * K) + basis_rows * (C * K + K * K))
         + PASS_S * (C * C + K * K + other_rows * K)
     )
 
@@ -406,7 +445,7 @@ def _krylov_cost(m: int, n: int, nnz: int, K: int, oversample: int, power_iters:
         # CholeskyQR2 of an r x c block: syrk and trsm, r * c^2 / 2 each, twice
         + BLAS3_S * 2 * (block_rows * s * s + m * total * C)
         + PASS_S * (block_rows * s + m * total)
-        + _rayleigh_ritz_cost(m, n, C, K)
+        + _rayleigh_ritz_cost(m, n, nnz, C, K)
     )
 
 
@@ -419,7 +458,7 @@ def _gram_cost(N: int, L: int, degrees: np.ndarray, K: int) -> float:
         + BLAS3_S * N**3
         + VECTOR_S * N * N * K
         + PASS_S * N * N
-        + _rayleigh_ritz_cost(N, L, K, K)
+        + _rayleigh_ritz_cost(N, L, int(degrees.sum()), K, K)
     )
 
 

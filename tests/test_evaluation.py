@@ -1,5 +1,7 @@
 import gc
 import logging
+import re
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -349,6 +351,35 @@ def test_evaluate_equals_the_reference_on_a_fitted_model(chunk, k):
     assert got == want
 
 
+def test_gamma_evaluate_holds_only_its_chunk_arrays(monkeypatch):
+    """Above the fitted model, a gamma-on evaluate holds about EVAL_CHUNK
+    score rows, gamma blocks (|I| each) and dense W W_users^T columns (|U|
+    each), split over its workers. The 25% over that covers top_k's
+    candidates and the sparse W W_users^T before it is made dense; a
+    worker holding EVAL_CHUNK users or a second copy of the scores
+    exceeds it."""
+    n_users, n_items = 600, 900
+    rng = np.random.default_rng(5)
+    R = random_bipartite_graph(rng, n_users, n_items, target_edges=20 * n_users).tocoo()
+    pairs = list(zip(R.row.tolist(), R.col.tolist()))
+    rng.shuffle(pairs)
+    cut = len(pairs) // 5
+    dataset = dataset_from_pairs(pairs[cut:], test=pairs[:cut], n_users=n_users, n_items=n_items)
+    model = fit(dataset, SgfcfConfig(K=16, gamma=0.2))
+    monkeypatch.setattr(evaluation, "EVAL_CHUNK", 128)
+    evaluate(model, dataset, k=10, threads=2)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = evaluate(model, dataset, k=10, threads=2)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert result.users_evaluated > 4 * evaluation.EVAL_CHUNK
+    chunk_arrays = 8 * evaluation.EVAL_CHUNK * (2 * n_items + n_users)
+    assert peak <= 1.25 * chunk_arrays, (peak, chunk_arrays)
+
+
 def test_golden_sweep_with_ties():
     # Recorded once sweeps went through fit, whose duplicate items tie
     # exactly with their source; before that, roundoff ordered the copies
@@ -656,6 +687,15 @@ class TestGridSearch:
         monkeypatch.setattr(evaluation, "top_k_svd", forbidden)
         with pytest.raises(KTooLarge):
             grid_search(dataset, GridSpec(axes={"K": [20, 24, 40]}), k=5)
+
+    def test_overflowing_gamma_raises_before_any_scoring(self, monkeypatch):
+        # the grid fits its factor sets at gamma 0, so its validation pass
+        # checks the axis's gammas; at epsilon 0, W is the 0/1 train matrix
+        dataset = _grid_dataset(np.random.default_rng(6))
+        base = SgfcfConfig(K=4, g2n=G2NConfig(alpha=0.0, epsilon=0.0))
+        monkeypatch.setattr(evaluation, "gamma_block", lambda *a: pytest.fail("scored before the check"))
+        with pytest.raises(ConfigError, match=re.escape("gamma=1e+306 gives scores")):
+            grid_search(dataset, GridSpec(axes={"gamma": [0.0, 1e306]}), k=5, base=base)
 
     def test_base_igf_range_is_kept(self):
         rng = np.random.default_rng(6)

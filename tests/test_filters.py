@@ -1,7 +1,9 @@
 import json
 import logging
+import re
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -89,6 +91,17 @@ class TestEvalFilter:
             expected = sum(eval_jacobi(k, a, b, sigma) for k in range(order + 1))
             got = eval_filter(JacobiFilter(a=a, b=b, order=order), sigma)
             assert np.allclose(got, np.maximum(expected, 0.0), atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "family", [JacobiFilter(-0.9999999999999999, -0.9999999999999999, 2), JacobiFilter(1e200, 0.0)]
+    )
+    def test_non_finite_weights_raise_naming_the_filter(self, family):
+        # a denominator that rounds to 0.0, and a recurrence that overflows:
+        # both returned NaN weights with a RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match=re.escape(f"{family!r} gives filter weights")):
+                eval_filter(family, np.array([1.0, 0.5, 0.0]))
 
     def test_jacobi_clamped_nonnegative(self):
         sigma = np.linspace(0.0, 1.0, 101)

@@ -220,6 +220,16 @@ def test_overflowing_filter_raises_naming_it(filter_dataset):
             fit(filter_dataset, SgfcfConfig(K=8, filter=family))
 
 
+def test_overflowing_gamma_term_raises(filter_dataset):
+    # at epsilon 0, W is the 0/1 train matrix; gamma = 1e308 made every score
+    # inf or NaN, and recommend returned an empty list with no error
+    g2n = G2NConfig(alpha=0.0, epsilon=0.0)
+    with pytest.raises(ConfigError, match=re.escape("gamma=1e+308 gives scores")):
+        fit(filter_dataset, SgfcfConfig(K=8, g2n=g2n, gamma=1e308))
+    model = fit(filter_dataset, SgfcfConfig(K=8, g2n=g2n, gamma=1e300))
+    assert np.isfinite(score_users(model, np.arange(model.n_users))).all()
+
+
 class TestScoreUser:
     def test_degenerate_igf_equals_shared_monomial(self):
         rng = np.random.default_rng(4)

@@ -311,11 +311,11 @@ def test_k_by_k_finish_matches_the_thin_svd_step(monkeypatch, grading, K, spread
     the left subspace is basis U_K and the right one the range of B^T U_K
     in either; only roundoff separates them."""
     A, basis, Bt = _ritz_inputs(grading)
-    left, sigma, right = spectral._rayleigh_ritz(basis, Bt, K)
+    left, sigma, right = spectral._rayleigh_ritz(basis, A.T, K)
     lam = np.linalg.svd(Bt, compute_uv=False) ** 2
     assert lam[0] / lam[K - 1] == pytest.approx(spread, rel=1e-2)
     monkeypatch.setattr(spectral, "RITZ_MAX_SPREAD", 0.0)  # always the thin SVD
-    left_svd, sigma_svd, right_svd = spectral._rayleigh_ritz(basis, Bt, K)
+    left_svd, sigma_svd, right_svd = spectral._rayleigh_ritz(basis, A.T, K)
     assert (np.abs(sigma - sigma_svd) / sigma_svd).max() <= 1e-13
     for got, want in ((left, left_svd), (right, right_svd)):
         assert np.abs(got.T @ got - np.eye(K)).max() <= 1e-13
@@ -324,24 +324,52 @@ def test_k_by_k_finish_matches_the_thin_svd_step(monkeypatch, grading, K, spread
 
 
 def test_k_by_k_finish_holds_one_tall_array(monkeypatch):
-    """Above its inputs the step holds M = Bt U_K (L x K) rotated in place
-    one block of rows at a time, the m x K left vectors, and arrays of C and
-    K columns: B B^T and its eigenvectors, M^T M and its, U_K and U_K Y. A
-    finish that keeps a second L x K array (a GEMM's M Y, or a thin SVD's
-    vectors) exceeds it."""
+    """Above its inputs the step holds the Gram matrix B B^T, summed over
+    row blocks of Bt = A^T basis, then M = A^T (basis U_K) (L x K) rotated
+    in place one block of rows at a time, basis U_K and the m x K left
+    vectors, and arrays of C and K columns: the Gram matrix's block sum and
+    eigenvectors, M^T M and its, U_K and Y. Bt (L x C) is never whole, and
+    a finish that keeps a second L x K array (a GEMM's M Y, or a thin
+    SVD's vectors) exceeds the bound."""
     A, basis, Bt = _ritz_inputs(2.0)
+    At = A.T.tocsr()
     (m, C), L, K, rows = basis.shape, Bt.shape[0], 60, 64
     monkeypatch.setattr(spectral, "RITZ_BLOCK_BYTES", 8 * K * rows)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        spectral._rayleigh_ritz(basis, Bt, K)
+        spectral._rayleigh_ritz(basis, At, K)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
     allocated = 8 * (L * K + rows * K + m * K + 2 * C * C + 2 * K * K + 2 * C * K + 2 * C)
     assert peak <= allocated + 2**14, (peak, allocated)
     assert allocated + 2**14 < 8 * 2 * L * K
+
+
+def test_truncated_svd_never_holds_the_whole_projection(monkeypatch):
+    """Above its input, truncated_svd holds the Krylov basis buffer (m x
+    blocks * s), one C x C array and at most three arrays of L rows and at
+    most s columns: a block, its Fortran copy and the next, or in the
+    Rayleigh-Ritz step Bt U_K and its singular vectors (this input's spread
+    takes the thin-SVD finish). Bt = A^T basis (L x C) is formed one row
+    block at a time; holding it whole on top exceeds the bound."""
+    ((matrix, K, power_iters),) = [c.values for c in _ritz_cases() if c.id == "blocked-600x1500-K250"]
+    (m, L), s = matrix.shape, K + 8
+    blocks = 3
+    C = min(m, blocks * s)
+    monkeypatch.setattr(spectral, "RITZ_BLOCK_BYTES", 8 * C * 64)
+    truncated_svd(matrix, K, power_iters=power_iters, seed=4)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        truncated_svd(matrix, K, power_iters=power_iters, seed=4)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    bound = 8 * (m * blocks * s + C * C + 3 * L * s)
+    assert peak <= bound, (peak, bound)
+    assert bound < peak + 8 * L * C
 
 
 def _ritz_routes():
@@ -358,7 +386,7 @@ def _ritz_routes():
 def test_rayleigh_ritz_logs_its_finish(caplog, A, K, route, spread):
     basis = np.linalg.qr(A)[0]
     with caplog.at_level(logging.DEBUG, logger="sgfcf"):
-        spectral._rayleigh_ritz(basis, A.T @ basis, K)
+        spectral._rayleigh_ritz(basis, A.T, K)
     (record,) = [r for r in caplog.records if r.name == "sgfcf"]
     assert record.levelno == logging.DEBUG
     message = record.getMessage()
