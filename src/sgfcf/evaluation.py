@@ -141,13 +141,15 @@ def _evaluate_pass(groups, dataset: InteractionDataset, k: int, split: str, thre
     ``add_gamma_term``). The scorers share one train matrix; those with a
     gamma above 0 are SgfcfModels of one normalized matrix. Per chunk of
     users, the exclusion, the ``gamma_block`` and each scorer's score_users
-    run once. The chunks run on a ``parallel.BlockPool`` of ``threads``
-    workers (0 = every CPU the process may run on), capped at the chunk
-    count, and each chunk's metrics are stored at its index, so each
-    scoring's per-user metrics are joined in chunk order and no result
-    depends on the worker count or the chunk size. On more than one worker
-    the pass runs inside ``parallel.one_blas_thread``. Returns one list of
-    results per group, aligned with its gammas.
+    run once; a scorer's gamma-0 scorings rank its scores in place, so
+    only its positive gammas but the last copy them. The chunks run on a
+    ``parallel.BlockPool`` of ``threads`` workers (0 = every CPU the
+    process may run on), capped at the chunk count, and each chunk's
+    metrics are stored at its index, so each scoring's per-user metrics
+    are joined in chunk order and no result depends on the worker count
+    or the chunk size. On more than one worker the pass runs inside
+    ``parallel.one_blas_thread``. Returns one list of results per group,
+    aligned with its gammas.
     """
     check_integer("k", k, lo=1)
     if split not in ("val", "test"):
@@ -189,15 +191,17 @@ def _evaluate_pass(groups, dataset: InteractionDataset, k: int, split: str, thre
         out = []
         for scorer, gammas in groups:
             base = np.asarray(scorer.score_users(users), dtype=np.float64)
-            metrics = []
-            for n, gamma in enumerate(gammas):
-                scores = base if n == len(gammas) - 1 else base.copy()
-                if gamma > 0:
-                    add_gamma_term(scores, gamma, block)
-                scores[excluded] = -np.inf
-                metrics.append(user_metrics(scores, users))
+            base[excluded] = -np.inf
+            # gamma 0 ranks the base in place, before any gamma term is
+            # added; the term is finite (check_score_bound), so excluded
+            # entries stay -inf under each later add
+            metrics = [user_metrics(base, users) if gamma == 0 else None for gamma in gammas]
+            positive = [n for n, gamma in enumerate(gammas) if gamma > 0]
+            for n in positive:
+                scores = base if n == positive[-1] else base.copy()
+                metrics[n] = user_metrics(add_gamma_term(scores, gammas[n], block.__getitem__), users)
             out.append(metrics)
-            del base, scores  # before the next scorer's rows are made
+            base = scores = None  # before the next scorer's rows are made
         return out
 
     per_chunk = [None] * len(chunks)
@@ -305,7 +309,8 @@ class GridSpec:
             step = AXIS_STEPS[name]
             for v in values:
                 check_real(f"axis {name!r} value", v)
-                if abs(v / step - round(v / step)) > 1e-9:
+                # a finite v near the float limit can overflow v / step to inf
+                if not np.isfinite(v / step) or abs(v / step - round(v / step)) > 1e-9:
                     raise ConfigError(f"axis {name!r} value {v} is not on the step-{step} lattice")
         if self.selection_metric not in ("ndcg", "recall"):
             raise ConfigError(f"selection_metric must be 'ndcg' or 'recall', got {self.selection_metric!r}")

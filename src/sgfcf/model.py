@@ -295,9 +295,11 @@ def score_user(model: SgfcfModel, u: int) -> np.ndarray:
 def score_users(model: SgfcfModel, users) -> np.ndarray:
     """Score rows for a batch of users (rows align with ``users``).
 
-    Memory is O(len(users) * max(|U|, |I|)); callers bound it by chunking.
-    A non-empty batch must be of integer dtype (bools are not), else
-    ConfigError.
+    Beside the len(users) x |I| result, the gamma term holds the dense
+    |U| x len(users) D = W W_users^T and one GAMMA_TILE item tile of
+    W^T D at a time, never the whole |I| x len(users) ``gamma_block``;
+    callers bound the memory by chunking. A non-empty batch must be of
+    integer dtype (bools are not), else ConfigError.
     """
     users = np.asarray(users)
     if len(users) and users.dtype.kind not in "iu":
@@ -307,36 +309,47 @@ def score_users(model: SgfcfModel, users) -> np.ndarray:
         raise UnknownUser("user id outside valid range in batch")
     scores = _tie_duplicates(model, model.user_factors[users] @ model.item_factors.T)
     if model.config.gamma > 0:
-        return add_gamma_term(scores, model.config.gamma, gamma_block(model.norm, users))
+        D = _gamma_dense(model.norm, users)
+        return add_gamma_term(scores, model.config.gamma, lambda tile: model.norm.values_t[tile] @ D)
     return scores
 
 
-def gamma_block(norm: NormalizedMatrix, users: np.ndarray) -> np.ndarray:
-    """W^T (W W_users^T), the |I| x len(users) block behind the gamma term.
-
-    It goes through a dense |U| x len(users) block; the sparse product
-    W_users W^T W fills in to nearly dense and costs several times more.
-    """
+def _gamma_dense(norm: NormalizedMatrix, users: np.ndarray) -> np.ndarray:
+    """W W_users^T as a dense |U| x len(users) block; the sparse product
+    W_users W^T W fills in to nearly dense and costs several times more."""
     W = norm.values
-    return norm.values_t @ (W @ W[users].T).toarray()
+    return (W @ W[users].T).toarray()
+
+
+def gamma_block(norm: NormalizedMatrix, users: np.ndarray) -> np.ndarray:
+    """W^T (W W_users^T), the whole |I| x len(users) block behind the
+    gamma term, for a caller that adds it several times (a grid's gammas
+    on one chunk); ``add_gamma_term(scores, gamma, block.__getitem__)``
+    adds it."""
+    return norm.values_t @ _gamma_dense(norm, users)
 
 
 # Item columns per step of add_gamma_term's transposed add.
 GAMMA_TILE = 256
 
 
-def add_gamma_term(scores: np.ndarray, gamma: float, block: np.ndarray) -> np.ndarray:
-    """``scores += gamma * block.T`` in place.
+def add_gamma_term(scores: np.ndarray, gamma: float, tile_rows) -> np.ndarray:
+    """``scores += gamma * B.T`` in place, B the |I| x len(users)
+    ``gamma_block``, of which ``tile_rows(tile)`` gives the rows in the
+    slice ``tile``.
 
     The add runs over GAMMA_TILE item columns at a time, which keeps the
     transposed reads in cache and never materializes the whole scaled
-    transpose; each entry gets the same single add either way. A
-    duplicate item's row of ``gamma_block`` equals its source's bit for
-    bit (their columns of W are equal, and the sparse product sums each
-    in the same order), so scores tied before the add stay tied after it.
+    transpose, nor B when ``tile_rows`` forms each tile as it is asked.
+    Each entry gets the same single add either way, and a row of W^T D
+    (a CSR row times a dense D) sums its stored entries in the same order
+    whatever row slice it is formed in. A duplicate item's row of B equals
+    its source's bit for bit (their columns of W are equal), so scores
+    tied before the add stay tied after it.
     """
-    for start in range(0, block.shape[0], GAMMA_TILE):
-        scores[:, start : start + GAMMA_TILE] += gamma * block[start : start + GAMMA_TILE].T
+    for start in range(0, scores.shape[1], GAMMA_TILE):
+        tile = slice(start, start + GAMMA_TILE)
+        scores[:, tile] += gamma * tile_rows(tile).T
     return scores
 
 

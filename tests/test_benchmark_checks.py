@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 from sgfcf import IgfConfig, SgfcfConfig, SplitConfig, fit, ingest, split
+from sgfcf import model as model_module
 from sgfcf.evaluation import evaluate
+from sgfcf.model import model_summary
 from sgfcf.theory import random_bipartite_graph
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -35,15 +37,23 @@ def dataset(tmp_path_factory):
     return split(ingest(str(path)), SplitConfig(train_ratio=0.8, val_ratio=0.05, seed=3))
 
 
+GAMMA = SgfcfConfig(K=24, igf=IgfConfig(beta=1.6, beta1=1.6, beta2=1.6), gamma=0.2, seed=3)
+
+
 @pytest.mark.parametrize(
-    "config",
+    "config, tile",
     [
-        SgfcfConfig(K=24, igf=IgfConfig(beta=1.6, beta1=1.2, beta2=2.0), seed=3),
-        SgfcfConfig(K=24, igf=IgfConfig(beta=1.6, beta1=1.6, beta2=1.6), gamma=0.2, seed=3),
+        (SgfcfConfig(K=24, igf=IgfConfig(beta=1.6, beta1=1.2, beta2=2.0), seed=3), None),
+        (GAMMA, None),
+        # 120 items in tiles of 7: score_users adds the gamma term across
+        # tile boundaries that score_user and recommend do not have
+        (GAMMA, 7),
     ],
-    ids=["gamma0", "gamma0.2"],
+    ids=["gamma0", "gamma0.2", "gamma0.2-tile7"],
 )
-def test_benchmark_checks_pass(checks, dataset, config):
+def test_benchmark_checks_pass(checks, dataset, config, tile, monkeypatch):
+    if tile is not None:
+        monkeypatch.setattr(model_module, "GAMMA_TILE", tile)
     model = fit(dataset, config)
     users = np.unique(dataset.test[:, 0])
     lists = {int(u): model.recommend(int(u), k=K) for u in users}
@@ -54,6 +64,7 @@ def test_benchmark_checks_pass(checks, dataset, config):
         result = evaluate(model, dataset, k=K, split=split_name)
         assert checks.metric_problems(result, dataset, split_name, split_name) == []
     assert np.isfinite(checks.svd_residual_max(model))
+    assert checks.svd_residual_max(model) == model_summary(model)["svd_residual_max"]
 
     # the cross-check sees a recommend list that evaluate would not rank
     u = next(u for u, ranked in lists.items() if ranked.scores[0] > ranked.scores[1])

@@ -353,11 +353,12 @@ def test_evaluate_equals_the_reference_on_a_fitted_model(chunk, k):
 
 def test_gamma_evaluate_holds_only_its_chunk_arrays(monkeypatch):
     """Above the fitted model, a gamma-on evaluate holds about EVAL_CHUNK
-    score rows, gamma blocks (|I| each) and dense W W_users^T columns (|U|
-    each), split over its workers. The 25% over that covers top_k's
-    candidates and the sparse W W_users^T before it is made dense; a
-    worker holding EVAL_CHUNK users or a second copy of the scores
-    exceeds it."""
+    score rows (|I| each) and dense W W_users^T columns (|U| each), split
+    over its workers, and adds the gamma term one item tile at a time. The
+    bound's second |I| per row and its 25% cover the sparse W W_users^T
+    before it is made dense, which sets the peak at this shape, and top_k's
+    candidates; a worker holding EVAL_CHUNK users or a second copy of the
+    scores exceeds it."""
     n_users, n_items = 600, 900
     rng = np.random.default_rng(5)
     R = random_bipartite_graph(rng, n_users, n_items, target_edges=20 * n_users).tocoo()
@@ -944,6 +945,10 @@ class TestGridSpec:
         with pytest.raises(ConfigError):
             GridSpec(axes={"gamma": [0.05]})
         GridSpec(axes={"alpha": [0.0, 3.0, 16.0], "gamma": [0.0, 0.3]})
+        # finite values whose quotient by the step overflows to inf
+        for axes in ({"gamma": [1e308]}, {"epsilon": [-1e307]}):
+            with pytest.raises(ConfigError, match="lattice"):
+                GridSpec(axes=axes)
 
     @pytest.mark.parametrize(
         "axes",

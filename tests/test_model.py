@@ -1,5 +1,6 @@
 import re
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -350,6 +351,31 @@ class TestScoreUser:
         expected += 0.3 * (W.T @ (W @ W[users].T).toarray()).T
         expected[:, model.duplicate_items] = expected[:, model.duplicate_sources]
         assert np.array_equal(score_users(model, users), expected)
+
+    def test_gamma_scores_hold_no_items_by_users_block(self):
+        """With |I| >> |U| the gamma term holds the dense W W_users^T and
+        one item tile of W^T W W_users^T at a time. The bound counts the
+        result rows, the duplicate-tie gather, W W_users^T dense and sparse,
+        and a tile with its scaled copy; the whole |I| x n block of W^T W
+        W_users^T adds |I| columns more and exceeds it."""
+        n_users, n_items = 300, 3000
+        R = random_bipartite_graph(np.random.default_rng(5), n_users, n_items, target_edges=10 * n_items).tocoo()
+        dataset = dataset_from_pairs(list(zip(R.row.tolist(), R.col.tolist())), n_users=n_users, n_items=n_items)
+        model = fit(dataset, SgfcfConfig(K=16, gamma=0.2))
+        users = np.arange(0, n_users, 2)
+        W = model.norm.values
+        sparse_bytes = 16 * (W @ W[users].T).nnz
+        score_users(model, users)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            score_users(model, users)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        columns = n_items + len(model.duplicate_items) + n_users + 2 * model_module.GAMMA_TILE
+        bound = 8 * len(users) * columns + sparse_bytes
+        assert peak <= bound, (peak, bound)
 
 
 class TestRecommend:
