@@ -7,8 +7,11 @@ A fitted model scores user u against item i as
 
 where W is the renormalized interaction matrix, (P, Q, sigma) its
 truncated SVD, and the per-node exponents come from the homophily
-mapping. The second term reintroduces an all-frequency signal scaled
-by gamma. There is no iterative training anywhere in the pipeline.
+mapping. A filter g that all nodes share gives g(sigma_norm[k])^2 in
+place of the power; the model then folds it into the factors of the
+side with fewer rows and scores with the spectrum's own P or Q on the
+other. The second term reintroduces an all-frequency signal scaled by
+gamma. There is no iterative training anywhere in the pipeline.
 """
 
 from __future__ import annotations
@@ -101,8 +104,12 @@ class SgfcfModel:
     norm: NormalizedMatrix
     config: SgfcfConfig
     train_csr: sp.csr_matrix
-    user_factors: np.ndarray  # P weighted by per-user filter values
-    item_factors: np.ndarray  # Q weighted by per-item filter values
+    # user_factors[u] . item_factors[i] is the factor score (see
+    # _factor_weights): shared filter, g(sigma)^2 times P or Q on the side
+    # with fewer rows and the spectrum's own Q or P on the other;
+    # individualized, P and Q weighted by per-node filter values
+    user_factors: np.ndarray
+    item_factors: np.ndarray
     duplicate_items: np.ndarray  # items whose train column equals a lower id's
     duplicate_sources: np.ndarray  # the lowest id sharing each one's column
     factor_bound: float  # bounds every factor score (see _factor_weights)
@@ -135,33 +142,45 @@ def _factor_weights(
     config: SgfcfConfig,
     profile: IgfProfile | None,
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Row-wise filter values applied to P and Q, and a bound on every
-    factor score.
+    """The user and item factors, whose row products are the factor
+    scores, and a bound on every factor score.
 
-    Shared path (no profile): both sides get the (1, K) row g(sigma) of
-    the config's shared filter, broadcast over nodes, so the score sees
-    g(sigma)^2. Individualized path: user u gets sigma^beta_u, item i gets
+    Shared path (no profile): every node has the config's shared filter
+    g, so the score sums P[u,k] g(sigma_k)^2 Q[i,k]. The (1, K) row
+    g(sigma)^2 is folded into the side with fewer rows, and the other
+    side's factors are the spectrum's own P or Q, not a copy.
+    Individualized path: user u gets sigma^beta_u, item i gets
     sigma^beta_i, so the score picks up sigma^(beta_u + beta_i); each side
-    gets an (n, K) weight.
+    is its (n, K) weight multiplied by P or Q in place.
 
     Rows of P and Q have norm at most 1, so by Cauchy-Schwarz
-    max|user w| * max|item w| bounds every factor score. Raises
-    ConfigError, naming the filter, when a weight or that bound is not
-    finite.
+    max|user w| * max|item w| (max g^2 on the shared path) bounds every
+    factor score. Raises ConfigError, naming the filter, when a weight or
+    that bound is not finite.
     """
     sigma = spectrum.sigma_normalized
     if profile is None:
-        user_w = item_w = eval_filter(config.shared_filter, sigma)[None, :]
+        g = eval_filter(config.shared_filter, sigma)
+        with np.errstate(over="ignore"):
+            folded = g * g
+        bound = folded.max()
     else:
         user_w = np.power(sigma[None, :], profile.user_beta[:, None])
         item_w = np.power(sigma[None, :], profile.item_beta[:, None])
-    with np.errstate(over="ignore"):
-        # max|w| per side, with no n x K temporary
-        bound = np.maximum(user_w.max(), -user_w.min()) * np.maximum(item_w.max(), -item_w.min())
+        with np.errstate(over="ignore"):
+            # max|w| per side, with no n x K temporary
+            bound = np.maximum(user_w.max(), -user_w.min()) * np.maximum(item_w.max(), -item_w.min())
     if not np.isfinite(bound):
         name = config.shared_filter if profile is None else f"IGF over [{config.igf.beta1}, {config.igf.beta2}]"
         raise ConfigError(f"{name} gives filter weights whose factor scores are not finite")
-    return spectrum.P * user_w, spectrum.Q * item_w, float(bound)
+    P, Q = spectrum.P, spectrum.Q
+    if profile is None:
+        if len(P) <= len(Q):
+            return P * folded, Q, float(bound)
+        return P, Q * folded, float(bound)
+    user_w *= P
+    item_w *= Q
+    return user_w, item_w, float(bound)
 
 
 def check_score_bound(factor_bound: float, gamma: float, norm: NormalizedMatrix) -> None:
@@ -199,9 +218,9 @@ def fit(
     runs before the SVD, so a config it rejects fails before the costly
     stage. Homophily and the exponent profile are built only for an
     individualized config; a shared one (``config.shared_filter``, which
-    covers beta1 == beta2) weights both sides by one row of its filter,
-    leaves ``model.profile`` None and keeps whatever scores were passed
-    in as ``model.homophily``.
+    covers beta1 == beta2) folds its filter row, squared, into the side
+    with fewer rows (see _factor_weights), leaves ``model.profile`` None
+    and keeps whatever scores were passed in as ``model.homophily``.
     """
     start = time.perf_counter()
     shape = (dataset.n_users, dataset.n_items)
@@ -292,12 +311,18 @@ def score_user(model: SgfcfModel, u: int) -> np.ndarray:
     return _tie_duplicates(model, scores)
 
 
+# Item columns per step of add_gamma_term's transposed add, and user rows
+# per piece of _gamma_dense.
+GAMMA_TILE = 256
+
+
 def score_users(model: SgfcfModel, users) -> np.ndarray:
     """Score rows for a batch of users (rows align with ``users``).
 
     Beside the len(users) x |I| result, the gamma term holds the dense
     |U| x len(users) D = W W_users^T and one GAMMA_TILE item tile of
-    W^T D at a time, never the whole |I| x len(users) ``gamma_block``;
+    W^T D at a time (and, while D is filled, one GAMMA_TILE-row piece of
+    its sparse form), never the whole |I| x len(users) ``gamma_block``;
     callers bound the memory by chunking. A non-empty batch must be of
     integer dtype (bools are not), else ConfigError.
     """
@@ -316,9 +341,19 @@ def score_users(model: SgfcfModel, users) -> np.ndarray:
 
 def _gamma_dense(norm: NormalizedMatrix, users: np.ndarray) -> np.ndarray:
     """W W_users^T as a dense |U| x len(users) block; the sparse product
-    W_users W^T W fills in to nearly dense and costs several times more."""
+    W_users W^T W fills in to nearly dense and costs several times more.
+
+    The dense block is allocated first and filled GAMMA_TILE rows at a
+    time, so only one piece of the sparse product is live beside it. A
+    row of a sparse product sums over the row's own entries in stored
+    order, so the pieces equal the rows of the whole product bit for bit.
+    """
     W = norm.values
-    return (W @ W[users].T).toarray()
+    users_t = W[users].T.tocsr()
+    D = np.empty((W.shape[0], len(users)))
+    for lo in range(0, W.shape[0], GAMMA_TILE):
+        (W[lo : lo + GAMMA_TILE] @ users_t).toarray(out=D[lo : lo + GAMMA_TILE])
+    return D
 
 
 def gamma_block(norm: NormalizedMatrix, users: np.ndarray) -> np.ndarray:
@@ -327,10 +362,6 @@ def gamma_block(norm: NormalizedMatrix, users: np.ndarray) -> np.ndarray:
     on one chunk); ``add_gamma_term(scores, gamma, block.__getitem__)``
     adds it."""
     return norm.values_t @ _gamma_dense(norm, users)
-
-
-# Item columns per step of add_gamma_term's transposed add.
-GAMMA_TILE = 256
 
 
 def add_gamma_term(scores: np.ndarray, gamma: float, tile_rows) -> np.ndarray:

@@ -112,7 +112,8 @@ class TruncatedSpectrum:
         return len(self.sigma)
 
     def truncate(self, K: int) -> "TruncatedSpectrum":
-        """First K triplets. Normalization is preserved (same sigma_1)."""
+        """First K triplets. Normalization is preserved (same sigma_1).
+        The arrays are views, read-only when this spectrum's are."""
         check_integer("K", K, 1, len(self), KTooLarge)
         return TruncatedSpectrum(
             sigma=self.sigma[:K],
@@ -134,7 +135,8 @@ def _as_matrix(norm) -> sp.csr_matrix | np.ndarray:
 
 
 def _finalize(U: np.ndarray, sigma: np.ndarray, V: np.ndarray, K: int) -> TruncatedSpectrum:
-    """Prune numerically-zero values, fix signs, and validate orthonormality."""
+    """Prune numerically-zero values, fix signs, and validate orthonormality.
+    The spectrum's arrays are read-only."""
     if len(sigma) == 0 or sigma[0] <= 0.0:
         raise ConvergenceFailure("no positive singular values found")
     keep = sigma > ZERO_PRUNE_REL * sigma[0]
@@ -152,12 +154,11 @@ def _finalize(U: np.ndarray, sigma: np.ndarray, V: np.ndarray, K: int) -> Trunca
             raise ConvergenceFailure(
                 f"{name} columns lost orthonormality (max deviation {gram_err:.3e})"
             )
-    return TruncatedSpectrum(
-        sigma=sigma.copy(),
-        P=np.ascontiguousarray(U),
-        Q=np.ascontiguousarray(V),
-        sigma_normalized=sigma / sigma[0],
-    )
+    arrays = sigma.copy(), np.ascontiguousarray(U), np.ascontiguousarray(V), sigma / sigma[0]
+    for array in arrays:
+        # a fitted model's factors may be these arrays or views of them
+        array.flags.writeable = False
+    return TruncatedSpectrum(*arrays)
 
 
 def validate_svd_settings(oversample: int, power_iters: int, seed: int) -> None:

@@ -20,11 +20,13 @@ from sgfcf import (
     build_graph,
     dataset_from_pairs,
     dense_svd,
+    eval_filter,
     fit,
     g2n_normalize,
     recommend,
     score_user,
     score_users,
+    top_k_svd,
     truncated_svd,
 )
 from sgfcf.errors import BandOutOfRange, ConfigError, KTooLarge, SgfcfError, UnknownUser
@@ -229,6 +231,89 @@ def test_overflowing_gamma_term_raises(filter_dataset):
         fit(filter_dataset, SgfcfConfig(K=8, g2n=g2n, gamma=1e308))
     model = fit(filter_dataset, SgfcfConfig(K=8, g2n=g2n, gamma=1e300))
     assert np.isfinite(score_users(model, np.arange(model.n_users))).all()
+
+
+def _shaped_dataset(n_users, n_items, edges_per_node=None):
+    edges = n_users * n_items // 4 if edges_per_node is None else edges_per_node * max(n_users, n_items)
+    R = random_bipartite_graph(np.random.default_rng(40), n_users, n_items, target_edges=edges)
+    coo = R.tocoo()
+    return dataset_from_pairs(list(zip(coo.row.tolist(), coo.col.tolist())), n_users=n_users, n_items=n_items)
+
+
+# items outnumber users, then users outnumber items
+ORIENTATIONS = pytest.mark.parametrize("n_users, n_items", [(30, 60), (60, 30)], ids=["wide", "tall"])
+
+
+class TestSharedFold:
+    """A shared filter folds g(sigma)^2 into the side with fewer rows; the
+    other side scores with the spectrum's own P or Q."""
+
+    @ORIENTATIONS
+    def test_larger_side_is_the_spectrums_array(self, n_users, n_items):
+        dataset = _shaped_dataset(n_users, n_items)
+        model = fit(dataset, SgfcfConfig(K=12, filter=ExponentialFilter(2.0)))
+        spec = model.spectrum
+        larger, own = (model.item_factors, spec.Q) if n_items > n_users else (model.user_factors, spec.P)
+        assert larger is own
+        # a grid's spectrum holds more triplets than K: a column view of it
+        wider = fit(dataset, SgfcfConfig(K=16, filter=ExponentialFilter(2.0))).spectrum
+        cut = fit(dataset, SgfcfConfig(K=12, filter=ExponentialFilter(2.0)), spectrum=wider)
+        larger, own = (cut.item_factors, wider.Q) if n_items > n_users else (cut.user_factors, wider.P)
+        assert np.shares_memory(larger, own) and larger.shape == (max(n_users, n_items), 12)
+        for name in ("user_factors", "item_factors"):
+            assert not np.shares_memory(getattr(cut, name), getattr(model, name))
+
+    @ORIENTATIONS
+    @pytest.mark.parametrize(
+        "family",
+        [MonomialFilter(1.6), ExponentialFilter(2.0), MarkovFilter(3), JacobiFilter(0.5, 1.5, 4), BandFilter(3)],
+        ids=lambda family: type(family).__name__,
+    )
+    def test_scores_equal_the_unfolded_product(self, n_users, n_items, family):
+        dataset = _shaped_dataset(n_users, n_items)
+        model = fit(dataset, SgfcfConfig(K=12, filter=family))
+        spec = model.spectrum
+        g = eval_filter(family, spec.sigma_normalized)
+        reference = (spec.P * g) @ (spec.Q * g).T
+        got = score_users(model, np.arange(n_users))
+        assert np.abs(got - reference).max() <= 1e-12 * np.abs(reference).max()
+
+    @ORIENTATIONS
+    def test_fit_on_a_given_spectrum_allocates_no_larger_side_array(self, n_users, n_items):
+        # Beside the smaller side's folded factors (half the bound) the
+        # duplicate-item scan holds about 110 bytes per item; a weighted
+        # copy of the larger side alone would reach the bound.
+        n_users, n_items, K = 20 * n_users, 20 * n_items, 60
+        dataset = _shaped_dataset(n_users, n_items, edges_per_node=3)
+        graph = build_graph(dataset)
+        config = SgfcfConfig(K=K, filter=MonomialFilter(1.6))
+        norm = g2n_normalize(graph, config.g2n)
+        spec = top_k_svd(norm, K + 4)
+        fit(dataset, config, graph=graph, norm=norm, spectrum=spec)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            fit(dataset, config, graph=graph, norm=norm, spectrum=spec)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * max(n_users, n_items) * K, peak
+
+    def test_individualized_factors_are_the_weighted_spectrum_bit_for_bit(self):
+        dataset = _shaped_dataset(30, 60)
+        model = fit(dataset, SgfcfConfig(K=12, igf=IgfConfig(beta=1.6, beta1=1.2, beta2=2.0)))
+        spec, profile = model.spectrum, model.profile
+        sigma = spec.sigma_normalized[None, :]
+        assert np.array_equal(model.user_factors, spec.P * np.power(sigma, profile.user_beta[:, None]))
+        assert np.array_equal(model.item_factors, spec.Q * np.power(sigma, profile.item_beta[:, None]))
+
+    def test_writing_into_the_spectrums_factors_raises(self):
+        dataset = _shaped_dataset(30, 60)
+        model = fit(dataset, SgfcfConfig(K=12, filter=MonomialFilter(1.6)))
+        before = model.spectrum.Q.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            model.item_factors[0, 0] = 1.0
+        assert np.array_equal(model.spectrum.Q, before)
 
 
 class TestScoreUser:

@@ -200,6 +200,21 @@ def test_svd_leaves_its_input_intact_and_repeats_bit_for_bit(matrix, solver):
             assert getattr(first, name).tobytes() == getattr(plain, name).tobytes()
 
 
+@pytest.mark.parametrize(
+    "solver",
+    [lambda norm: truncated_svd(norm, 6, seed=2), lambda norm: gram_svd(norm, 6), dense_svd],
+    ids=["krylov", "gram", "dense"],
+)
+def test_spectra_are_read_only(solver):
+    # a fitted model scores with the spectrum's own P or Q, or a column
+    # view of it, so a write into its factors must not reach the spectrum
+    spec = solver(normalized(random_graph(np.random.default_rng(17), 30, 20)))
+    for part in (spec, spec.truncate(3)):
+        for name in ("sigma", "P", "Q", "sigma_normalized"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(part, name)[0] = 1.0
+
+
 def test_truncated_svd_never_calls_numpys_qr(monkeypatch):
     """numpy's QR takes about twice as long as scipy's at the benchmark's
     block sizes."""
