@@ -43,7 +43,7 @@ from .graph import (
     duplicate_item_sources,
     g2n_normalize,
 )
-from .spectral import TruncatedSpectrum, svd_residual_max, top_k_svd, validate_svd_settings
+from .spectral import TruncatedSpectrum, gram_bound, svd_residual_max, top_k_svd, validate_svd_settings
 
 
 @dataclass(frozen=True)
@@ -185,14 +185,13 @@ def _factor_weights(
 
 def check_score_bound(factor_bound: float, gamma: float, norm: NormalizedMatrix) -> None:
     """Raise ConfigError unless factor_bound + gamma * b^3 is finite, with
-    b = sqrt(||W||_1 ||W||_inf) >= sigma_1(W). Every entry of W W^T W is at
+    b = sqrt(gram_bound(W)) >= sigma_1(W). Every entry of W W^T W is at
     most sigma_1^3 in magnitude, so the sum bounds every score at this
-    gamma; b takes one pass over W's stored entries."""
+    gamma."""
     if gamma == 0:
         return
-    W = abs(norm.values)
+    b = np.sqrt(gram_bound(norm.values))
     with np.errstate(over="ignore"):
-        b = np.sqrt(W.sum(axis=0).max() * W.sum(axis=1).max())
         bound = factor_bound + gamma * b**3
     if not np.isfinite(bound):
         raise ConfigError(f"gamma={gamma} gives scores whose bound {factor_bound} + gamma * {b:.6g}^3 is not finite")

@@ -123,14 +123,28 @@ class TruncatedSpectrum:
         )
 
 
+def gram_bound(A) -> float:
+    """b^2 = ||A||_1 ||A||_inf >= sigma_1(A)^2, which bounds every entry of
+    A A^T, A^T A and the Rayleigh-Ritz Gram matrices. It takes one pass
+    over A's entries, and is inf when it overflows and NaN or inf when an
+    entry is."""
+    magnitude = abs(A)
+    with np.errstate(over="ignore"):
+        norm_1, norm_inf = (np.asarray(magnitude.sum(axis=axis)).max(initial=0.0) for axis in (0, 1))
+        return float(norm_1 * norm_inf)
+
+
 def _as_matrix(norm) -> sp.csr_matrix | np.ndarray:
-    """The matrix behind ``norm``. A raw matrix holding NaN or inf raises
-    ConfigError before it reaches LAPACK; a NormalizedMatrix is finite by
-    construction and is not scanned."""
+    """The matrix behind ``norm``. A raw matrix holding NaN or inf, or one
+    whose ``gram_bound`` is not finite, raises ConfigError before it
+    reaches LAPACK. A NormalizedMatrix is finite by construction and is
+    not scanned."""
     if isinstance(norm, NormalizedMatrix):
         return norm.values
-    if not np.isfinite(sp.csr_matrix(norm).data if sp.issparse(norm) else norm).all():
-        raise ConfigError("matrix holds NaN or infinite values")
+    if not np.isfinite(gram_bound(norm)):
+        if not np.isfinite(sp.csr_matrix(norm).data if sp.issparse(norm) else norm).all():
+            raise ConfigError("matrix holds NaN or infinite values")
+        raise ConfigError("matrix's Gram matrix may overflow: ||A||_1 ||A||_inf is not finite")
     return norm
 
 
@@ -351,6 +365,11 @@ def gram_svd(norm, K: int) -> TruncatedSpectrum:
     basis spans the whole smaller side and the step is an exact SVD (it
     then holds two dense L x N arrays).
 
+    Each eigendecomposition overwrites G in place, so no copy of G is
+    held beside it; the full one comes after the subset's has overwritten
+    G, and forms G a second time. Both read the triangle of G above the
+    diagonal, equal bit for bit to the one below.
+
     For a sparse A, G is filled in row pieces on every CPU the process
     may run on (see ``_sparse_gram``); its bits do not depend on how many.
     """
@@ -360,11 +379,14 @@ def gram_svd(norm, K: int) -> TruncatedSpectrum:
     At = norm.values_t if isinstance(norm, NormalizedMatrix) else A.T
     S, St = (At, A) if items_small else (A, At)
     N = S.shape[0]
-    G = _sparse_gram(S, St) if sp.issparse(A) else S @ St
-    lam, basis = scipy.linalg.eigh(G, subset_by_index=[N - K, N - 1], driver="evr")
+
+    def gram_t():
+        # G is symmetric, so G.T is the Fortran-ordered array LAPACK overwrites
+        return (_sparse_gram(S, St) if sp.issparse(A) else S @ St).T
+
+    lam, basis = scipy.linalg.eigh(gram_t(), subset_by_index=[N - K, N - 1], driver="evr", overwrite_a=True)
     if lam[0] <= SQRT_EPS * lam[-1]:
-        _, basis = scipy.linalg.eigh(G, driver="evd")
-    del G
+        _, basis = scipy.linalg.eigh(gram_t(), driver="evd", overwrite_a=True)
     left, sigma, right = _rayleigh_ritz(basis, St, K)
     if items_small:
         left, right = right, left
@@ -411,7 +433,7 @@ BLAS3_S = 4.1e-11  # one multiply-add of CholeskyQR2, a GEMM, or an order-C eige
 VECTOR_S = 6.9e-10  # forming vectors: per N^2 * K of ``evr``'s eigenvectors
 PASS_S = 1.7e-8  # one dense entry of a block, an eigh input or the Rayleigh-Ritz vectors, or the dense Gram matrix
 # Policy, not fitted: the Gram path is never taken when the small side's
-# dense Gram matrix (N^2 doubles) exceeds this; its peak is about 2.6 times that.
+# dense Gram matrix (N^2 doubles) exceeds this; its peak is about 1.4 times that.
 GRAM_MAX_BYTES = 2**29
 # Policy, not fitted: below the cap, the Gram path is also taken whenever its
 # estimate is under this. Either path then takes about a millisecond, mostly

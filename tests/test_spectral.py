@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 from scipy.stats import spearmanr
 
@@ -489,6 +490,68 @@ def test_sparse_gram_holds_one_pieces_product_at_a_time(monkeypatch):
     assert peak - 8 * S.shape[0] ** 2 <= 2 * product_bytes / spectral.GRAM_PIECES_PER_WORKER
 
 
+@pytest.mark.parametrize("shape", [(2000, 600), (600, 2000)], ids=["items-fewer", "users-fewer"])
+def test_gram_svd_holds_one_gram_matrix(shape):
+    """Its eigendecomposition overwrites G (8 N^2 bytes) in place. A
+    Fortran-ordered copy of G beside it took the peak to 2.13 times that."""
+    R = random_bipartite_graph(np.random.default_rng(0), *shape)
+    N = min(shape)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        gram_svd(R, 40)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * 8 * N * N, peak / (8 * N * N)
+
+
+@pytest.mark.parametrize("items_small", [True, False], ids=["items-fewer", "users-fewer"])
+def test_gram_matrices_are_symmetric_bit_for_bit(items_small):
+    # the in-place eigh reads the triangle of G that a copy would not
+    shape = (300, 200) if items_small else (200, 300)
+    A = normalized(graph_from_matrix(random_bipartite_graph(np.random.default_rng(9), *shape, exponent=2.1))).values
+    for A in (A, A.toarray()):
+        S, St = (A.T, A) if items_small else (A, A.T)  # as gram_svd orients a raw A
+        G = spectral._sparse_gram(S, St) if sp.issparse(A) else S @ St
+        assert np.array_equal(G, G.T)
+
+
+def _gram_svd_reference(matrix, K):
+    """gram_svd with each eigh on its own C-ordered copy of G, which scipy
+    copies to Fortran order: G is read from below its diagonal and never
+    overwritten."""
+    items_small = matrix.shape[1] < matrix.shape[0]
+    S, St = (matrix.T, matrix) if items_small else (matrix, matrix.T)
+    N = S.shape[0]
+    G = spectral._sparse_gram(S, St) if sp.issparse(matrix) else S @ St
+    lam, basis = scipy.linalg.eigh(G.copy(), subset_by_index=[N - K, N - 1], driver="evr")
+    if lam[0] <= spectral.SQRT_EPS * lam[-1]:
+        _, basis = scipy.linalg.eigh(G.copy(), driver="evd")
+    left, sigma, right = spectral._rayleigh_ritz(basis, St, K)
+    if items_small:
+        left, right = right, left
+    return spectral._finalize(left, sigma, right, K)
+
+
+@pytest.mark.parametrize("matrix, K", _gram_cases())
+def test_gram_svd_overwrites_g_with_the_same_bits(monkeypatch, matrix, K):
+    """The same spectrum bit for bit as eigh on an unshared copy. A sparse
+    G is formed once, and once more for the full eigendecomposition when
+    lambda_K <= sqrt(eps) * lambda_1."""
+    reference = _gram_svd_reference(matrix, K)
+    formed = []
+    sparse_gram = spectral._sparse_gram
+    monkeypatch.setattr(spectral, "_sparse_gram", lambda S, St: formed.append(S.shape) or sparse_gram(S, St))
+    spec = gram_svd(matrix, K)
+    for name in ("sigma", "P", "Q"):
+        assert np.array_equal(getattr(spec, name), getattr(reference, name)), name
+    if sp.issparse(matrix):
+        lam = np.linalg.svd(matrix.toarray(), compute_uv=False) ** 2
+        resolved = lam[K - 1] > np.sqrt(np.finfo(np.float64).eps) * lam[0]
+        assert len(formed) == (1 if resolved else 2)
+
+
 def _bench_shapes():
     # users, items, target edges and exponent of perfbench/workloads.py's
     # graphs at its GRAPH_SEED 0, with each fit's K and power iterations
@@ -587,6 +650,21 @@ def test_a_raw_matrix_holding_nan_or_inf_raises_config_error(solver, bad, dense)
     A.data[3] = bad
     with pytest.raises(ConfigError, match="NaN or infinite"):
         solver(A.toarray() if dense else A)
+
+
+@pytest.mark.parametrize("solver", [truncated_svd, gram_svd, top_k_svd])
+@pytest.mark.parametrize("dense", [False, True], ids=["sparse", "dense"])
+def test_a_raw_matrix_whose_gram_overflows_raises_config_error(solver, dense):
+    # finite entries whose Gram matrix is not: scipy's ValueError from the
+    # Gram path, an overflow warning and LinAlgError from the Krylov path
+    A = sp.random(60, 40, density=0.2, random_state=1, format="csr") * 1e200
+    with pytest.raises(ConfigError, match="Gram matrix may overflow"):
+        solver(A.toarray() if dense else A, 4)
+    # b^2 = ||A||_1 ||A||_inf is finite 1e50 lower, and so is every Gram entry
+    A = A * 1e-50
+    spec = solver(A.toarray() if dense else A, 4)
+    sigma = np.linalg.svd(A.toarray(), compute_uv=False)[:4]
+    assert np.allclose(spec.sigma, sigma, rtol=1e-6, atol=0)
 
 
 class TestDenseSvd:
