@@ -30,7 +30,17 @@ from .errors import (
 )
 from .filters import BandFilter, IgfConfig
 from .graph import G2NConfig, build_graph, g2n_normalize
-from .model import RankedList, SgfcfConfig, add_gamma_term, check_score_bound, fit, gamma_block, svd_settings, top_k
+from .model import (
+    RankedList,
+    SgfcfConfig,
+    add_gamma_term,
+    check_score_bound,
+    factor_bytes,
+    fit,
+    gamma_block,
+    svd_settings,
+    top_k,
+)
 from .spectral import top_k_svd
 
 GRID_AXES = ("alpha", "epsilon", "K", "beta", "beta1", "beta2", "gamma")
@@ -41,13 +51,13 @@ AXIS_STEPS = {"alpha": 1.0, "epsilon": 0.02, "beta": 0.1, "beta1": 0.1, "beta2":
 # users, so memory stays at about EVAL_CHUNK score rows (and their top-k
 # work) whatever the worker count.
 EVAL_CHUNK = 512
-# Most bytes of user and item factors that grid_search keeps alive in one
-# validation pass; an (alpha, epsilon) group's factor sets beyond it are
-# validated in further passes, each of which recomputes the exclusion and
-# the gamma block. On criterion 9's one-alpha group at CiteULike shape
-# (577 MB of factors, 2 cores) 256 MiB cut the peak RSS of a single pass
-# from 1272 to 954 MB at no measured cost in time; 128 MiB saved 26 MB
-# more for 8% more time.
+# Most bytes of factors (``model.factor_bytes``) that grid_search keeps alive
+# in one validation pass; an (alpha, epsilon) group's factor sets beyond it
+# are validated in further passes, each of which recomputes the exclusion
+# and the gamma block. Criterion 9's shared group at CiteULike shape counts
+# 142 MB and takes one pass. Individualized, its sets count 577 MB, and 256
+# MiB cut a single pass's peak RSS from 1272 to 954 MB at no measured cost
+# in time (2 cores); 128 MiB saved 26 MB more for 8% more time.
 GRID_FACTOR_BYTES = 256 * 2**20
 
 log = logging.getLogger("sgfcf")
@@ -324,10 +334,6 @@ class GridSearchResult:
     table: list[dict]
 
 
-def _metric_value(result: MetricResult, name: str) -> float:
-    return result.ndcg_at_k if name == "ndcg" else result.recall_at_k
-
-
 def grid_search(
     dataset: InteractionDataset,
     grid: GridSpec,
@@ -407,7 +413,6 @@ def grid_search(
 
     # Only the best group so far keeps its stages past its turn, for the
     # test refit.
-    metric = grid.selection_metric
     validation: list = [None] * len(configs)
     best = None  # (rank, position, norm, spectrum)
     indexed = sorted(range(len(configs)), key=lambda n: (configs[n].g2n.alpha, configs[n].g2n.epsilon))
@@ -420,7 +425,7 @@ def grid_search(
         )
         for n, result in zip(group, results):
             validation[n] = result
-            rank = (_metric_value(result, metric), -n)
+            rank = (result.ndcg_at_k if grid.selection_metric == "ndcg" else result.recall_at_k, -n)
             if best is None or rank > best[0]:
                 best = (rank, n, norm, spectrum)
         del norm, spectrum
@@ -448,12 +453,13 @@ def _validate(configs, dataset, graph, norm, spectrum, homophily, k, split, thre
     share a set, fitted once at gamma 0; the sets go in runs within
     GRID_FACTOR_BYTES, each fitted for one ``_evaluate_pass``, which shares
     the exclusion, the gamma block and a set's scores per chunk."""
-    members = {}  # per factor set key, led by K: its configs' positions
+    members = {}  # per factor set key: its configs' positions
     for n, config in enumerate(configs):
         weights = config.shared_filter or (config.igf, config.delta, config.homo_mode, config.homo_scope)
         members.setdefault((config.K, config.g2n, weights), []).append(n)
     results = [None] * len(configs)
-    for batch in _factor_batches(members, graph.n_users + graph.n_items):
+    sizes = {key: factor_bytes(configs[ns[0]], graph.n_users, graph.n_items) for key, ns in members.items()}
+    for batch in _factor_batches(sizes):
         scorings = [
             (fit(dataset, replace(configs[members[key][0]], gamma=0.0),
                  graph=graph, norm=norm, spectrum=spectrum, homophily=homophily),
@@ -467,13 +473,12 @@ def _validate(configs, dataset, graph, norm, spectrum, homophily, k, split, thre
     return results
 
 
-def _factor_batches(members: dict, n_nodes: int) -> list[list]:
-    """The factor set keys of ``members``, each led by its K, in order,
-    cut into consecutive batches whose factors, n_nodes x K doubles per
-    set, stay within GRID_FACTOR_BYTES; a set above it is a batch alone."""
+def _factor_batches(sizes: dict) -> list[list]:
+    """The keys of ``sizes``, each a factor set's key mapped to the bytes
+    its factors own, in order, cut into consecutive batches that stay
+    within GRID_FACTOR_BYTES; a set above it is a batch alone."""
     batches, used = [], 0
-    for key in members:
-        size = 8 * n_nodes * key[0]
+    for key, size in sizes.items():
         if not batches or used + size > GRID_FACTOR_BYTES:
             batches.append([])
             used = 0

@@ -43,7 +43,7 @@ from .graph import (
     duplicate_item_sources,
     g2n_normalize,
 )
-from .spectral import TruncatedSpectrum, gram_bound, svd_residual_max, top_k_svd, validate_svd_settings
+from .spectral import TruncatedSpectrum, _sparse_gram, gram_bound, svd_residual_max, top_k_svd, validate_svd_settings
 
 
 @dataclass(frozen=True)
@@ -183,6 +183,14 @@ def _factor_weights(
     return user_w, item_w, float(bound)
 
 
+def factor_bytes(config: SgfcfConfig, n_users: int, n_items: int) -> int:
+    """Bytes of the factors ``fit`` makes beside the spectrum (see
+    _factor_weights): K doubles per node of the side with fewer rows for a
+    shared filter, whose other side is the spectrum's, and of both sides
+    for an individualized config."""
+    return 8 * config.K * (min(n_users, n_items) if config.shared_filter is not None else n_users + n_items)
+
+
 def check_score_bound(factor_bound: float, gamma: float, norm: NormalizedMatrix) -> None:
     """Raise ConfigError unless factor_bound + gamma * b^3 is finite, with
     b = sqrt(gram_bound(W)) >= sigma_1(W). Every entry of W W^T W is at
@@ -281,10 +289,6 @@ def fit(
     )
 
 
-def _check_user(model: SgfcfModel, u: int) -> None:
-    check_integer("user id", u, 0, model.n_users - 1, UnknownUser)
-
-
 def _tie_duplicates(model: SgfcfModel, scores: np.ndarray) -> np.ndarray:
     """Give each duplicate item its source's score, bit for bit.
 
@@ -299,7 +303,7 @@ def _tie_duplicates(model: SgfcfModel, scores: np.ndarray) -> np.ndarray:
 
 def score_user(model: SgfcfModel, u: int) -> np.ndarray:
     """Full score row for one user; materializes only |I| floats."""
-    _check_user(model, u)
+    check_integer("user id", u, 0, model.n_users - 1, UnknownUser)
     scores = model.item_factors @ model.user_factors[u]
     if model.config.gamma > 0:
         W = model.norm.values
@@ -310,8 +314,7 @@ def score_user(model: SgfcfModel, u: int) -> np.ndarray:
     return _tie_duplicates(model, scores)
 
 
-# Item columns per step of add_gamma_term's transposed add, and user rows
-# per piece of _gamma_dense.
+# Item columns per step of add_gamma_term's transposed add.
 GAMMA_TILE = 256
 
 
@@ -320,10 +323,10 @@ def score_users(model: SgfcfModel, users) -> np.ndarray:
 
     Beside the len(users) x |I| result, the gamma term holds the dense
     |U| x len(users) D = W W_users^T and one GAMMA_TILE item tile of
-    W^T D at a time (and, while D is filled, one GAMMA_TILE-row piece of
-    its sparse form), never the whole |I| x len(users) ``gamma_block``;
-    callers bound the memory by chunking. A non-empty batch must be of
-    integer dtype (bools are not), else ConfigError.
+    W^T D at a time (and, while D is filled, one row piece of its sparse
+    form), never the whole |I| x len(users) ``gamma_block``; callers bound
+    the memory by chunking. A non-empty batch must be of integer dtype
+    (bools are not), else ConfigError.
     """
     users = np.asarray(users)
     if len(users) and users.dtype.kind not in "iu":
@@ -339,20 +342,11 @@ def score_users(model: SgfcfModel, users) -> np.ndarray:
 
 
 def _gamma_dense(norm: NormalizedMatrix, users: np.ndarray) -> np.ndarray:
-    """W W_users^T as a dense |U| x len(users) block; the sparse product
-    W_users W^T W fills in to nearly dense and costs several times more.
-
-    The dense block is allocated first and filled GAMMA_TILE rows at a
-    time, so only one piece of the sparse product is live beside it. A
-    row of a sparse product sums over the row's own entries in stored
-    order, so the pieces equal the rows of the whole product bit for bit.
-    """
-    W = norm.values
-    users_t = W[users].T.tocsr()
-    D = np.empty((W.shape[0], len(users)))
-    for lo in range(0, W.shape[0], GAMMA_TILE):
-        (W[lo : lo + GAMMA_TILE] @ users_t).toarray(out=D[lo : lo + GAMMA_TILE])
-    return D
+    """W W_users^T as a dense |U| x len(users) block (the sparse product
+    W_users W^T W fills in to nearly dense and costs several times more),
+    filled by ``spectral._sparse_gram`` in row pieces on one worker, as
+    its callers already run inside an evaluation's workers."""
+    return _sparse_gram(norm.values, norm.values[users].T, workers=1)
 
 
 def gamma_block(norm: NormalizedMatrix, users: np.ndarray) -> np.ndarray:

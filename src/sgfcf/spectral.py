@@ -36,8 +36,8 @@ scipy and numpy link separate OpenBLAS builds. The GEMMs and ``eigh``
 calls of the Rayleigh-Ritz step stay on numpy, so the scipy calls form one
 stretch: each build's worker threads spin for about 0.1 s after a call and
 slow the other build's calls in that window on a 2-core host, and scipy's
-``eigh`` measured no faster. When a ``NormalizedMatrix`` is passed, the
-A^T products run over its row-major ``values_t``, with the same bits.
+``eigh`` measured no faster. The A^T products run over a CSR A^T (see
+``_operands``), with the same bits as products with A.T.
 
 The Rayleigh-Ritz step never takes a dense SVD of the wide projection B,
 nor holds it whole: its small Gram matrix B B^T is summed over row blocks
@@ -134,18 +134,20 @@ def gram_bound(A) -> float:
         return float(norm_1 * norm_inf)
 
 
-def _as_matrix(norm) -> sp.csr_matrix | np.ndarray:
-    """The matrix behind ``norm``. A raw matrix holding NaN or inf, or one
-    whose ``gram_bound`` is not finite, raises ConfigError before it
-    reaches LAPACK. A NormalizedMatrix is finite by construction and is
-    not scanned."""
+def _operands(norm) -> tuple:
+    """(A, At): the float64 matrix behind ``norm`` and its transpose, both
+    CSR when sparse. A NormalizedMatrix gives (values, values_t) unscanned,
+    as it is finite by construction. A raw matrix of any sparse format or
+    numeric dtype is converted first; one holding NaN or inf, or whose
+    ``gram_bound`` is not finite, raises ConfigError before LAPACK."""
     if isinstance(norm, NormalizedMatrix):
-        return norm.values
-    if not np.isfinite(gram_bound(norm)):
-        if not np.isfinite(sp.csr_matrix(norm).data if sp.issparse(norm) else norm).all():
+        return norm.values, norm.values_t
+    A = sp.csr_matrix(norm, dtype=np.float64) if sp.issparse(norm) else np.asarray(norm, dtype=np.float64)
+    if not np.isfinite(gram_bound(A)):
+        if not np.isfinite(A.data if sp.issparse(A) else A).all():
             raise ConfigError("matrix holds NaN or infinite values")
         raise ConfigError("matrix's Gram matrix may overflow: ||A||_1 ||A||_inf is not finite")
-    return norm
+    return A, (A.T.tocsr() if sp.issparse(A) else A.T)
 
 
 def _finalize(U: np.ndarray, sigma: np.ndarray, V: np.ndarray, K: int) -> TruncatedSpectrum:
@@ -184,7 +186,7 @@ def validate_svd_settings(oversample: int, power_iters: int, seed: int) -> None:
 
 def _rayleigh_ritz(basis: np.ndarray, At, K: int):
     """Top-K singular triplets of A restricted to an orthonormal basis of
-    its row side, given the far-side operator At = A^T (sparse or dense).
+    its row side, given the far-side operator At = A^T (CSR or dense).
     Returns (left, sigma, right).
 
     With B = basis^T A, the C x C Gram matrix B B^T = U diag(lam) U^T is
@@ -204,8 +206,6 @@ def _rayleigh_ritz(basis: np.ndarray, At, K: int):
     at a time; At (basis U) would round worse on graded spectra. The
     finish taken, and why, is logged at DEBUG.
     """
-    # row slices of a CSC matrix (a raw CSR input's A.T) cost a full pass
-    At = sp.csr_matrix(At) if sp.issparse(At) else At
     # scipy's sparse products copy a dense operand of any other order
     basis = np.ascontiguousarray(basis)
     C = basis.shape[1]
@@ -317,11 +317,9 @@ def truncated_svd(
     a dense SVD of B to roundoff (see ``_rayleigh_ritz`` for its thin-SVD
     fallbacks).
     """
-    A = _as_matrix(norm)
+    A, At = _operands(norm)
     check_integer("K", K, 1, min(A.shape), KTooLarge)
     validate_svd_settings(oversample, power_iters, seed)
-    # W^T row-major: its products give the same bits as A.T's, faster
-    At = norm.values_t if isinstance(norm, NormalizedMatrix) else A.T
     m, n = A.shape
     mindim = min(m, n)
 
@@ -362,8 +360,11 @@ def gram_svd(norm, K: int) -> TruncatedSpectrum:
     triplets; users and items trade places on the way out when S is A^T.
     When lambda_K <= sqrt(eps) * lambda_1 the subset's eigenvectors are
     not resolved; the full eigendecomposition is taken instead, so the
-    basis spans the whole smaller side and the step is an exact SVD (it
-    then holds two dense L x N arrays).
+    basis spans the whole smaller side and the step is an exact SVD. It
+    then holds the L x N B^T U and numpy's thin SVD of it beside three
+    N x N arrays (the basis in both orders and U): on rank-30 inputs the
+    peak RSS rose by 6.3 L x N doubles at 6000 x 1800, K=40, and the
+    traced peak, blind to LAPACK's workspace, read 3.7 at 2000 x 600.
 
     Each eigendecomposition overwrites G in place, so no copy of G is
     held beside it; the full one comes after the subset's has overwritten
@@ -373,10 +374,9 @@ def gram_svd(norm, K: int) -> TruncatedSpectrum:
     For a sparse A, G is filled in row pieces on every CPU the process
     may run on (see ``_sparse_gram``); its bits do not depend on how many.
     """
-    A = _as_matrix(norm)
+    A, At = _operands(norm)
     check_integer("K", K, 1, min(A.shape), KTooLarge)
     items_small = A.shape[1] < A.shape[0]
-    At = norm.values_t if isinstance(norm, NormalizedMatrix) else A.T
     S, St = (At, A) if items_small else (A, At)
     N = S.shape[0]
 
@@ -393,22 +393,22 @@ def gram_svd(norm, K: int) -> TruncatedSpectrum:
     return _finalize(left, sigma, right, K)
 
 
-def _sparse_gram(S, St) -> np.ndarray:
-    """The dense Gram matrix S S^T of a sparse S, given St = S^T.
+def _sparse_gram(S, St, workers: int = 0) -> np.ndarray:
+    """The dense product S St of two sparse matrices: the Gram matrix when
+    St = S^T, or the gamma term's W W_users^T (see ``model._gamma_dense``).
 
-    The dense N x N array is allocated first and filled in
-    GRAM_PIECES_PER_WORKER row pieces per worker of a ``BlockPool``, each
-    drawn by whichever worker is free: a worker holds the sparse product
-    of one piece at a time, never the whole sparse Gram matrix. The
-    pieces hold equal shares of the product's terms (a stored entry
-    S[i, k] meets row k of St), which balanced the workers better than
-    equal shares of S's stored entries. A row of a sparse product sums over the
-    row's own entries in stored order, so the pieces equal the rows of
-    (S @ S^T).toarray() bit for bit.
+    The dense array is allocated first and filled in GRAM_PIECES_PER_WORKER
+    row pieces per worker of a ``BlockPool(workers)``, each drawn by
+    whichever worker is free: a worker holds the sparse product of one
+    piece at a time, never the whole. The pieces hold equal shares of the
+    product's terms (a stored entry S[i, k] meets row k of St), which
+    balanced the workers better than equal shares of S's stored entries. A
+    row of a sparse product sums over the row's own entries in stored
+    order, so the pieces equal the rows of (S @ St).toarray() bit for bit.
     """
     S, St = sp.csr_matrix(S), sp.csr_matrix(St)
     N = S.shape[0]
-    G = np.empty((N, N))
+    G = np.empty((N, St.shape[1]))
     # the product's terms up to each row's end
     ends = np.concatenate([[0], np.cumsum(np.diff(St.indptr)[S.indices])])[S.indptr]
 
@@ -416,7 +416,7 @@ def _sparse_gram(S, St) -> np.ndarray:
         for lo, hi in pieces:
             (S[lo:hi] @ St).toarray(out=G[lo:hi])
 
-    with BlockPool() as pool:
+    with BlockPool(workers) as pool:
         pieces = GRAM_PIECES_PER_WORKER * pool.workers
         cuts = np.searchsorted(ends, np.linspace(0, ends[-1], pieces + 1)[1:-1])
         bounds = np.concatenate([[0], cuts, [N]])
@@ -501,7 +501,7 @@ def top_k_svd(
     ``seed``, which only that path uses. The pick is logged at DEBUG on the
     ``sgfcf`` logger.
     """
-    A = _as_matrix(norm)
+    A, _ = _operands(norm)
     check_integer("K", K, 1, min(A.shape), KTooLarge)
     validate_svd_settings(oversample, power_iters, seed)
     m, n = A.shape
@@ -524,7 +524,7 @@ def svd_residual_max(norm, spec: TruncatedSpectrum) -> float:
     """max_k ||A q_k - sigma_k p_k|| / sigma_k: how far the triplets are
     from singular triplets of A. The other side, ||A^T p_k - sigma_k q_k||,
     is zero by construction of a Rayleigh-Ritz output and tells nothing."""
-    residual = _as_matrix(norm) @ spec.Q - spec.P * spec.sigma
+    residual = _operands(norm)[0] @ spec.Q - spec.P * spec.sigma
     return float((np.linalg.norm(residual, axis=0) / spec.sigma).max())
 
 
@@ -533,8 +533,8 @@ def dense_svd(norm) -> TruncatedSpectrum:
 
     Limited to min(|U|, |I|) <= DENSE_ORACLE_CAP.
     """
-    A = _as_matrix(norm)
-    A = A.toarray() if sp.issparse(A) else np.asarray(A, dtype=np.float64)
+    A, _ = _operands(norm)
+    A = A.toarray() if sp.issparse(A) else A
     if min(A.shape) > DENSE_ORACLE_CAP:
         raise SizeCapExceeded(
             f"dense SVD limited to min dimension {DENSE_ORACLE_CAP}, got {min(A.shape)}"

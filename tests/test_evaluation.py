@@ -32,7 +32,7 @@ from sgfcf import evaluation, parallel
 from sgfcf.cli import run_command
 from sgfcf.errors import BandOutOfRange, ConfigError, EmptyTestSet, EmptyValidation, KTooLarge, NoEvaluableUsers
 from sgfcf.evaluation import GRID_AXES
-from sgfcf.model import RankedList
+from sgfcf.model import RankedList, factor_bytes
 from sgfcf.spectral import top_k_svd
 from sgfcf.theory import random_bipartite_graph
 
@@ -838,22 +838,40 @@ class TestGridSearch:
         assert result.test_result == test_result
 
     def test_factor_batches_stay_within_the_budget(self, monkeypatch):
-        # criterion 9's one-alpha group at CiteULike shape: 8 factor sets,
-        # 577 MB in all, go in runs of at most GRID_FACTOR_BYTES
-        n_nodes = 5551 + 16981
-        members = {(K, beta, beta, beta): [] for K in (300, 500) for beta in (1.2, 1.6, 2.0, 2.4)}
-        batches = evaluation._factor_batches(members, n_nodes)
-        assert [key for batch in batches for key in batch] == list(members)
+        def group_sizes(shape, base, Ks, betas, beta1=None, beta2=None):
+            # one alpha group's factor sets, keyed as _validate keys them
+            configs = [
+                replace(base, K=K, igf=IgfConfig(beta=b, beta1=beta1 or b, beta2=beta2 or b)) for K in Ks for b in betas
+            ]
+            return {
+                (c.K, c.g2n, c.shared_filter or (c.igf, c.delta, c.homo_mode, c.homo_scope)): factor_bytes(c, *shape)
+                for c in configs
+            }
+
+        citeulike = (5551, 16981)
+        # criterion 9's group: 8 shared sets own only their 5551 user rows,
+        # 142 MB in all, so one pass validates them
+        base = SgfcfConfig(K=500, g2n=G2NConfig(alpha=6.0), svd_power_iters=2, seed=42)
+        sizes = group_sizes(citeulike, base, (300, 500), (1.2, 1.6, 2.0, 2.4))
+        assert sum(sizes.values()) == 8 * 5551 * 3200
+        assert evaluation._factor_batches(sizes) == [list(sizes)]
+        # individualized, the same K values own both sides, 577 MB, and
+        # go in runs of at most GRID_FACTOR_BYTES
+        sizes = group_sizes(citeulike, base, (300, 500), (1.2, 1.6, 2.0, 2.4), beta1=1.2, beta2=2.4)
+        assert sum(sizes.values()) == 8 * (5551 + 16981) * 3200
+        batches = evaluation._factor_batches(sizes)
+        assert [key for batch in batches for key in batch] == list(sizes)
         assert len(batches) > 1
         for batch in batches:
-            assert 8 * n_nodes * sum(key[0] for key in batch) <= evaluation.GRID_FACTOR_BYTES
-        # grid-tune's group, about 27 MB, stays one pass
-        members = {(K, beta, beta, beta): [] for K in (64, 128) for beta in (1.2, 1.6, 2.0)}
-        assert evaluation._factor_batches(members, 2000 + 4000) == [list(members)]
+            assert sum(sizes[key] for key in batch) <= evaluation.GRID_FACTOR_BYTES
+        # grid-tune's group, about 9 MB, stays one pass
+        base = SgfcfConfig(K=128, g2n=G2NConfig(alpha=10.0), gamma=0.2)
+        sizes = group_sizes((2000, 4000), base, (64, 128), (1.2, 1.6, 2.0))
+        assert evaluation._factor_batches(sizes) == [list(sizes)]
         # a set above the budget is a batch of its own
-        monkeypatch.setattr(evaluation, "GRID_FACTOR_BYTES", 8 * n_nodes * 400)
-        members = {(K, 1.6, 1.6, 1.6): [] for K in (300, 500, 100)}
-        assert [len(batch) for batch in evaluation._factor_batches(members, n_nodes)] == [1, 1, 1]
+        monkeypatch.setattr(evaluation, "GRID_FACTOR_BYTES", 8 * 5551 * 400)
+        sizes = group_sizes(citeulike, base, (300, 500, 100), (1.6,))
+        assert [len(batch) for batch in evaluation._factor_batches(sizes)] == [1, 1, 1]
 
     def test_negative_threads_raise_before_any_work(self, monkeypatch):
         dataset = _grid_dataset(np.random.default_rng(6))

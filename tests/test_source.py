@@ -47,3 +47,59 @@ def test_no_module_imports_a_name_it_never_uses():
         "from .errors import ConfigError as CE\nos.sep, np.ones, CE\n"
         "def f(x: 'str') -> None:\n    import csv\n    csv.writer(x)"
     ) == []
+
+
+def _unread_private_names(sources: dict) -> list[str]:
+    """Module-level private names (``_x``, dunders excluded) that a source
+    in ``sources`` (file name -> text) defines, by def, class or
+    assignment, and no source reads, by name or as an attribute."""
+    defined, read = [], set()
+    for file, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name)]
+            else:
+                names = []
+            defined += [(file, node.lineno, name) for name in names]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return [
+        f"{file}:{line}: {name}"
+        for file, line, name in defined
+        if name.startswith("_") and not name.startswith("__") and name not in read
+    ]
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "def _f():\n    pass",
+        "class _C:\n    pass",
+        "_X = 1",
+        "_x: int = 1",
+        "_a, _b = 1, 2\nprint(_a)",
+        "_x = 1\n_x = 2",
+        "def f():\n    _y = 1\n    return 'x._y'\n_y = 0",
+    ],
+)
+def test_unread_private_name_finder_sees_each_form(source):
+    assert _unread_private_names({"a.py": source})
+
+
+def test_every_private_module_name_is_read():
+    package = Path(__file__).parents[1] / "src" / "sgfcf"
+    sources = {path.name: path.read_text(encoding="utf-8") for path in package.glob("*.py")}
+    assert _unread_private_names(sources) == []
+    # a name read in another module, or as an attribute, counts as read;
+    # dunders and names local to a function are not module-level private names
+    assert _unread_private_names({
+        "a.py": "_x = 1\n_y = 2\n__all__ = []\ndef f():\n    _z = 1",
+        "b.py": "from .a import _x\nimport a\nprint(_x, a._y)",
+    }) == []

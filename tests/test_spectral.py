@@ -667,6 +667,41 @@ def test_a_raw_matrix_whose_gram_overflows_raises_config_error(solver, dense):
     assert np.allclose(spec.sigma, sigma, rtol=1e-6, atol=0)
 
 
+@pytest.mark.parametrize("solver", [truncated_svd, gram_svd, top_k_svd])
+@pytest.mark.parametrize("fmt", ["csr", "csc", "coo"])
+def test_an_integer_matrix_solves_as_its_float_copy(solver, fmt):
+    # the Gram path once wrote int64 piece products into its float64 G and
+    # raised scipy's ValueError
+    A = (sp.random(60, 40, density=0.2, random_state=1, format="csr") * 10).astype(np.int64)
+    assert A.nnz
+    spec = solver(A.asformat(fmt), 5)
+    reference = solver(A.astype(np.float64), 5)
+    for name in ("sigma", "P", "Q"):
+        assert np.array_equal(getattr(spec, name), getattr(reference, name)), name
+
+
+def test_an_integer_matrixs_gram_bound_is_taken_in_float64(monkeypatch):
+    # in int64, ||A||_1 ||A||_inf = 2^41 * 2^41 wraps to 0
+    A = sp.csr_matrix(np.full((2, 2), 2**40, dtype=np.int64))
+    bounds = []
+    gram_bound = spectral.gram_bound
+    monkeypatch.setattr(spectral, "gram_bound", lambda A: bounds.append(gram_bound(A)) or bounds[-1])
+    spec = truncated_svd(A, 1)
+    assert bounds == [2.0**82]
+    assert spec.sigma[0] == pytest.approx(2.0**41, rel=1e-12)
+
+
+def test_sparse_gram_fills_any_product_on_any_worker_count(monkeypatch):
+    # the gamma term's W W_users^T on one worker, and on the default count
+    W = normalized(random_graph(np.random.default_rng(23), 300, 200)).values
+    users = np.arange(0, 300, 7)
+    whole = (W @ W[users].T).toarray()
+    assert np.array_equal(spectral._sparse_gram(W, W[users].T, workers=1), whole)
+    for cpus in (1, 3):
+        monkeypatch.setattr(parallel, "available_cpus", lambda: cpus)
+        assert np.array_equal(spectral._sparse_gram(W, W[users].T), whole)
+
+
 class TestDenseSvd:
     def test_rank_deficient_pruning(self):
         # all-ones 2x2: classic normalization gives sigma = [1, 0]; the
