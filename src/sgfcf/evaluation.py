@@ -49,8 +49,13 @@ AXIS_STEPS = {"alpha": 1.0, "epsilon": 0.02, "beta": 0.1, "beta1": 0.1, "beta2":
 # Most users whose score rows an evaluation holds at once. At w workers the
 # calling thread and w - 1 pool threads score chunks of EVAL_CHUNK // w
 # users, so memory stays at about EVAL_CHUNK score rows (and their top-k
-# work) whatever the worker count.
-EVAL_CHUNK = 512
+# work) whatever the worker count. At CiteULike shape with gamma on, 512
+# users' arrays (92 MB) put a test evaluate's peak above the SVD's: in fresh
+# processes at seed 5, ru_maxrss read 268 MB after fit and 318 MB after a
+# 512-user evaluate, and 268 MB after a 256-user one (46 MB), which took
+# about 0.24 s more of a 1.7 s evaluate (medians of 6 alternating runs, 2
+# cores).
+EVAL_CHUNK = 256
 # Most bytes of factors (``model.factor_bytes``) that grid_search keeps alive
 # in one validation pass; an (alpha, epsilon) group's factor sets beyond it
 # are validated in further passes, each of which recomputes the exclusion

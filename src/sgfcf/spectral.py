@@ -22,8 +22,14 @@ entries), each at one seconds-per-unit constant measured on a 2-core host:
   oversample, power iterations and seed matter only on this path.
 
 Every block of the Krylov path, and its final basis, is orthonormalized
-in place on a Fortran-ordered buffer: the blocks are written straight
-into the basis array, which is then orthonormalized as a whole. Each
+in place on a Fortran-ordered buffer: the blocks A Z are written straight
+into the basis array, which is then orthonormalized as a whole, and every
+block A^T Q into one n x s buffer that all blocks reuse. scipy's sparse
+products read and return C-ordered arrays, so ``_product_into`` writes
+each one SLAB columns at a time, with the whole product's bits: only a
+slab, never a whole block, is ever copied between orders. The final basis
+is copied to C order once, for the Rayleigh-Ritz step, which takes it as
+a temporary and frees it once basis U_K is formed. Each orthonormalization
 takes CholeskyQR2 through scipy's BLAS and LAPACK (``syrk``, ``potrf``,
 ``trsm``, twice), which runs at GEMM speed and is as accurate as
 Householder QR on well-conditioned blocks: a 16981 x 508 block takes
@@ -91,6 +97,15 @@ RITZ_MAX_SPREAD = 100.0
 # Row block of the Rayleigh-Ritz step's streamed projection A^T basis and
 # of its K x K finish's in-place rotation; at least one row
 RITZ_BLOCK_BYTES = 2**23
+# Columns per slab of a sparse product written into a given buffer (see
+# ``_product_into``). scipy's csr @ dense copies an operand of another order
+# to C order and returns a C-ordered product, so a whole product into a
+# Fortran buffer holds two copies of the block. On citeulike-shared's seed-1
+# train matrix (5551 x 16981, 508 columns, 2 cores), A^T Q into a Fortran
+# buffer took 0.069 s at 16-column slabs against 0.131 s for the whole
+# product and its copy, and A Z 0.057 s against 0.100 s; 32 columns and
+# wider were slower, and every width gave the same bits.
+SLAB = 16
 # At one piece per worker, wide-igf's two concurrent halves of its 3200 x
 # 3200 sparse Gram product peaked at 235 to 282 MB RSS from run to run;
 # at four, 183 to 186 MB.
@@ -197,7 +212,10 @@ def _rayleigh_ritz(basis: np.ndarray, At, K: int):
     Y^T finish the step (Halko, Martinsson & Tropp 2011, section 5):
     sigma = sqrt(mu), B's right vectors are M Y / sigma and A's left
     vectors (basis U_K) Y. M is rotated into M Y in place, one row block
-    at a time, so the step holds a single L x K array. Squaring spreads
+    at a time, so the step holds a single L x K array, and the basis is
+    dropped once basis U_K is formed: a caller that hands it over as a
+    temporary (``_rayleigh_ritz(_krylov_basis(...), At, K)``) has it freed
+    there, before M is made. Squaring spreads
     the values it resolves, so when lam_1 / lam_K is not below
     RITZ_MAX_SPREAD a thin SVD of Bt U_K finishes instead; and when lam_K
     <= sqrt(eps) * lam_1 the top-K eigenvectors are not resolved and all
@@ -222,6 +240,8 @@ def _rayleigh_ritz(basis: np.ndarray, At, K: int):
             K, len(lam), lam[0] / lam[K - 1], RITZ_MAX_SPREAD,
         )
         V = basis @ U[:, :K]
+        # a caller that passed the basis as a temporary frees it here
+        del basis, U
         M = At @ V
         mu, Y = np.linalg.eigh(M.T @ M)
         mu, Y = mu[::-1], np.ascontiguousarray(Y[:, ::-1])
@@ -259,6 +279,20 @@ def _projection_blocks(At, basis):
         yield lo, At[lo : lo + rows] @ basis
 
 
+def _product_into(out: np.ndarray, X, D: np.ndarray) -> np.ndarray:
+    """Write X @ D into ``out`` and return it, with the same bits. A sparse
+    X multiplies D SLAB columns at a time: scipy's product copies its
+    operand to C order and returns a C-ordered block, so only one slab of
+    each is held beside ``out``. A dense X takes one numpy product, which
+    reads either order without a copy."""
+    if not sp.issparse(X):
+        out[...] = X @ D
+        return out
+    for lo in range(0, D.shape[1], SLAB):
+        out[:, lo : lo + SLAB] = X @ D[:, lo : lo + SLAB]
+    return out
+
+
 def _householder_q(block: np.ndarray) -> np.ndarray:
     """Overwrite the Fortran-ordered ``block`` with the orthonormal factor
     of its economic Householder QR (LAPACK ``geqrf``, then ``orgqr``) and
@@ -278,8 +312,12 @@ def _orthonormalize(block: np.ndarray) -> tuple[np.ndarray, bool]:
     (Yamamoto et al. 2015). A wider block than it has rows, a failed
     Cholesky factor, or a first factor whose diagonal spreads past
     CHOLQR_MAX_SPREAD (a lower bound on cond(block)) takes Householder,
-    the only path for rank-deficient and graded blocks.
+    the only path for rank-deficient and graded blocks. A block that is
+    not Fortran-contiguous raises ValueError.
     """
+    if not block.flags.f_contiguous:
+        # f2py would overwrite a Fortran copy and leave the block as it was
+        raise ValueError("_orthonormalize takes a Fortran-contiguous block")
     rows, cols = block.shape
     if rows >= cols:
         for first in (True, False):
@@ -295,6 +333,35 @@ def _orthonormalize(block: np.ndarray) -> tuple[np.ndarray, bool]:
     return _householder_q(block), True
 
 
+def _krylov_basis(A, At, s: int, blocks: int, rng) -> np.ndarray:
+    """The orthonormal Krylov basis of ``truncated_svd``, C-ordered, m x
+    blocks * s: the blocks A G, A (A^T Q_1), ... with G a standard normal
+    n x s draw from ``rng``, each orthonormalized in its own columns of one
+    Fortran-ordered array, which is then orthonormalized as a whole.
+
+    Every sparse product is written into its buffer by ``_product_into``:
+    A^T Q into one n x s Fortran array reused by every block, A Z straight
+    into the basis's columns. The returned C-ordered copy is the only array
+    left; the Fortran one is freed on return."""
+    m, n = A.shape
+    basis = np.empty((m, blocks * s), order="F")
+    fallbacks = _orthonormalize(_product_into(basis[:, :s], A, rng.standard_normal((n, s))))[1]
+    # s <= min(m, n), so each orthonormal factor fills its whole block
+    Z = np.empty((n, s), order="F") if blocks > 1 else None
+    for j in range(1, blocks):
+        fallbacks += _orthonormalize(_product_into(Z, At, basis[:, (j - 1) * s : j * s]))[1]
+        fallbacks += _orthonormalize(_product_into(basis[:, j * s : (j + 1) * s], A, Z))[1]
+    del Z  # before the whole basis's orthonormalization and its C copy
+    basis, fell_back = _orthonormalize(basis)
+    fallbacks += fell_back
+    log.debug(
+        "Krylov SVD of %d x %d: %d of %d orthonormalizations fell back to Householder",
+        m, n, fallbacks, 2 * blocks,
+    )
+    # the Rayleigh-Ritz step wants the basis C-ordered
+    return np.ascontiguousarray(basis)
+
+
 def truncated_svd(
     norm,
     K: int,
@@ -305,48 +372,27 @@ def truncated_svd(
     """Randomized top-K SVD, deterministic for a fixed seed.
 
     Each power iteration re-orthogonalizes its block and the blocks are
-    stacked into a Krylov basis; the final singular triplets come from a
-    Rayleigh-Ritz projection onto that basis. Accumulation stops early
-    once the basis spans the smaller dimension, at which point the
-    result is exact up to roundoff.
+    stacked into a Krylov basis (``_krylov_basis``); the final singular
+    triplets come from a Rayleigh-Ritz projection onto that basis.
+    Accumulation stops early once the basis spans the smaller dimension,
+    at which point the result is exact up to roundoff.
 
     The projection B = basis^T A is S x |I| with S the basis width, and
     is never held whole. Only its S x S Gram matrix, summed over row
     blocks of B^T, is decomposed (eigh), then the K x K Gram matrix of
     B^T U_K = A^T (basis U_K) (eigh again) gives sigma and Q; this equals
     a dense SVD of B to roundoff (see ``_rayleigh_ritz`` for its thin-SVD
-    fallbacks).
+    fallbacks). The basis is handed to that step as a temporary, so the
+    step frees it once basis U_K is formed.
     """
     A, At = _operands(norm)
     check_integer("K", K, 1, min(A.shape), KTooLarge)
     validate_svd_settings(oversample, power_iters, seed)
-    m, n = A.shape
-    mindim = min(m, n)
-
-    rng = np.random.default_rng(seed)
+    mindim = min(A.shape)
     s = min(K + oversample, mindim)
     blocks = min(power_iters + 1, -(-mindim // s))
-    # Each block is orthonormalized in place in its own columns of the
-    # basis array, and the basis then in the whole array.
-    basis = np.empty((m, blocks * s), order="F")
-    basis[:, :s] = A @ rng.standard_normal((n, s))
-    Q, fallbacks = _orthonormalize(basis[:, :s])
-    for j in range(1, blocks):
-        Z, fell_back = _orthonormalize(np.asfortranarray(At @ Q))
-        Q = basis[:, j * s : (j + 1) * s]
-        Q[...] = A @ Z
-        del Z  # before the next block's n x s arrays are made
-        fallbacks += fell_back + _orthonormalize(Q)[1]
-    basis, fell_back = _orthonormalize(basis)
-    fallbacks += fell_back
-    log.debug(
-        "Krylov SVD of %d x %d: %d of %d orthonormalizations fell back to Householder",
-        m, n, fallbacks, 2 * blocks,
-    )
-    # the step wants the basis C-ordered; Q's view would keep the Fortran copy
-    del Q
-    basis = np.ascontiguousarray(basis)
-    return _finalize(*_rayleigh_ritz(basis, At, K), K)
+    rng = np.random.default_rng(seed)
+    return _finalize(*_rayleigh_ritz(_krylov_basis(A, At, s, blocks, rng), At, K), K)
 
 
 def gram_svd(norm, K: int) -> TruncatedSpectrum:
@@ -361,10 +407,12 @@ def gram_svd(norm, K: int) -> TruncatedSpectrum:
     When lambda_K <= sqrt(eps) * lambda_1 the subset's eigenvectors are
     not resolved; the full eigendecomposition is taken instead, so the
     basis spans the whole smaller side and the step is an exact SVD. It
-    then holds the L x N B^T U and numpy's thin SVD of it beside three
-    N x N arrays (the basis in both orders and U): on rank-30 inputs the
-    peak RSS rose by 6.3 L x N doubles at 6000 x 1800, K=40, and the
-    traced peak, blind to LAPACK's workspace, read 3.7 at 2000 x 600.
+    then holds the L x N B^T U and numpy's thin SVD of it beside two
+    N x N arrays (the C-ordered basis and U; LAPACK's Fortran-ordered
+    eigenvectors are handed over as a temporary, so the step's C copy
+    frees them): on rank-30 inputs the peak RSS rose by 6.0 L x N doubles
+    at 6000 x 1800, K=40, and the traced peak, blind to LAPACK's
+    workspace, read 3.4 (11.2 x 8 N^2) at 2000 x 600.
 
     Each eigendecomposition overwrites G in place, so no copy of G is
     held beside it; the full one comes after the subset's has overwritten
@@ -384,10 +432,15 @@ def gram_svd(norm, K: int) -> TruncatedSpectrum:
         # G is symmetric, so G.T is the Fortran-ordered array LAPACK overwrites
         return (_sparse_gram(S, St) if sp.issparse(A) else S @ St).T
 
-    lam, basis = scipy.linalg.eigh(gram_t(), subset_by_index=[N - K, N - 1], driver="evr", overwrite_a=True)
-    if lam[0] <= SQRT_EPS * lam[-1]:
-        _, basis = scipy.linalg.eigh(gram_t(), driver="evd", overwrite_a=True)
-    left, sigma, right = _rayleigh_ritz(basis, St, K)
+    def eigenvectors():
+        # returned as a temporary, so _rayleigh_ritz's C-ordered copy frees
+        # this Fortran-ordered array
+        lam, vectors = scipy.linalg.eigh(gram_t(), subset_by_index=[N - K, N - 1], driver="evr", overwrite_a=True)
+        if lam[0] <= SQRT_EPS * lam[-1]:
+            _, vectors = scipy.linalg.eigh(gram_t(), driver="evd", overwrite_a=True)
+        return vectors
+
+    left, sigma, right = _rayleigh_ritz(eigenvectors(), St, K)
     if items_small:
         left, right = right, left
     return _finalize(left, sigma, right, K)
@@ -433,7 +486,11 @@ BLAS3_S = 4.1e-11  # one multiply-add of CholeskyQR2, a GEMM, or an order-C eige
 VECTOR_S = 6.9e-10  # forming vectors: per N^2 * K of ``evr``'s eigenvectors
 PASS_S = 1.7e-8  # one dense entry of a block, an eigh input or the Rayleigh-Ritz vectors, or the dense Gram matrix
 # Policy, not fitted: the Gram path is never taken when the small side's
-# dense Gram matrix (N^2 doubles) exceeds this; its peak is about 1.4 times that.
+# dense Gram matrix (N^2 doubles) exceeds this. When its top-K subset is
+# resolved its peak is about 1.4 times that. When it is not (lambda_K <=
+# sqrt(eps) lambda_1: rank-deficient or near-singular inputs), the peak RSS
+# rose by 20 times that at 6000 x 1800, K=40, on a rank-30 input, and this
+# cap does not bound that rise: no byte budget covers that path yet.
 GRAM_MAX_BYTES = 2**29
 # Policy, not fitted: below the cap, the Gram path is also taken whenever its
 # estimate is under this. Either path then takes about a millisecond, mostly

@@ -421,6 +421,23 @@ class TestScoreUser:
         for u in (0, 17, 119):
             assert np.abs(score_user(model, u) - expected[u]).max() <= 1e-12 * scale
 
+    def test_row_gamma_term_equals_the_sparse_row_product_bit_for_bit(self):
+        # the row path scatters r_u from W's arrays and multiplies by the
+        # stored W^T; the product through W[u] and the view W.T gives the
+        # same bits, users without train items included
+        pairs = small_dataset(np.random.default_rng(32), 120, 90)
+        # three more users, none of them with a train item
+        dataset = dataset_from_pairs(pairs.train.tolist(), test=pairs.test.tolist(), n_users=123, n_items=90)
+        gamma = 0.3
+        model = fit(dataset, SgfcfConfig(K=6, gamma=gamma))
+        W = model.norm.values
+        assert (np.diff(W.indptr)[120:] == 0).all()
+        for u in range(model.n_users):
+            factor_row = model.item_factors @ model.user_factors[u]
+            row = W.T @ (W @ W[u].toarray().ravel())
+            expected = model_module._tie_duplicates(model, factor_row + gamma * row)
+            assert np.array_equal(score_user(model, u), expected)
+
     @pytest.mark.parametrize("tile", [1, 7, 256])
     def test_gamma_block_adds_the_same_bits_as_the_column_major_product(self, monkeypatch, tile):
         # the row-major W^T and the tiled transposed add only reorder memory

@@ -291,6 +291,103 @@ def test_orthonormalize_spans_its_block_in_the_blocks_memory(block, householder)
     assert np.abs(Q @ (Q.T @ original) - original).max() <= 1e-14 * np.abs(original).max()
 
 
+def test_orthonormalize_rejects_a_c_ordered_block():
+    # f2py would overwrite a Fortran copy of it and return the block as it was
+    block = np.random.default_rng(24).standard_normal((200, 20))
+    original = block.copy()
+    with pytest.raises(ValueError, match="Fortran-contiguous"):
+        spectral._orthonormalize(block)
+    assert np.array_equal(block, original)
+
+
+def _product_cases():
+    rng = np.random.default_rng(25)
+    X = sp.random(70, 90, density=0.1, random_state=rng, data_rvs=rng.standard_normal, format="csr")
+    width = 3 * spectral.SLAB + 5  # a last slab narrower than SLAB
+    D = rng.standard_normal((90, width))
+    return [
+        pytest.param(X, D, "C", id="csr-C-into-C"),
+        pytest.param(X, D, "F", id="csr-C-into-F"),
+        pytest.param(X, np.asfortranarray(D), "F", id="csr-F-into-F"),
+        pytest.param(X, np.asfortranarray(D), "C", id="csr-F-into-C"),
+        pytest.param(X, D[:, : spectral.SLAB - 3], "F", id="csr-narrower-than-a-slab"),
+        pytest.param(X.toarray(), np.asfortranarray(D), "F", id="dense-F-into-F"),
+        pytest.param(X.toarray(), D, "C", id="dense-C-into-C"),
+    ]
+
+
+@pytest.mark.parametrize("X, D, order", _product_cases())
+def test_product_into_writes_the_whole_products_bits(X, D, order):
+    out = np.empty((X.shape[0], D.shape[1]), order=order)
+    assert spectral._product_into(out, X, D) is out
+    assert out.tobytes(order="C") == np.ascontiguousarray(X @ D).tobytes()
+
+
+def _whole_product_truncated_svd(matrix, K, power_iters, seed, oversample=8):
+    """truncated_svd as it was before its sparse products wrote into their
+    buffers: whole products, the A^T Q block copied to Fortran order, and
+    the Rayleigh-Ritz step handed a named C-ordered copy of the basis."""
+    A = sp.csr_matrix(matrix) if sp.issparse(matrix) else np.asarray(matrix, dtype=np.float64)
+    At = A.T.tocsr() if sp.issparse(A) else A.T
+    (m, n), mindim = A.shape, min(A.shape)
+    s = min(K + oversample, mindim)
+    blocks = min(power_iters + 1, -(-mindim // s))
+    rng = np.random.default_rng(seed)
+    basis = np.empty((m, blocks * s), order="F")
+    basis[:, :s] = A @ rng.standard_normal((n, s))
+    Q, _ = spectral._orthonormalize(basis[:, :s])
+    for j in range(1, blocks):
+        Z, _ = spectral._orthonormalize(np.asfortranarray(At @ Q))
+        Q = basis[:, j * s : (j + 1) * s]
+        Q[...] = A @ Z
+        spectral._orthonormalize(Q)
+    basis = np.ascontiguousarray(spectral._orthonormalize(basis)[0])
+    return spectral._finalize(*spectral._rayleigh_ritz(basis, At, K), K)
+
+
+def _slab_cases():
+    cases = {case.id: case.values for case in _ritz_cases()}
+    wide, K, power_iters = cases["blocked-600x1500-K250"]
+    return [
+        pytest.param(wide, K, power_iters, id="wide-3-blocks"),
+        pytest.param(wide.T.tocsr(), K, power_iters, id="tall-3-blocks"),
+        pytest.param(*cases["rank-one-K-above-rank"], id="householder-blocks"),
+        pytest.param(*cases["logspace-K35"], id="dense-householder-blocks"),
+    ]
+
+
+@pytest.mark.parametrize("matrix, K, power_iters", _slab_cases())
+def test_truncated_svd_equals_the_whole_product_loop_bit_for_bit(matrix, K, power_iters):
+    want = _whole_product_truncated_svd(matrix, K, power_iters, seed=4)
+    got = truncated_svd(matrix, K, power_iters=power_iters, seed=4)
+    for name in ("sigma", "P", "Q"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+def test_krylov_loop_holds_the_basis_one_block_and_two_slabs(monkeypatch):
+    """Above its input, truncated_svd's peak is the Fortran basis (m x C),
+    one n x s block buffer and one slab product of each side, here in the
+    power iterations; the Rayleigh-Ritz step, on row blocks of 64, stays
+    below. Whole sparse products held a block and its copy in the other
+    order at once, 907k doubles here against the 576k this bound allows."""
+    norm = normalized(graph_from_matrix(random_bipartite_graph(np.random.default_rng(5), 600, 3000)))
+    (m, n), K = norm.values.shape, 100
+    s = K + 8
+    C = min(m, 3 * s)
+    monkeypatch.setattr(spectral, "RITZ_BLOCK_BYTES", 8 * C * 64)
+    truncated_svd(norm, K, power_iters=2, seed=1)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        truncated_svd(norm, K, power_iters=2, seed=1)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    bound = 8 * (m * C + n * s + spectral.SLAB * (m + n)) + 2**14
+    assert peak <= bound, (peak, bound)
+    assert bound < 8 * (m * C + 2 * n * s)
+
+
 def test_truncated_svd_logs_its_householder_fallbacks(caplog):
     rng = np.random.default_rng(23)
     rank_one = sp.csr_matrix(np.outer(rng.standard_normal(40), rng.standard_normal(25)))
@@ -361,6 +458,26 @@ def test_k_by_k_finish_holds_one_tall_array(monkeypatch):
     allocated = 8 * (L * K + rows * K + m * K + 2 * C * C + 2 * K * K + 2 * C * K + 2 * C)
     assert peak <= allocated + 2**14, (peak, allocated)
     assert allocated + 2**14 < 8 * 2 * L * K
+
+
+def test_k_by_k_finish_frees_a_basis_handed_over_as_a_temporary(monkeypatch):
+    """The same step and bound as above, with the basis (m x C) handed over
+    as a temporary and so allocated inside the traced call: the step frees
+    it once basis U_K is formed, so it is never live beside M."""
+    A, basis, Bt = _ritz_inputs(2.0)
+    At = A.T.tocsr()
+    (m, C), L, K, rows = basis.shape, Bt.shape[0], 60, 64
+    monkeypatch.setattr(spectral, "RITZ_BLOCK_BYTES", 8 * K * rows)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        spectral._rayleigh_ritz(basis.copy(), At, K)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    allocated = 8 * (L * K + rows * K + m * K + 2 * C * C + 2 * K * K + 2 * C * K + 2 * C)
+    assert peak <= allocated + 2**14, (peak, allocated)
+    assert 8 * m * C > 2**14
 
 
 def test_truncated_svd_never_holds_the_whole_projection(monkeypatch):
@@ -504,6 +621,26 @@ def test_gram_svd_holds_one_gram_matrix(shape):
     finally:
         tracemalloc.stop()
     assert peak <= 1.6 * 8 * N * N, peak / (8 * N * N)
+
+
+@pytest.mark.parametrize("shape", [(2000, 600), (600, 2000)], ids=["items-fewer", "users-fewer"])
+def test_unresolved_gram_path_holds_one_basis(shape):
+    """On a rank-30 input the top-40 subset is not resolved, so the full
+    eigendecomposition (N x N) is the basis of the Rayleigh-Ritz step. The
+    step's C-ordered copy frees the Fortran-ordered eigenvectors: the
+    traced peak reads 11.2 x 8 N^2, and 12.2 with both orders held."""
+    R = random_bipartite_graph(np.random.default_rng(0), *shape).tocsr()
+    R = R[:, np.arange(shape[1]) % 30] if shape[0] > shape[1] else R[np.arange(shape[0]) % 30]
+    N = min(shape)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        spec = gram_svd(R, 40)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert len(spec) == 30
+    assert peak <= 11.7 * 8 * N * N, peak / (8 * N * N)
 
 
 @pytest.mark.parametrize("items_small", [True, False], ids=["items-fewer", "users-fewer"])
