@@ -18,7 +18,6 @@ from .dataset import (
 )
 from .errors import SgfcfError
 from .filters import (
-    BandFilter,
     ExponentialFilter,
     HomophilyScores,
     IgfConfig,

@@ -54,10 +54,6 @@ class UnknownUser(SgfcfError):
     pass
 
 
-class BandOutOfRange(SgfcfError):
-    pass
-
-
 class EmptyTestSet(SgfcfError):
     pass
 

@@ -19,7 +19,6 @@ import scipy.sparse as sp
 from . import filters, parallel
 from .dataset import InteractionDataset
 from .errors import (
-    BandOutOfRange,
     ConfigError,
     EmptyTestSet,
     EmptyValidation,
@@ -28,7 +27,7 @@ from .errors import (
     check_integer,
     check_real,
 )
-from .filters import BandFilter, IgfConfig
+from .filters import IgfConfig, MonomialFilter
 from .graph import G2NConfig, build_graph, g2n_normalize
 from .model import (
     RankedList,
@@ -257,21 +256,22 @@ def frequency_sweep(
     spectrum=None,
     seed: int = 0,
 ) -> list[dict]:
-    """Evaluate the uniform band filter [1, K] on the test split for each
-    K in the grid.
+    """Evaluate the ideal low-pass filter, weight 1 on each of the top K
+    components, on the test split for each K in the grid.
 
-    Each point is a ``BandFilter()`` config on one graph and one spectrum,
-    validated by ``_validate`` at ``threads=0``, as ``grid_search``
-    validates a group; its metrics equal one ``evaluate`` of its ``fit``,
-    bit for bit. A passed spectrum must hold the grid's largest K. Without
-    one, the spectrum is ``top_k_svd`` at the grid's largest K (capped at
-    min(|U|,|I|)) with the SVD settings of ``SgfcfConfig(seed=seed)``, and
-    grid values beyond its length (a rank-deficient matrix yields fewer
-    triplets) are clamped to it. Returns one row per distinct K with
-    ``fraction`` = K / len(spectrum) and both metrics at ``metric_k``. An
-    empty grid or a K that is no integer >= 1, as ``GridSpec``'s K axis
-    checks it (a bool, a string or 2.5; 2.0 counts as 2), raises
-    ConfigError before any work.
+    Each point is a ``MonomialFilter(0.0)`` config (s^0 is 1 for every s,
+    0 included) on one graph and one spectrum, validated by ``_validate``
+    at ``threads=0``, as ``grid_search`` validates a group; its metrics
+    equal one ``evaluate`` of its ``fit``, bit for bit. A passed spectrum
+    shorter than the grid's largest K raises KTooLarge before any fit, as
+    ``truncate`` does. Without one, the spectrum is ``top_k_svd`` at the
+    grid's largest K (capped at min(|U|,|I|)) with the SVD settings of
+    ``SgfcfConfig(seed=seed)``, and grid values beyond its length (a
+    rank-deficient matrix yields fewer triplets) are clamped to it.
+    Returns one row per distinct K with ``fraction`` = K / len(spectrum)
+    and both metrics at ``metric_k``. An empty grid or a K that is no
+    integer >= 1, as ``GridSpec``'s K axis checks it (a bool, a string or
+    2.5; 2.0 counts as 2), raises ConfigError before any work.
     """
     check_integer("metric_k", metric_k, lo=1)
     K_grid = list(K_grid)
@@ -283,11 +283,9 @@ def frequency_sweep(
     if spectrum is None:
         spectrum = top_k_svd(norm, min(K_grid[-1], min(norm.shape)), **svd_settings(SgfcfConfig(seed=seed)))
         K_grid = sorted({min(K, len(spectrum)) for K in K_grid})
-    elif K_grid[-1] > len(spectrum):
-        raise BandOutOfRange(
-            f"band [1, {K_grid[-1]}] invalid for a spectrum of length {len(spectrum)}"
-        )
-    configs = [SgfcfConfig(K=K, g2n=norm.config, filter=BandFilter()) for K in K_grid]
+    else:
+        check_integer("K", K_grid[-1], 1, len(spectrum), KTooLarge)
+    configs = [SgfcfConfig(K=K, g2n=norm.config, filter=MonomialFilter(0.0)) for K in K_grid]
     results = _validate(configs, dataset, graph, norm, spectrum, None, metric_k, "test", threads=0)
     return [
         {"K": c.K, "fraction": c.K / len(spectrum), "recall": r.recall_at_k, "ndcg": r.ndcg_at_k}

@@ -17,7 +17,7 @@ from typing import Union
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import BandOutOfRange, ConfigError, OddDelta, SizeCapExceeded, check_integer, check_real
+from .errors import ConfigError, OddDelta, SizeCapExceeded, check_integer, check_real
 from .graph import BipartiteGraph
 from .parallel import BlockPool
 
@@ -83,28 +83,13 @@ class JacobiFilter:
         check_integer("jacobi order", self.order, lo=1)
 
 
-@dataclass(frozen=True)
-class BandFilter:
-    """Ideal band pass over a model's K components: weight 1 on components
-    k_lo..K (1-indexed, by descending singular value) and 0 above k_lo.
-    Both sides get the same indicator, so the score is
-    sum_{k_lo <= k <= K} P[u,k] Q[i,k]; the default band [1, K] is the
-    top-K reconstruction a frequency sweep ranks with."""
-
-    k_lo: int = 1
-
-    def __post_init__(self):
-        check_integer("band start k_lo", self.k_lo, lo=1, error=BandOutOfRange)
-
-
-FilterFamily = Union[MonomialFilter, ExponentialFilter, MarkovFilter, JacobiFilter, BandFilter]
+FilterFamily = Union[MonomialFilter, ExponentialFilter, MarkovFilter, JacobiFilter]
 
 
 def eval_filter(family: FilterFamily, sigma_normalized: np.ndarray) -> np.ndarray:
     """Evaluate a filter family on normalized singular values in [0, 1],
-    given in descending order (the band filter reads their positions).
-    Raises ConfigError, naming the filter, when a weight is not finite (a
-    Jacobi recurrence that overflows or divides by zero)."""
+    elementwise. Raises ConfigError, naming the filter, when a weight is
+    not finite (a Jacobi recurrence that overflows or divides by zero)."""
     s = np.asarray(sigma_normalized, dtype=np.float64)
     with np.errstate(all="ignore"):
         weights = _filter_weights(family, s)
@@ -127,12 +112,6 @@ def _filter_weights(family: FilterFamily, s: np.ndarray) -> np.ndarray:
         return acc / (family.order + 1)
     if isinstance(family, JacobiFilter):
         return _jacobi_sum(s, family.a, family.b, family.order)
-    if isinstance(family, BandFilter):
-        if family.k_lo > len(s):
-            raise BandOutOfRange(f"band [{family.k_lo}, {len(s)}] is empty")
-        weights = np.zeros_like(s)
-        weights[family.k_lo - 1 :] = 1.0
-        return weights
     raise ConfigError(f"unknown filter family: {family!r}")
 
 

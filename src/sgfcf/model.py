@@ -133,8 +133,8 @@ class SgfcfModel:
     def score_users(self, users: np.ndarray) -> np.ndarray:
         return score_users(self, users)
 
-    def recommend(self, u: int, k: int = 10, exclude_train: bool = True) -> RankedList:
-        return recommend(self, u, k, exclude_train)
+    def recommend(self, u: int, k: int = 10) -> RankedList:
+        return recommend(self, u, k)
 
 
 def _factor_weights(
@@ -461,15 +461,14 @@ def _top_k_partition(scores: np.ndarray, k: int) -> np.ndarray:
     return cols[order[starts[:, None] + np.arange(k)]]
 
 
-def recommend(model: SgfcfModel, u: int, k: int = 10, exclude_train: bool = True) -> RankedList:
-    """Top-k items by score, optionally excluding the user's train items.
+def recommend(model: SgfcfModel, u: int, k: int = 10) -> RankedList:
+    """Top-k items by score, excluding the user's train items.
 
-    Ranks like ``evaluate``: excluded items score -inf, ``top_k`` orders
-    the row, and the list keeps only finite scores."""
+    Ranks like ``evaluate``: train items score -inf, ``top_k`` orders the
+    row, and the list keeps only finite scores."""
     check_integer("k", k, lo=1)
     scores = score_user(model, u)
-    if exclude_train:
-        scores[model.train_items(u)] = -np.inf
+    scores[model.train_items(u)] = -np.inf
     order = top_k(scores[None, :], k)[0]
     order = order[np.isfinite(scores[order])]
     return RankedList(user_id=u, items=order, scores=scores[order])

@@ -92,10 +92,10 @@ def dense_triple_product(W):
     return dense @ dense.T @ dense
 
 
-def dense_rank_band(matrix, k_lo, k_hi):
-    """Rating reconstruction from an inclusive 1-indexed singular band."""
+def dense_rank_band(matrix, K):
+    """Rating reconstruction from the top K singular components."""
     U, s, Vt = np.linalg.svd(matrix.toarray(), full_matrices=False)
-    return U[:, k_lo - 1 : k_hi] @ Vt[k_lo - 1 : k_hi]
+    return U[:, :K] @ Vt[:K]
 
 
 def ingest_loop(text, sep):

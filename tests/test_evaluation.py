@@ -12,10 +12,10 @@ from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from sgfcf import (
-    BandFilter,
     G2NConfig,
     GridSpec,
     IgfConfig,
+    MonomialFilter,
     SgfcfConfig,
     build_graph,
     dataset_from_pairs,
@@ -30,7 +30,7 @@ from sgfcf import (
 )
 from sgfcf import evaluation, parallel
 from sgfcf.cli import run_command
-from sgfcf.errors import BandOutOfRange, ConfigError, EmptyTestSet, EmptyValidation, KTooLarge, NoEvaluableUsers
+from sgfcf.errors import ConfigError, EmptyTestSet, EmptyValidation, KTooLarge, NoEvaluableUsers
 from sgfcf.evaluation import GRID_AXES
 from sgfcf.model import RankedList, factor_bytes
 from sgfcf.spectral import top_k_svd
@@ -248,7 +248,7 @@ def test_golden_metrics_with_ties(igf, k, recall, ndcg):
         )
         for gamma in (0.0, 0.3)
     ]
-    + [pytest.param(SgfcfConfig(K=12, filter=BandFilter()), id="band")],
+    + [pytest.param(SgfcfConfig(K=12, filter=MonomialFilter(0.0)), id="band")],
 )
 def test_duplicate_items_score_bitwise_like_their_source(config, monkeypatch):
     dataset = _tied_dataset()
@@ -424,8 +424,17 @@ class TestFrequencySweep:
         rows = frequency_sweep(dataset, norm, [4, 15, 40])
         assert [(row["K"], row["fraction"]) for row in rows] == [(4, 4 / 15), (15, 1.0)]
         assert rows == frequency_sweep(dataset, norm, [4, 15], spectrum=spec)
-        with pytest.raises(BandOutOfRange):
+        with pytest.raises(KTooLarge, match=re.escape("K must be in [1, 15], got 40")):
             frequency_sweep(dataset, norm, [4, 40], spectrum=spec)
+
+    def test_short_spectrum_raises_before_any_fit(self, monkeypatch):
+        dataset = _sweep_dataset(np.random.default_rng(2), 20, 15)
+        norm = g2n_normalize(build_graph(dataset), G2NConfig())
+        spec = dense_svd(norm).truncate(6)
+        monkeypatch.setattr(evaluation, "fit", lambda *a, **kw: pytest.fail("fitted before the check"))
+        monkeypatch.setattr(evaluation, "top_k_svd", lambda *a, **kw: pytest.fail("took a spectrum"))
+        with pytest.raises(KTooLarge, match=re.escape("K must be in [1, 6], got 7")):
+            frequency_sweep(dataset, norm, [2, 7], spectrum=spec)
 
     def test_truncated_spectrum_serves_the_whole_grid(self, monkeypatch):
         # the one spectrum is taken at the grid's largest K
@@ -543,7 +552,7 @@ class TestFrequencySweep:
         K_grid = [1, 3, 7, 12]
         want = []
         for K in K_grid:
-            model = fit(dataset, SgfcfConfig(K=K, g2n=norm.config, filter=BandFilter()),
+            model = fit(dataset, SgfcfConfig(K=K, g2n=norm.config, filter=MonomialFilter(0.0)),
                         graph=graph, norm=norm, spectrum=spectrum)
             result = evaluate(model, dataset, k=5)
             want.append({"K": K, "fraction": K / 12, "recall": result.recall_at_k, "ndcg": result.ndcg_at_k})
@@ -660,7 +669,7 @@ class TestGridSearch:
         # a shared filter reads no igf field: the three beta rows once took
         # three validation fits, plus the test refit
         dataset = _grid_dataset(np.random.default_rng(6))
-        base = SgfcfConfig(K=4, filter=BandFilter())
+        base = SgfcfConfig(K=4, filter=MonomialFilter(0.0))
         want = evaluate(fit(dataset, base), dataset, k=5, split="val")
         fitted = []
 
@@ -716,7 +725,7 @@ class TestGridSearch:
     def test_band_filter_base_serves_every_K(self):
         rng = np.random.default_rng(10)
         dataset = _grid_dataset(rng)
-        base = SgfcfConfig(K=4, filter=BandFilter())
+        base = SgfcfConfig(K=4, filter=MonomialFilter(0.0))
         result = grid_search(dataset, GridSpec(axes={"K": [2, 4, 6]}), k=5, base=base)
         assert [row["K"] for row in result.table] == [2, 4, 6]
 

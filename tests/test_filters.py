@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import eval_jacobi
 
 from sgfcf import (
-    BandFilter,
     ExponentialFilter,
     HomophilyScores,
     IgfConfig,
@@ -27,7 +26,7 @@ from sgfcf import (
 )
 from sgfcf import filters, parallel
 from sgfcf.cli import run_command
-from sgfcf.errors import BandOutOfRange, ConfigError, OddDelta, SizeCapExceeded
+from sgfcf.errors import ConfigError, OddDelta, SizeCapExceeded
 from sgfcf.theory import random_bipartite_graph
 
 from conftest import random_graph
@@ -108,6 +107,17 @@ class TestEvalFilter:
         weights = eval_filter(JacobiFilter(a=0.0, b=4.0, order=6), sigma)
         assert (weights >= 0.0).all()
 
+    @pytest.mark.parametrize(
+        "family",
+        [MonomialFilter(0.0), MonomialFilter(1.7), ExponentialFilter(3.0), MarkovFilter(4), JacobiFilter(0.5, 1.5, 4)],
+        ids=repr,
+    )
+    def test_weights_are_elementwise(self, family):
+        # no family reads a value's position, so sigma need not be sorted
+        sigma = np.array([1.0, 0.8, 0.55, 0.3, 0.1, 0.0])
+        perm = np.array([3, 0, 5, 1, 4, 2])
+        assert np.array_equal(eval_filter(family, sigma[perm]), eval_filter(family, sigma)[perm])
+
     def test_monotone_families(self):
         sigma = np.linspace(1.0, 0.0, 40)  # decreasing
         for family in (MonomialFilter(1.7), ExponentialFilter(3.0), MarkovFilter(4)):
@@ -134,14 +144,6 @@ class TestEvalFilter:
         # order=2.5 built, and eval_filter then raised a TypeError
         with pytest.raises(ConfigError, match="order must be an integer"):
             family(order=order)
-
-    @pytest.mark.parametrize("k_lo", [2.5, 1.0, True])
-    def test_non_integer_band_start_rejected(self, k_lo):
-        # k_lo=2.5 built, and fit then raised "slice indices must be integers"
-        with pytest.raises(ConfigError, match="k_lo must be an integer"):
-            BandFilter(k_lo=k_lo)
-        with pytest.raises(BandOutOfRange):
-            BandFilter(k_lo=0)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     @pytest.mark.parametrize("end", ["a", "b"])

@@ -9,7 +9,6 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from sgfcf import (
-    BandFilter,
     ExponentialFilter,
     G2NConfig,
     IgfConfig,
@@ -29,7 +28,7 @@ from sgfcf import (
     top_k_svd,
     truncated_svd,
 )
-from sgfcf.errors import BandOutOfRange, ConfigError, KTooLarge, SgfcfError, UnknownUser
+from sgfcf.errors import ConfigError, KTooLarge, SgfcfError, UnknownUser
 from sgfcf import model as model_module
 from sgfcf.model import model_summary, serialize_config, top_k
 from sgfcf.theory import random_bipartite_graph
@@ -189,7 +188,7 @@ FILTER_FAMILIES = st.one_of(
         st.floats(-1.0, 1e300, exclude_min=True) | st.just(0.0),
         st.integers(1, 8),
     ),
-    st.builds(BandFilter, st.integers(1, 10)),
+    st.just(MonomialFilter(0.0)),
 )
 
 
@@ -266,7 +265,7 @@ class TestSharedFold:
     @ORIENTATIONS
     @pytest.mark.parametrize(
         "family",
-        [MonomialFilter(1.6), ExponentialFilter(2.0), MarkovFilter(3), JacobiFilter(0.5, 1.5, 4), BandFilter(3)],
+        [MonomialFilter(1.6), ExponentialFilter(2.0), MarkovFilter(3), JacobiFilter(0.5, 1.5, 4)],
         ids=lambda family: type(family).__name__,
     )
     def test_scores_equal_the_unfolded_product(self, n_users, n_items, family):
@@ -277,6 +276,19 @@ class TestSharedFold:
         reference = (spec.P * g) @ (spec.Q * g).T
         got = score_users(model, np.arange(n_users))
         assert np.abs(got - reference).max() <= 1e-12 * np.abs(reference).max()
+
+    @ORIENTATIONS
+    def test_zero_power_factors_are_the_spectrums_bit_for_bit(self, n_users, n_items):
+        # a frequency sweep ranks with s^0 = 1 over one spectrum; the fold
+        # multiplies by exactly 1.0, so every K scores on P[:, :K] Q[:, :K]^T
+        dataset = _shaped_dataset(n_users, n_items)
+        spectrum = fit(dataset, SgfcfConfig(K=16)).spectrum
+        # sigma^beta is 1 only at beta = 0 on this spectrum
+        assert len(spectrum) == 16 and spectrum.sigma_normalized[-1] < 1.0
+        model = fit(dataset, SgfcfConfig(K=12, filter=MonomialFilter(0.0)), spectrum=spectrum)
+        assert model.factor_bound == 1.0
+        assert np.array_equal(model.user_factors, spectrum.P[:, :12])
+        assert np.array_equal(model.item_factors, spectrum.Q[:, :12])
 
     @ORIENTATIONS
     def test_fit_on_a_given_spectrum_allocates_no_larger_side_array(self, n_users, n_items):
@@ -496,20 +508,14 @@ class TestRecommend:
         dataset = small_dataset(rng)
         model = fit(dataset, SgfcfConfig(K=3))
         for u in range(model.n_users):
-            ranked = recommend(model, u, k=5, exclude_train=True)
+            ranked = recommend(model, u, k=5)
             assert not set(ranked.items.tolist()) & set(model.train_items(u).tolist())
 
     def test_everything_interacted_empty_list(self):
         dataset = dataset_from_pairs([(0, 0), (0, 1), (0, 2), (1, 0)], n_users=2, n_items=3)
         model = fit(dataset, SgfcfConfig(K=2))
-        ranked = recommend(model, 0, k=5, exclude_train=True)
+        ranked = recommend(model, 0, k=5)
         assert len(ranked.items) == 0
-
-    def test_include_train(self):
-        dataset = dataset_from_pairs([(0, 0), (0, 1), (1, 0)], n_users=2, n_items=2)
-        model = fit(dataset, SgfcfConfig(K=2))
-        ranked = recommend(model, 0, k=2, exclude_train=False)
-        assert len(ranked.items) == 2
 
     def test_scores_non_increasing(self):
         rng = np.random.default_rng(12)
@@ -639,16 +645,16 @@ class TestTopKGroups:
             assert np.array_equal(top_k(scores, k), _stable_top(scores, k))
 
 
-def _band_model(graph, k_lo, K, spectrum=None):
-    """Fit the band filter [k_lo, K] on a graph's own interactions, over its
-    dense spectrum unless one is given."""
+def _band_model(graph, K, spectrum=None):
+    """Fit the ideal low-pass filter on the top K components, s^0 = 1, on a
+    graph's own interactions, over its dense spectrum unless one is given."""
     coo = graph.row_major.tocoo()
     dataset = dataset_from_pairs(
         list(zip(coo.row.tolist(), coo.col.tolist())), n_users=graph.n_users, n_items=graph.n_items
     )
     norm = g2n_normalize(graph, G2NConfig())
     spectrum = dense_svd(norm) if spectrum is None else spectrum
-    return fit(dataset, SgfcfConfig(K=K, filter=BandFilter(k_lo)), graph=graph, norm=norm, spectrum=spectrum)
+    return fit(dataset, SgfcfConfig(K=K, filter=MonomialFilter(0.0)), graph=graph, norm=norm, spectrum=spectrum)
 
 
 class TestBandScores:
@@ -656,7 +662,7 @@ class TestBandScores:
         rng = np.random.default_rng(14)
         graph = random_graph(rng, 8, 6)
         spec = dense_svd(g2n_normalize(graph, G2NConfig()))
-        model = _band_model(graph, 1, len(spec))
+        model = _band_model(graph, len(spec))
         expected = spec.P @ spec.Q.T
         got = model.score_users(np.arange(8))
         assert np.abs(got - expected).max() < 1e-12
@@ -666,13 +672,11 @@ class TestBandScores:
         graph = random_graph(rng, 6, 4)
         norm = g2n_normalize(graph, G2NConfig())
         assert len(dense_svd(norm)) >= 3
-        # (2, 3) zero-weights the top component as well as the tail
-        for k_lo, k_hi in ((1, 2), (2, 3)):
-            model = _band_model(graph, k_lo, k_hi)
-            oracle = dense_rank_band(norm.values, k_lo, k_hi)
-            got = model.score_users(np.arange(6))
-            # compare through the reconstruction, which is sign-invariant
-            assert np.abs(got - oracle).max() < 1e-10
+        model = _band_model(graph, 2)
+        oracle = dense_rank_band(norm.values, 2)
+        got = model.score_users(np.arange(6))
+        # compare through the reconstruction, which is sign-invariant
+        assert np.abs(got - oracle).max() < 1e-10
 
     def test_mirrored_band_equality(self):
         # top-K band score equals the complementary eigenvector construction
@@ -689,7 +693,7 @@ class TestBandScores:
         spec = dense_svd(norm)
         gaps = np.diff(spec.sigma)
         K = 1 + int(np.argmax(np.abs(gaps) > 1e-8)) if len(gaps) else 1
-        band = _band_model(graph, 1, K, spectrum=spec).score_users(np.arange(10))
+        band = _band_model(graph, K, spectrum=spec).score_users(np.arange(10))
         n = A.shape[0]
         mirrored = _rating_from_eigenvectors(V[:, : n - K], 10)
         assert np.abs(band - mirrored).max() < 1e-8
@@ -698,14 +702,9 @@ class TestBandScores:
         rng = np.random.default_rng(17)
         graph = random_graph(rng, 6, 5)
         spec = dense_svd(g2n_normalize(graph, G2NConfig()))
-        with pytest.raises(BandOutOfRange):
-            BandFilter(0)
-        # the band [3, 2] is empty
-        with pytest.raises(BandOutOfRange):
-            _band_model(graph, 3, 2, spectrum=spec)
         # beyond the spectrum: K itself cannot be served
         with pytest.raises(KTooLarge):
-            _band_model(graph, 1, 3, spectrum=spec.truncate(2))
+            _band_model(graph, 3, spectrum=spec.truncate(2))
 
 
 def test_complexity_linear_in_k():

@@ -1,7 +1,14 @@
 import ast
+import builtins
+import importlib
+import re
 from pathlib import Path
 
 import pytest
+
+import sgfcf
+
+PACKAGE = Path(__file__).parents[1] / "src" / "sgfcf"
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -38,8 +45,7 @@ def test_unused_import_finder_sees_each_form(source):
 
 def test_no_module_imports_a_name_it_never_uses():
     # __init__.py imports to re-export, so it is the one exception
-    package = Path(__file__).parents[1] / "src" / "sgfcf"
-    unused = {path.name: _unused_imports(path.read_text(encoding="utf-8")) for path in package.glob("*.py")}
+    unused = {path.name: _unused_imports(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py")}
     del unused["__init__.py"]
     assert {name: found for name, found in unused.items() if found} == {}
     assert _unused_imports(
@@ -94,8 +100,7 @@ def test_unread_private_name_finder_sees_each_form(source):
 
 
 def test_every_private_module_name_is_read():
-    package = Path(__file__).parents[1] / "src" / "sgfcf"
-    sources = {path.name: path.read_text(encoding="utf-8") for path in package.glob("*.py")}
+    sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
     assert _unread_private_names(sources) == []
     # a name read in another module, or as an attribute, counts as read;
     # dunders and names local to a function are not module-level private names
@@ -103,3 +108,65 @@ def test_every_private_module_name_is_read():
         "a.py": "_x = 1\n_y = 2\n__all__ = []\ndef f():\n    _z = 1",
         "b.py": "from .a import _x\nimport a\nprint(_x, a._y)",
     }) == []
+
+
+def _unresolved_names(markdown: str) -> list[str]:
+    """Inline code spans of ``markdown`` that name something the package
+    lacks: ``module.NAME`` for a module of sgfcf, ``sgfcf.NAME``, or a
+    CamelCase class in any module, each with any attributes after it.
+    Builtins such as ``ValueError`` are exempt; other spans (file names,
+    numpy calls, flags) are not names of the package."""
+    modules = {path.stem: importlib.import_module(f"sgfcf.{path.stem}") for path in PACKAGE.glob("[!_]*.py")}
+    missing = []
+    for span in re.findall(r"`([^`\n]+)`", markdown):
+        match = re.match(r"\w+(\.\w+)*", span)
+        if match is None:
+            continue
+        head, *chain = match[0].split(".")
+        if head == "sgfcf":
+            owners = [sgfcf]
+        elif head in modules and chain:
+            owners = [modules[head]]
+        elif re.fullmatch(r"(?=.*[a-z])[A-Z]\w*[A-Z]\w*", head) and not hasattr(builtins, head):
+            owners, chain = list(modules.values()), [head, *chain]
+        else:
+            continue
+        if not any(_has_chain(owner, chain) for owner in owners):
+            missing.append(span)
+    return missing
+
+
+def _has_chain(owner, chain: list[str]) -> bool:
+    for name in chain:
+        if not hasattr(owner, name):
+            return False
+        owner = getattr(owner, name)
+    return True
+
+
+@pytest.mark.parametrize(
+    "markdown",
+    [
+        "`model.no_such_name`",
+        "`spectral.SLAB.no_such_attribute`",
+        "`sgfcf.NoSuchFilter`",
+        "`NoSuchFilter`",
+        "`NoSuchFilter(k=1)`",
+        "`KNoSuch`",
+        "`TruncatedSpectrum.no_such_method`",
+    ],
+)
+def test_unresolved_name_finder_sees_each_form(markdown):
+    assert _unresolved_names(markdown)
+
+
+def test_every_name_the_readme_gives_resolves_in_the_package():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    assert _unresolved_names(readme) == []
+    # builtins, a submodule, an attribute chain and spans that are no
+    # package names all pass
+    assert _unresolved_names(
+        "`ValueError`, `sgfcf.cli`, `sgfcf.run_all_checks(seed=...)`, `errors.KTooLarge`, "
+        "`TruncatedSpectrum.truncate`, `MonomialFilter(0.0)`, `model.top_k`, `model_summary.json`, "
+        "`np.argsort(-s)`, `--filter`, `Pareto`, `README`"
+    ) == []
