@@ -82,7 +82,7 @@ OPTIONS = {
     "homo_mode": {"choices": ["inclusive", "strict"]},
     "recommend_k": {"type": int, "help": "also dump top-k lists"},
     "k": {"type": int, "help": "metric cutoff"},
-    "K_grid": {"help": "comma-separated band sizes"},
+    "K_grid": {"help": "comma-separated K values"},
     "selection_metric": {"choices": ["ndcg", "recall"]},
     "threads": {"type": int, "help": "0 = all available"},
     **dict.fromkeys(
@@ -109,7 +109,7 @@ COMMAND_OPTIONS = {
     "fit": ("fit a model and write its summary", (*COMMON, *DATA, *SPLIT, *MODEL, "recommend_k")),
     "eval": ("fit and evaluate on the test split", (*COMMON, *DATA, *SPLIT, *MODEL, "k")),
     "sweep": (
-        "frequency sweep with the uniform band filter",
+        "frequency sweep with MonomialFilter(0.0) at each K",
         (*COMMON, *DATA, *SPLIT, "alpha", "epsilon", "K_grid", "metric_k"),
     ),
     "grid": (

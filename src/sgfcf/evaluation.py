@@ -58,10 +58,12 @@ EVAL_CHUNK = 256
 # Most bytes of factors (``model.factor_bytes``) that grid_search keeps alive
 # in one validation pass; an (alpha, epsilon) group's factor sets beyond it
 # are validated in further passes, each of which recomputes the exclusion
-# and the gamma block. Criterion 9's shared group at CiteULike shape counts
-# 142 MB and takes one pass. Individualized, its sets count 577 MB, and 256
-# MiB cut a single pass's peak RSS from 1272 to 954 MB at no measured cost
-# in time (2 cores); 128 MiB saved 26 MB more for 8% more time.
+# and the gamma block. Only individualized sets own bytes: a shared set's
+# factors are the spectrum's own, so a shared group and a frequency sweep
+# take one pass whatever the budget. Criterion 9's group at CiteULike
+# shape, individualized, counts 577 MB, and 256 MiB cut a single pass's
+# peak RSS from 1272 to 954 MB at no measured cost in time (2 cores); 128
+# MiB saved 26 MB more for 8% more time.
 GRID_FACTOR_BYTES = 256 * 2**20
 
 log = logging.getLogger("sgfcf")
@@ -109,7 +111,7 @@ def ndcg_at_k(ranked, test_items) -> float:
     return min(float(dcg / idcg), 1.0)
 
 
-def _check_band_sizes(values, what: str) -> None:
+def _check_K_values(values, what: str) -> None:
     """Raise ConfigError unless each value is a finite number, bools
     excluded, that is an integer >= 1 (2.0 counts as 2, 2.5 does not)."""
     for v in values:
@@ -141,7 +143,8 @@ def evaluate(
     setting is process-global for the pass, is restored when it ends, and
     is a no-op without OpenBLAS. A ``k`` or ``threads`` that is no integer
     (a bool or float included), a ``k`` below 1 or ``threads`` below 0
-    raises ConfigError.
+    raises ConfigError, as does a scorer whose ``train_csr`` is not of the
+    dataset's shape (n_users, n_items), before any user is scored.
     """
     check_integer("threads", threads, lo=0)
     return _evaluate_pass([(scorer, [0.0])], dataset, k, split, threads)[0][0]
@@ -169,13 +172,16 @@ def _evaluate_pass(groups, dataset: InteractionDataset, k: int, split: str, thre
     if split not in ("val", "test"):
         raise ConfigError(f"split must be 'val' or 'test', got {split!r}")
     pairs = getattr(dataset, split)
-    held_out = sp.csr_array((np.ones(len(pairs)), pairs.T), shape=(dataset.n_users, dataset.n_items))
+    shape = (dataset.n_users, dataset.n_items)
+    held_out = sp.csr_array((np.ones(len(pairs)), pairs.T), shape=shape)
     n_held = np.diff(held_out.indptr)
     evaluable = np.flatnonzero(n_held)
     if len(evaluable) == 0:
         raise NoEvaluableUsers(f"no user has interactions in the {split} split")
 
     for scorer, gammas in groups:
+        if scorer.train_csr.shape != shape:
+            raise ConfigError(f"scorer trained on {scorer.train_csr.shape} for a dataset of shape {shape}")
         if max(gammas) > 0:  # a grid fits its scorers at gamma 0, so fit checked none of these
             check_score_bound(scorer.factor_bound, max(gammas), scorer.norm)
     workers = min(threads or parallel.available_cpus(), EVAL_CHUNK)
@@ -261,23 +267,25 @@ def frequency_sweep(
 
     Each point is a ``MonomialFilter(0.0)`` config (s^0 is 1 for every s,
     0 included) on one graph and one spectrum, validated by ``_validate``
-    at ``threads=0``, as ``grid_search`` validates a group; its metrics
-    equal one ``evaluate`` of its ``fit``, bit for bit. A passed spectrum
-    shorter than the grid's largest K raises KTooLarge before any fit, as
-    ``truncate`` does. Without one, the spectrum is ``top_k_svd`` at the
+    at ``threads=0``, as ``grid_search`` validates a group, so every point
+    shares one pass; its metrics equal one ``evaluate`` of its ``fit``, bit
+    for bit. A passed spectrum shorter than the grid's largest K raises
+    KTooLarge before any fit, as ``truncate`` does. Without one, the spectrum is ``top_k_svd`` at the
     grid's largest K (capped at min(|U|,|I|)) with the SVD settings of
     ``SgfcfConfig(seed=seed)``, and grid values beyond its length (a
     rank-deficient matrix yields fewer triplets) are clamped to it.
     Returns one row per distinct K with ``fraction`` = K / len(spectrum)
-    and both metrics at ``metric_k``. An empty grid or a K that is no
+    and both metrics at ``metric_k``. An empty grid, a K that is no
     integer >= 1, as ``GridSpec``'s K axis checks it (a bool, a string or
-    2.5; 2.0 counts as 2), raises ConfigError before any work.
+    2.5; 2.0 counts as 2), or a ``seed`` that is no integer >= 0 raises
+    ConfigError before any work.
     """
     check_integer("metric_k", metric_k, lo=1)
+    check_integer("seed", seed, lo=0)
     K_grid = list(K_grid)
     if not K_grid:
         raise ConfigError("frequency sweep needs one or more integer K >= 1, got none")
-    _check_band_sizes(K_grid, "frequency sweep")
+    _check_K_values(K_grid, "frequency sweep")
     K_grid = sorted({int(K) for K in K_grid})
     graph = build_graph(dataset)
     if spectrum is None:
@@ -317,7 +325,7 @@ class GridSpec:
             if not values:
                 raise ConfigError(f"axis {name!r} is empty")
             if name == "K":
-                _check_band_sizes(values, "K axis")
+                _check_K_values(values, "K axis")
                 continue
             step = AXIS_STEPS[name]
             for v in values:
@@ -361,12 +369,13 @@ def grid_search(
     Every combination's config is built before any work, so a value no
     config accepts (an epsilon above 0, a gamma below 0) raises ConfigError
     first. A pair's configs are validated by ``_validate``, in passes over
-    the users within GRID_FACTOR_BYTES of factors each; under an explicit
-    filter, the beta axes share one factor set. ``threads`` is the worker
-    count of each pass and of the winner's test evaluate: the calling
-    thread and ``threads - 1`` pool threads score the users' chunks (0 =
-    every CPU the process may run on; a non-integer or a value below 0
-    raises ConfigError); it does not change any result. On more than one
+    the users within GRID_FACTOR_BYTES of individualized factors each (a
+    shared filter's sets own none, so a shared pair takes one pass); under
+    an explicit filter, the beta axes share one factor set. ``threads`` is
+    the worker count of each pass and of the winner's test evaluate: the
+    calling thread and ``threads - 1`` pool threads score the users'
+    chunks (0 = every CPU the process may run on; a non-integer or a value
+    below 0 raises ConfigError); it does not change any result. On more than one
     worker each pass and the test evaluate hold numpy's and scipy's
     OpenBLAS builds at 1 thread, process-wide while they run, and restore
     them afterwards; without OpenBLAS nothing is pinned. It does not size
@@ -454,8 +463,9 @@ def _validate(configs, dataset, graph, norm, spectrum, homophily, k, split, thre
     spectrum and homophily, aligned with ``configs``. Configs whose factors
     read the same K, normalization and shared filter (else IGF fields)
     share a set, fitted once at gamma 0; the sets go in runs within
-    GRID_FACTOR_BYTES, each fitted for one ``_evaluate_pass``, which shares
-    the exclusion, the gamma block and a set's scores per chunk."""
+    GRID_FACTOR_BYTES (``factor_bytes``, 0 for a shared set), each fitted
+    for one ``_evaluate_pass``, which shares the exclusion, the gamma block
+    and a set's scores per chunk."""
     members = {}  # per factor set key: its configs' positions
     for n, config in enumerate(configs):
         weights = config.shared_filter or (config.igf, config.delta, config.homo_mode, config.homo_scope)

@@ -8,10 +8,10 @@ A fitted model scores user u against item i as
 where W is the renormalized interaction matrix, (P, Q, sigma) its
 truncated SVD, and the per-node exponents come from the homophily
 mapping. A filter g that all nodes share gives g(sigma_norm[k])^2 in
-place of the power; the model then folds it into the factors of the
-side with fewer rows and scores with the spectrum's own P or Q on the
-other. The second term reintroduces an all-frequency signal scaled by
-gamma. There is no iterative training anywhere in the pipeline.
+place of the power; the model then keeps the spectrum's own P and Q and
+multiplies that row into each scored user's rows of P. The second term
+reintroduces an all-frequency signal scaled by gamma. There is no
+iterative training anywhere in the pipeline.
 """
 
 from __future__ import annotations
@@ -104,12 +104,13 @@ class SgfcfModel:
     norm: NormalizedMatrix
     config: SgfcfConfig
     train_csr: sp.csr_matrix
-    # user_factors[u] . item_factors[i] is the factor score (see
-    # _factor_weights): shared filter, g(sigma)^2 times P or Q on the side
-    # with fewer rows and the spectrum's own Q or P on the other;
-    # individualized, P and Q weighted by per-node filter values
+    # (user_factors[u] * user_weights) . item_factors[i] is the factor score
+    # (see _factor_weights): shared filter, the spectrum's own P and Q with
+    # the row g(sigma)^2; individualized, P and Q weighted by per-node
+    # filter values with a row of ones
     user_factors: np.ndarray
     item_factors: np.ndarray
+    user_weights: np.ndarray
     duplicate_items: np.ndarray  # items whose train column equals a lower id's
     duplicate_sources: np.ndarray  # the lowest id sharing each one's column
     factor_bound: float  # bounds every factor score (see _factor_weights)
@@ -141,54 +142,46 @@ def _factor_weights(
     spectrum: TruncatedSpectrum,
     config: SgfcfConfig,
     profile: IgfProfile | None,
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """The user and item factors, whose row products are the factor
-    scores, and a bound on every factor score.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """The user factors, item factors and the length-K row of user weights,
+    whose weighted row products are the factor scores, and a bound on every
+    factor score.
 
     Shared path (no profile): every node has the config's shared filter
-    g, so the score sums P[u,k] g(sigma_k)^2 Q[i,k]. The (1, K) row
-    g(sigma)^2 is folded into the side with fewer rows, and the other
-    side's factors are the spectrum's own P or Q, not a copy.
+    g, so the score sums P[u,k] g(sigma_k)^2 Q[i,k]. The factors are the
+    spectrum's own P and Q, not copies, and the row is g(sigma)^2, which
+    scoring multiplies into each scored user's rows of P. By Cauchy-Schwarz
+    (rows of P and Q have norm at most 1) max g^2 bounds every factor
+    score; ConfigError, naming the filter, when it is not finite.
     Individualized path: user u gets sigma^beta_u, item i gets
     sigma^beta_i, so the score picks up sigma^(beta_u + beta_i); each side
-    is its (n, K) weight multiplied by P or Q in place.
-
-    Rows of P and Q have norm at most 1, so by Cauchy-Schwarz
-    max|user w| * max|item w| (max g^2 on the shared path) bounds every
-    factor score. Raises ConfigError, naming the filter, when a weight or
-    that bound is not finite.
+    is its (n, K) weight multiplied by P or Q in place, and the row is
+    ones. sigma_normalized lies in (0, 1] with sigma_1 = 1 and every beta
+    is at least beta1 >= 0, so every weight lies in [0, 1], each node's
+    first is 1, and the bound is 1.
     """
     sigma = spectrum.sigma_normalized
     if profile is None:
         g = eval_filter(config.shared_filter, sigma)
         with np.errstate(over="ignore"):
-            folded = g * g
-        bound = folded.max()
-    else:
-        user_w = np.power(sigma[None, :], profile.user_beta[:, None])
-        item_w = np.power(sigma[None, :], profile.item_beta[:, None])
-        with np.errstate(over="ignore"):
-            # max|w| per side, with no n x K temporary
-            bound = np.maximum(user_w.max(), -user_w.min()) * np.maximum(item_w.max(), -item_w.min())
-    if not np.isfinite(bound):
-        name = config.shared_filter if profile is None else f"IGF over [{config.igf.beta1}, {config.igf.beta2}]"
-        raise ConfigError(f"{name} gives filter weights whose factor scores are not finite")
-    P, Q = spectrum.P, spectrum.Q
-    if profile is None:
-        if len(P) <= len(Q):
-            return P * folded, Q, float(bound)
-        return P, Q * folded, float(bound)
-    user_w *= P
-    item_w *= Q
-    return user_w, item_w, float(bound)
+            weights = g * g
+        bound = weights.max()
+        if not np.isfinite(bound):
+            raise ConfigError(f"{config.shared_filter} gives filter weights whose factor scores are not finite")
+        return spectrum.P, spectrum.Q, weights, float(bound)
+    user_w = np.power(sigma[None, :], profile.user_beta[:, None])
+    item_w = np.power(sigma[None, :], profile.item_beta[:, None])
+    user_w *= spectrum.P
+    item_w *= spectrum.Q
+    return user_w, item_w, np.ones(len(sigma)), 1.0
 
 
 def factor_bytes(config: SgfcfConfig, n_users: int, n_items: int) -> int:
     """Bytes of the factors ``fit`` makes beside the spectrum (see
-    _factor_weights): K doubles per node of the side with fewer rows for a
-    shared filter, whose other side is the spectrum's, and of both sides
-    for an individualized config."""
-    return 8 * config.K * (min(n_users, n_items) if config.shared_filter is not None else n_users + n_items)
+    _factor_weights): none for a shared filter, whose factors are the
+    spectrum's own, and K doubles per node of both sides for an
+    individualized config."""
+    return 0 if config.shared_filter is not None else 8 * config.K * (n_users + n_items)
 
 
 def check_score_bound(factor_bound: float, gamma: float, norm: NormalizedMatrix) -> None:
@@ -225,9 +218,11 @@ def fit(
     runs before the SVD, so a config it rejects fails before the costly
     stage. Homophily and the exponent profile are built only for an
     individualized config; a shared one (``config.shared_filter``, which
-    covers beta1 == beta2) folds its filter row, squared, into the side
-    with fewer rows (see _factor_weights), leaves ``model.profile`` None
-    and keeps whatever scores were passed in as ``model.homophily``.
+    covers beta1 == beta2) keeps the spectrum's P and Q as its factors and
+    its filter row, squared, as ``model.user_weights`` (see
+    _factor_weights), so it allocates no n x K array; it leaves
+    ``model.profile`` None and keeps whatever scores were passed in as
+    ``model.homophily``.
     """
     start = time.perf_counter()
     shape = (dataset.n_users, dataset.n_items)
@@ -269,7 +264,7 @@ def fit(
     else:
         spectrum = spectrum.truncate(config.K)
 
-    user_factors, item_factors, factor_bound = _factor_weights(spectrum, config, profile)
+    user_factors, item_factors, user_weights, factor_bound = _factor_weights(spectrum, config, profile)
     check_score_bound(factor_bound, config.gamma, norm)
     sources = duplicate_item_sources(graph)
     copies = np.flatnonzero(sources != np.arange(graph.n_items))
@@ -281,6 +276,7 @@ def fit(
         train_csr=graph.row_major,
         user_factors=user_factors,
         item_factors=item_factors,
+        user_weights=user_weights,
         duplicate_items=copies,
         duplicate_sources=sources[copies],
         factor_bound=factor_bound,
@@ -304,7 +300,7 @@ def _tie_duplicates(model: SgfcfModel, scores: np.ndarray) -> np.ndarray:
 def score_user(model: SgfcfModel, u: int) -> np.ndarray:
     """Full score row for one user; materializes only |I| floats."""
     check_integer("user id", u, 0, model.n_users - 1, UnknownUser)
-    scores = model.item_factors @ model.user_factors[u]
+    scores = model.item_factors @ (model.user_factors[u] * model.user_weights)
     if model.config.gamma > 0:
         W = model.norm.values
         # W^T (W r_u^T): two sparse matrix-vector products through a dense
@@ -324,7 +320,9 @@ GAMMA_TILE = 256
 
 
 def score_users(model: SgfcfModel, users) -> np.ndarray:
-    """Score rows for a batch of users (rows align with ``users``).
+    """Score rows for a batch of users (rows align with ``users``):
+    ``(user_factors[users] * user_weights) @ item_factors.T``, so a shared
+    filter's row weights only the batch's rows of P.
 
     Beside the len(users) x |I| result, the gamma term holds the dense
     |U| x len(users) D = W W_users^T and one GAMMA_TILE item tile of
@@ -339,7 +337,7 @@ def score_users(model: SgfcfModel, users) -> np.ndarray:
     users = users.astype(np.int64, copy=False)
     if len(users) and (users.min() < 0 or users.max() >= model.n_users):
         raise UnknownUser("user id outside valid range in batch")
-    scores = _tie_duplicates(model, model.user_factors[users] @ model.item_factors.T)
+    scores = _tie_duplicates(model, (model.user_factors[users] * model.user_weights) @ model.item_factors.T)
     if model.config.gamma > 0:
         D = _gamma_dense(model.norm, users)
         return add_gamma_term(scores, model.config.gamma, lambda tile: model.norm.values_t[tile] @ D)

@@ -1,7 +1,9 @@
 """The benchmark's own output checks (perfbench/checks.py) on small fitted
-models, so that a divergence between ``recommend`` and ``evaluate``, or a
-library entry point the benchmark calls going missing, fails the test
-suite and not only a benchmark run. perfbench/ is only read."""
+models, and its measure-and-check run (perfbench/harness.py) on shrunk
+copies of its workloads, so that a divergence between ``recommend`` and
+``evaluate``, or a library change that would make a benchmark run fail,
+fails the test suite and not only a benchmark run. perfbench/ is only
+read."""
 
 import importlib
 from dataclasses import replace
@@ -27,6 +29,13 @@ def checks():
         yield importlib.import_module("checks")
 
 
+@pytest.fixture(scope="module")
+def harness():
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(PERFBENCH))
+        yield importlib.import_module("harness")
+
+
 def _bench_dataset(tmp_path_factory, n_users, n_items):
     """A skewed graph written as a log and split as the benchmark splits its
     inputs (train 0.8, validation 0.05)."""
@@ -38,14 +47,13 @@ def _bench_dataset(tmp_path_factory, n_users, n_items):
 
 @pytest.fixture(scope="module")
 def dataset(tmp_path_factory):
-    """150 x 120: users outnumber items, so a shared filter folds into Q."""
+    """150 x 120: users outnumber items."""
     return _bench_dataset(tmp_path_factory, 150, 120)
 
 
 @pytest.fixture(scope="module")
 def wide_dataset(tmp_path_factory):
-    """120 x 150: items outnumber users, as at CiteULike shape, so a shared
-    filter folds into P and the item factors are the spectrum's Q."""
+    """120 x 150: items outnumber users, as at CiteULike shape."""
     return _bench_dataset(tmp_path_factory, 120, 150)
 
 
@@ -70,10 +78,8 @@ def test_benchmark_checks_pass(checks, request, config, tile, shape, monkeypatch
         monkeypatch.setattr(model_module, "GAMMA_TILE", tile)
     model = fit(dataset, config)
     if config.shared_filter is not None:
-        # the side with more rows scores with the spectrum's own array
-        assert (model.item_factors is model.spectrum.Q, model.user_factors is model.spectrum.P) == (
-            (True, False) if shape == "wide_dataset" else (False, True)
-        )
+        # both sides score with the spectrum's own arrays, in either orientation
+        assert model.user_factors is model.spectrum.P and model.item_factors is model.spectrum.Q
     users = np.unique(dataset.test[:, 0])
     lists = {int(u): model.recommend(int(u), k=K) for u in users}
     for u, ranked in lists.items():
@@ -89,3 +95,22 @@ def test_benchmark_checks_pass(checks, request, config, tile, shape, monkeypatch
     u = next(u for u, ranked in lists.items() if ranked.scores[0] > ranked.scores[1])
     swapped = replace(lists[u], items=lists[u].items[[1, 0, *range(2, K)]])
     assert checks.cross_check_topk(model, dataset, {**lists, u: swapped}, K) != []
+
+
+@pytest.mark.parametrize("name", ["citeulike-shared", "wide-igf", "grid-tune"])
+def test_benchmark_run_passes_its_checks_on_a_shrunk_workload(harness, name, tmp_path):
+    # each workload's config and steps on a 300 x 400 graph of 3000 edges,
+    # with K and the grid's K axis cut to at most 40; an untraced run as
+    # perfbench/run.py makes it, at a recommend loop of one pass
+    workload = harness.WORKLOADS[name]
+    shrunk = replace(
+        workload, n_users=300, n_items=400, target_edges=3000,
+        config=replace(workload.config, K=min(workload.config.K, 40)),
+        grid_axes=None if workload.grid_axes is None else {**workload.grid_axes, "K": [20, 40]},
+    )
+    path = tmp_path / "interactions.tsv"
+    harness.write_input(shrunk, 1, path)
+    run = harness.Run(shrunk, 1, 0.01)
+    run.check(*run.measure(path, traced=False))
+    assert (run.failed, run.problems) == (0, [])
+    assert run.attempted > 0

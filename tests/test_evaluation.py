@@ -184,6 +184,23 @@ class TestEvaluate:
         assert base.recall_at_k == warped.recall_at_k
         assert base.ndcg_at_k == pytest.approx(warped.ndcg_at_k)
 
+    @pytest.mark.parametrize("n_users, n_items", [(40, 35), (45, 30)])
+    def test_scorer_of_another_shape_raises_before_scoring(self, n_users, n_items):
+        # a model fitted on 40 x 30 returned metrics on a 40 x 35 dataset,
+        # whose test items 30-34 it never scored
+        model = fit(_sweep_dataset(np.random.default_rng(7)), SgfcfConfig(K=4))
+        other = _sweep_dataset(np.random.default_rng(7), n_users, n_items)
+
+        class Forbidden:
+            train_csr = model.train_csr
+
+            def score_users(self, users):
+                raise AssertionError("scored a dataset of another shape")
+
+        for scorer in (model, Forbidden()):
+            with pytest.raises(ConfigError, match=re.escape(f"trained on (40, 30) for a dataset of shape {(n_users, n_items)}")):
+                evaluate(scorer, other, k=5)
+
     def test_val_split_selection(self):
         dataset = dataset_from_pairs(
             train=[(0, 0), (0, 1), (1, 0), (1, 1)],
@@ -488,6 +505,22 @@ class TestFrequencySweep:
             with pytest.raises(ConfigError):
                 frequency_sweep(dataset, norm, [1, 4], metric_k=metric_k)
 
+    @pytest.mark.parametrize("seed", [-1, "x", 1.0, True])
+    @pytest.mark.parametrize("passed", [False, True], ids=["own-spectrum", "passed-spectrum"])
+    def test_bad_seed_raises_before_any_work(self, monkeypatch, seed, passed):
+        # with a spectrum passed in, seed=-1 and seed="x" were accepted
+        dataset = _sweep_dataset(np.random.default_rng(2))
+        norm = g2n_normalize(build_graph(dataset), G2NConfig())
+        spectrum = dense_svd(norm) if passed else None
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("sweep started work with a bad seed")
+
+        monkeypatch.setattr(evaluation, "build_graph", forbidden)
+        monkeypatch.setattr(evaluation, "top_k_svd", forbidden)
+        with pytest.raises(ConfigError, match="seed"):
+            frequency_sweep(dataset, norm, [1, 4], spectrum=spectrum, seed=seed)
+
     @pytest.mark.parametrize("K_grid", [[2.5, 4.9], [2, 4.5], [], [True, 3], ["3"], [float("nan")]], ids=str)
     def test_non_integer_or_empty_grid_raises_before_any_work(self, monkeypatch, K_grid):
         # [2.5, 4.9] once gave rows for K 2 and 4, and [] no rows at all
@@ -543,8 +576,9 @@ class TestFrequencySweep:
 
     @pytest.mark.parametrize("budget", [evaluation.GRID_FACTOR_BYTES, 1])
     def test_rows_equal_one_band_fit_per_K(self, monkeypatch, budget):
-        # every K goes through the grid's batched validation pass: one pass
-        # for all of them within the budget, one per K below a single set
+        # every K goes through the grid's batched validation pass; their
+        # MonomialFilter(0.0) sets are the spectrum's own arrays and own no
+        # factor bytes, so one pass takes them all whatever the budget
         dataset = _sweep_dataset(np.random.default_rng(5))
         graph = build_graph(dataset)
         norm = g2n_normalize(graph, G2NConfig(alpha=2.0))
@@ -566,7 +600,7 @@ class TestFrequencySweep:
         monkeypatch.setattr(evaluation, "_evaluate_pass", counted)
         monkeypatch.setattr(evaluation, "GRID_FACTOR_BYTES", budget)
         assert frequency_sweep(dataset, norm, K_grid, metric_k=5, spectrum=spectrum) == want
-        assert passes == ([4] if budget > 1 else [1] * 4)
+        assert passes == [4]
 
     def test_csv_export(self, data_file, tmp_path):
         out = tmp_path / "runs"
@@ -846,6 +880,31 @@ class TestGridSearch:
         assert result.best_validation == best_validation
         assert result.test_result == test_result
 
+    def test_a_shared_group_takes_one_pass_whatever_the_budget(self, monkeypatch):
+        # a shared filter's sets own no factor bytes, so each (alpha,
+        # epsilon) group's four sets (K x beta) share one pass at a budget
+        # of 1 byte, and the results still equal the per-combo reference
+        dataset = _grid_dataset(np.random.default_rng(12))
+        axes = {"alpha": [0.0, 2.0], "K": [3, 5], "beta": [1.2, 1.6], "gamma": [0.0, 0.3]}
+        base = SgfcfConfig(K=4, seed=5)
+        passes = []
+        evaluate_pass = evaluation._evaluate_pass
+
+        def counted(groups, *args):
+            passes.append(len(groups))
+            return evaluate_pass(groups, *args)
+
+        monkeypatch.setattr(evaluation, "_evaluate_pass", counted)
+        monkeypatch.setattr(evaluation, "GRID_FACTOR_BYTES", 1)
+        result = grid_search(dataset, GridSpec(axes=axes), k=5, base=base, threads=2)
+        table, best_config, best_validation, test_result = grid_reference(dataset, axes, k=5, base=base)
+        # two groups of four sets, then the winner's test evaluate
+        assert passes == [4, 4, 1]
+        assert result.table == table
+        assert result.best_config == best_config
+        assert result.best_validation == best_validation
+        assert result.test_result == test_result
+
     def test_factor_batches_stay_within_the_budget(self, monkeypatch):
         def group_sizes(shape, base, Ks, betas, beta1=None, beta2=None):
             # one alpha group's factor sets, keyed as _validate keys them
@@ -858,11 +917,11 @@ class TestGridSearch:
             }
 
         citeulike = (5551, 16981)
-        # criterion 9's group: 8 shared sets own only their 5551 user rows,
-        # 142 MB in all, so one pass validates them
+        # criterion 9's group: 8 shared sets, whose factors are the
+        # spectrum's own, own no bytes, so one pass validates them
         base = SgfcfConfig(K=500, g2n=G2NConfig(alpha=6.0), svd_power_iters=2, seed=42)
         sizes = group_sizes(citeulike, base, (300, 500), (1.2, 1.6, 2.0, 2.4))
-        assert sum(sizes.values()) == 8 * 5551 * 3200
+        assert sum(sizes.values()) == 0
         assert evaluation._factor_batches(sizes) == [list(sizes)]
         # individualized, the same K values own both sides, 577 MB, and
         # go in runs of at most GRID_FACTOR_BYTES
@@ -873,13 +932,15 @@ class TestGridSearch:
         assert len(batches) > 1
         for batch in batches:
             assert sum(sizes[key] for key in batch) <= evaluation.GRID_FACTOR_BYTES
-        # grid-tune's group, about 9 MB, stays one pass
+        # grid-tune's shared group stays one pass, even at a budget of 1 byte
         base = SgfcfConfig(K=128, g2n=G2NConfig(alpha=10.0), gamma=0.2)
         sizes = group_sizes((2000, 4000), base, (64, 128), (1.2, 1.6, 2.0))
         assert evaluation._factor_batches(sizes) == [list(sizes)]
-        # a set above the budget is a batch of its own
+        monkeypatch.setattr(evaluation, "GRID_FACTOR_BYTES", 1)
+        assert evaluation._factor_batches(sizes) == [list(sizes)]
+        # an individualized set above the budget is a batch of its own
         monkeypatch.setattr(evaluation, "GRID_FACTOR_BYTES", 8 * 5551 * 400)
-        sizes = group_sizes(citeulike, base, (300, 500, 100), (1.6,))
+        sizes = group_sizes(citeulike, base, (300, 500, 100), (1.6,), beta1=1.2, beta2=2.0)
         assert [len(batch) for batch in evaluation._factor_batches(sizes)] == [1, 1, 1]
 
     def test_negative_threads_raise_before_any_work(self, monkeypatch):

@@ -146,7 +146,7 @@ class TestFit:
         monkeypatch.setattr(sgfcf.model, "homophilic_ratio_all", forbidden)
         skipped = fit(dataset, config)
         assert skipped.homophily is None
-        for name in ("user_factors", "item_factors"):
+        for name in ("user_factors", "item_factors", "user_weights"):
             assert np.array_equal(getattr(skipped, name), getattr(with_homophily, name))
         assert skipped.profile is None
         assert with_homophily.profile is None
@@ -169,7 +169,7 @@ class TestFit:
         dataset = small_dataset(np.random.default_rng(34), 60, 50)
         igf = fit(dataset, SgfcfConfig(K=40, igf=IgfConfig(beta=beta)))
         monomial = fit(dataset, SgfcfConfig(K=40, filter=MonomialFilter(beta)))
-        for name in ("user_factors", "item_factors"):
+        for name in ("user_factors", "item_factors", "user_weights"):
             assert np.array_equal(getattr(igf, name), getattr(monomial, name))
 
     def test_bad_homo_scope_rejected(self):
@@ -244,23 +244,26 @@ ORIENTATIONS = pytest.mark.parametrize("n_users, n_items", [(30, 60), (60, 30)],
 
 
 class TestSharedFold:
-    """A shared filter folds g(sigma)^2 into the side with fewer rows; the
-    other side scores with the spectrum's own P or Q."""
+    """A shared filter scores with the spectrum's own P and Q; its row
+    g(sigma)^2 is ``model.user_weights``, which scoring multiplies into
+    the scored users' rows of P."""
 
     @ORIENTATIONS
     def test_larger_side_is_the_spectrums_array(self, n_users, n_items):
+        # either orientation: both sides are the spectrum's, the row is g^2
         dataset = _shaped_dataset(n_users, n_items)
         model = fit(dataset, SgfcfConfig(K=12, filter=ExponentialFilter(2.0)))
         spec = model.spectrum
-        larger, own = (model.item_factors, spec.Q) if n_items > n_users else (model.user_factors, spec.P)
-        assert larger is own
-        # a grid's spectrum holds more triplets than K: a column view of it
+        assert model.user_factors is spec.P and model.item_factors is spec.Q
+        g = eval_filter(ExponentialFilter(2.0), spec.sigma_normalized)
+        assert np.array_equal(model.user_weights, g * g)
+        # a grid's spectrum holds more triplets than K: column views of it
         wider = fit(dataset, SgfcfConfig(K=16, filter=ExponentialFilter(2.0))).spectrum
         cut = fit(dataset, SgfcfConfig(K=12, filter=ExponentialFilter(2.0)), spectrum=wider)
-        larger, own = (cut.item_factors, wider.Q) if n_items > n_users else (cut.user_factors, wider.P)
-        assert np.shares_memory(larger, own) and larger.shape == (max(n_users, n_items), 12)
-        for name in ("user_factors", "item_factors"):
-            assert not np.shares_memory(getattr(cut, name), getattr(model, name))
+        for factors, own in ((cut.user_factors, wider.P), (cut.item_factors, wider.Q)):
+            assert np.shares_memory(factors, own) and factors.shape == (len(own), 12)
+            assert not np.shares_memory(factors, model.user_factors)
+            assert not np.shares_memory(factors, model.item_factors)
 
     @ORIENTATIONS
     @pytest.mark.parametrize(
@@ -289,12 +292,38 @@ class TestSharedFold:
         assert model.factor_bound == 1.0
         assert np.array_equal(model.user_factors, spectrum.P[:, :12])
         assert np.array_equal(model.item_factors, spectrum.Q[:, :12])
+        assert np.array_equal(model.user_weights, np.ones(12))
+
+    @pytest.mark.parametrize("K", [16, 12], ids=["whole", "cut"])
+    @pytest.mark.parametrize(
+        "family",
+        [MonomialFilter(1.6), ExponentialFilter(2.0), MarkovFilter(3), JacobiFilter(0.5, 1.5, 4), MonomialFilter(0.0)],
+        ids=repr,
+    )
+    def test_scores_equal_the_user_side_fold_bit_for_bit(self, family, K):
+        # With |U| <= |I| the row g^2 weights the scored users' rows of P,
+        # which are the same elementwise products as the rows of the copy
+        # (P * g^2) that a shared fit once made, so every bit is kept. With
+        # |U| > |I| that copy was of Q; test_scores_equal_the_unfolded_product
+        # covers that orientation to rounding.
+        dataset = _shaped_dataset(30, 60)
+        spectrum = fit(dataset, SgfcfConfig(K=16)).spectrum
+        model = fit(dataset, SgfcfConfig(K=K, filter=family), spectrum=spectrum)
+        P, Q = spectrum.P[:, :K], spectrum.Q[:, :K]
+        assert np.shares_memory(model.user_factors, spectrum.P) and np.shares_memory(model.item_factors, spectrum.Q)
+        g = eval_filter(family, model.spectrum.sigma_normalized)
+        folded = P * (g * g)
+        users = np.arange(0, 30, 2)
+        expected = model_module._tie_duplicates(model, folded[users] @ Q.T)
+        assert np.array_equal(score_users(model, users), expected)
+        for u in (0, 7, 29):
+            assert np.array_equal(score_user(model, u), model_module._tie_duplicates(model, Q @ folded[u]))
 
     @ORIENTATIONS
     def test_fit_on_a_given_spectrum_allocates_no_larger_side_array(self, n_users, n_items):
-        # Beside the smaller side's folded factors (half the bound) the
-        # duplicate-item scan holds about 110 bytes per item; a weighted
-        # copy of the larger side alone would reach the bound.
+        # The duplicate-item scan holds about 110 bytes per item, under half
+        # the bound; a weighted copy of the smaller side alone, which a
+        # shared fit once made, would reach it.
         n_users, n_items, K = 20 * n_users, 20 * n_items, 60
         dataset = _shaped_dataset(n_users, n_items, edges_per_node=3)
         graph = build_graph(dataset)
@@ -309,7 +338,7 @@ class TestSharedFold:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert peak < 8 * max(n_users, n_items) * K, peak
+        assert peak < 8 * min(n_users, n_items) * K, peak
 
     def test_individualized_factors_are_the_weighted_spectrum_bit_for_bit(self):
         dataset = _shaped_dataset(30, 60)
@@ -318,6 +347,21 @@ class TestSharedFold:
         sigma = spec.sigma_normalized[None, :]
         assert np.array_equal(model.user_factors, spec.P * np.power(sigma, profile.user_beta[:, None]))
         assert np.array_equal(model.item_factors, spec.Q * np.power(sigma, profile.item_beta[:, None]))
+        assert np.array_equal(model.user_weights, np.ones(12))
+
+    @pytest.mark.parametrize(
+        "beta1, beta, beta2", [(1.2, 1.6, 2.0), (0.0, 0.0, 5.0), (0.0, 1e6, 1e300), (0.0, 1e300, 1.7e308)]
+    )
+    def test_individualized_factor_bound_is_one(self, beta1, beta, beta2):
+        # sigma_normalized lies in (0, 1] with sigma_1 = 1 and every
+        # exponent is at least beta1 >= 0, so each node's weights lie in
+        # [0, 1] and its first is 1, however large the exponents
+        dataset = _shaped_dataset(30, 60)
+        model = fit(dataset, SgfcfConfig(K=12, igf=IgfConfig(beta=beta, beta1=beta1, beta2=beta2)))
+        assert model.factor_bound == 1.0
+        for factors, own in ((model.user_factors, model.spectrum.P), (model.item_factors, model.spectrum.Q)):
+            assert np.array_equal(factors[:, 0], own[:, 0])
+        assert np.isfinite(score_users(model, np.arange(30))).all()
 
     def test_writing_into_the_spectrums_factors_raises(self):
         dataset = _shaped_dataset(30, 60)
@@ -427,7 +471,7 @@ class TestScoreUser:
         model = fit(dataset, SgfcfConfig(K=6, gamma=gamma))
         W = model.norm.values
         users = np.arange(model.n_users)
-        expected = model.user_factors @ model.item_factors.T + gamma * (W @ W.T @ W).toarray()
+        expected = (model.user_factors * model.user_weights) @ model.item_factors.T + gamma * (W @ W.T @ W).toarray()
         scale = np.abs(expected).max()
         assert np.abs(score_users(model, users) - expected).max() <= 1e-12 * scale
         for u in (0, 17, 119):
@@ -445,7 +489,7 @@ class TestScoreUser:
         W = model.norm.values
         assert (np.diff(W.indptr)[120:] == 0).all()
         for u in range(model.n_users):
-            factor_row = model.item_factors @ model.user_factors[u]
+            factor_row = model.item_factors @ (model.user_factors[u] * model.user_weights)
             row = W.T @ (W @ W[u].toarray().ravel())
             expected = model_module._tie_duplicates(model, factor_row + gamma * row)
             assert np.array_equal(score_user(model, u), expected)
@@ -461,7 +505,7 @@ class TestScoreUser:
         model = fit(small_dataset(rng, 120, 90), SgfcfConfig(K=6, gamma=0.3))
         W = model.norm.values
         users = np.arange(0, model.n_users, 3)
-        expected = model.user_factors[users] @ model.item_factors.T
+        expected = (model.user_factors[users] * model.user_weights) @ model.item_factors.T
         expected += 0.3 * (W.T @ (W @ W[users].T).toarray()).T
         expected[:, model.duplicate_items] = expected[:, model.duplicate_sources]
         assert np.array_equal(score_users(model, users), expected)
