@@ -350,24 +350,23 @@ def _cmd_fit(resolved: dict) -> int:
     dataset = _load_dataset(resolved)
     config = _model_config(resolved)
     graph = homophily = None
-    if config.filter is None and config.shared_filter is not None:
-        # fit skips homophily at beta1 == beta2, but the artifact still
-        # reports it; computed first, so a delta it rejects fails before the SVD
+    if config.filter is None:
+        # homophily.csv reports every --filter igf fit, beta1 == beta2
+        # included, where fit reads no scores; computed before fit, so a
+        # delta it rejects fails before the SVD
         graph = gr.build_graph(dataset)
         homophily = ft.homophilic_ratio_all(graph, delta=config.delta, mode=config.homo_mode)
     model = md.fit(dataset, config, graph=graph, homophily=homophily)
     out, record = _run_dir(resolved, split=dataset.split_config, model=model.config)
     _write_json(md.model_summary(model), record, os.path.join(out, "model_summary.json"))
     _write_spectrum(model.spectrum, out)
-    if model.homophily is not None:
-        profile = model.profile
-        if profile is None:
-            profile = ft.map_homo_to_beta(model.homophily, config.igf, scope=config.homo_scope)
+    if homophily is not None:
+        profile = ft.map_homo_to_beta(homophily, config.igf, scope=config.homo_scope)
         rows = [
             (node_type, node_id, score, beta)
             for node_type, scores, betas in (
-                ("user", model.homophily.user_scores, profile.user_beta),
-                ("item", model.homophily.item_scores, profile.item_beta),
+                ("user", homophily.user_scores, profile.user_beta),
+                ("item", homophily.item_scores, profile.item_beta),
             )
             for node_id, (score, beta) in enumerate(zip(scores.tolist(), betas.tolist()))
         ]

@@ -183,7 +183,7 @@ def _evaluate_pass(groups, dataset: InteractionDataset, k: int, split: str, thre
         if scorer.train_csr.shape != shape:
             raise ConfigError(f"scorer trained on {scorer.train_csr.shape} for a dataset of shape {shape}")
         if max(gammas) > 0:  # a grid fits its scorers at gamma 0, so fit checked none of these
-            check_score_bound(scorer.factor_bound, max(gammas), scorer.norm)
+            check_score_bound(scorer.user_weights, max(gammas), scorer.norm)
     workers = min(threads or parallel.available_cpus(), EVAL_CHUNK)
     size = EVAL_CHUNK // workers
     chunks = [evaluable[start : start + size] for start in range(0, len(evaluable), size)]
@@ -360,8 +360,12 @@ def grid_search(
     they then follow each beta. Each (alpha, epsilon) pair is visited
     once, in sorted order; its spectrum is ``top_k_svd`` at the largest
     K, sliced for smaller K, and outlives the pair only while the pair
-    holds the best validation score. A K above min(|U|, |I|) or a ``k``
-    below 1 raises before any work, as ``fit`` does. Homophily is
+    holds the best validation score. A rank-deficient matrix can yield
+    fewer triplets than a config's K; that config is validated, and
+    refitted for test, at the spectrum's length, as ``fit`` cuts a
+    spectrum it takes itself, while its table row and ``best_config``
+    keep its own K. A K above min(|U|, |I|) or a ``k`` below 1 raises
+    before any work, as ``fit`` does. Homophily is
     computed once, and only when some combination is individualized (see
     ``SgfcfConfig.shared_filter``). Combinations violating beta1 <= beta <=
     beta2 are skipped.
@@ -370,7 +374,8 @@ def grid_search(
     config accepts (an epsilon above 0, a gamma below 0) raises ConfigError
     first. A pair's configs are validated by ``_validate``, in passes over
     the users within GRID_FACTOR_BYTES of individualized factors each (a
-    shared filter's sets own none, so a shared pair takes one pass); under
+    shared filter's sets own none and join the pass at hand, so a shared
+    pair takes one pass and a shared set never adds one); under
     an explicit filter, the beta axes share one factor set. ``threads`` is
     the worker count of each pass and of the winner's test evaluate: the
     calling thread and ``threads - 1`` pool threads score the users'
@@ -443,7 +448,8 @@ def grid_search(
         del norm, spectrum
 
     _, n, norm, spectrum = best
-    best_model = fit(dataset, configs[n], graph=graph, norm=norm, spectrum=spectrum, homophily=homophily)
+    refit = replace(configs[n], K=min(configs[n].K, len(spectrum)))
+    best_model = fit(dataset, refit, graph=graph, norm=norm, spectrum=spectrum, homophily=homophily)
     test_result = evaluate(best_model, dataset, k=k, split="test", threads=threads)
     table = [
         dict(zip(GRID_AXES, (c.g2n.alpha, c.g2n.epsilon, c.K, c.igf.beta, c.igf.beta1, c.igf.beta2, c.gamma)))
@@ -460,27 +466,29 @@ def grid_search(
 
 def _validate(configs, dataset, graph, norm, spectrum, homophily, k, split, threads) -> list[MetricResult]:
     """Metrics on ``split`` of configs sharing one graph, normalization,
-    spectrum and homophily, aligned with ``configs``. Configs whose factors
-    read the same K, normalization and shared filter (else IGF fields)
+    spectrum and homophily, aligned with ``configs``. Each config is fitted
+    at min(K, len(spectrum)), as ``fit`` cuts a spectrum it takes itself
+    to the triplets a rank-deficient matrix has. Configs whose factors read
+    the same fitted K, normalization and shared filter (else IGF fields)
     share a set, fitted once at gamma 0; the sets go in runs within
-    GRID_FACTOR_BYTES (``factor_bytes``, 0 for a shared set), each fitted
-    for one ``_evaluate_pass``, which shares the exclusion, the gamma block
-    and a set's scores per chunk."""
-    members = {}  # per factor set key: its configs' positions
+    GRID_FACTOR_BYTES (``factor_bytes`` at the fitted K, 0 for a shared
+    set), each fitted for one ``_evaluate_pass``, which shares the
+    exclusion, the gamma block and a set's scores per chunk."""
+    sets = {}  # per factor set key: its fitted config and its configs' positions
     for n, config in enumerate(configs):
+        fitted = replace(config, K=min(config.K, len(spectrum)), gamma=0.0)
         weights = config.shared_filter or (config.igf, config.delta, config.homo_mode, config.homo_scope)
-        members.setdefault((config.K, config.g2n, weights), []).append(n)
+        sets.setdefault((fitted.K, config.g2n, weights), (fitted, []))[1].append(n)
     results = [None] * len(configs)
-    sizes = {key: factor_bytes(configs[ns[0]], graph.n_users, graph.n_items) for key, ns in members.items()}
+    sizes = {key: factor_bytes(fitted, graph.n_users, graph.n_items) for key, (fitted, _) in sets.items()}
     for batch in _factor_batches(sizes):
         scorings = [
-            (fit(dataset, replace(configs[members[key][0]], gamma=0.0),
-                 graph=graph, norm=norm, spectrum=spectrum, homophily=homophily),
-             [configs[n].gamma for n in members[key]])
+            (fit(dataset, sets[key][0], graph=graph, norm=norm, spectrum=spectrum, homophily=homophily),
+             [configs[n].gamma for n in sets[key][1]])
             for key in batch
         ]
         for key, metrics in zip(batch, _evaluate_pass(scorings, dataset, k, split, threads)):
-            for n, result in zip(members[key], metrics):
+            for n, result in zip(sets[key][1], metrics):
                 results[n] = result
         del scorings  # frees the run's factors before the next is fitted
     return results
@@ -489,10 +497,12 @@ def _validate(configs, dataset, graph, norm, spectrum, homophily, k, split, thre
 def _factor_batches(sizes: dict) -> list[list]:
     """The keys of ``sizes``, each a factor set's key mapped to the bytes
     its factors own, in order, cut into consecutive batches that stay
-    within GRID_FACTOR_BYTES; a set above it is a batch alone."""
+    within GRID_FACTOR_BYTES; a set above it starts a batch of its own. A
+    set that owns no bytes (a shared filter's) joins the current batch,
+    even one already over the budget, so it never costs a pass."""
     batches, used = [], 0
     for key, size in sizes.items():
-        if not batches or used + size > GRID_FACTOR_BYTES:
+        if not batches or (size > 0 and used + size > GRID_FACTOR_BYTES):
             batches.append([])
             used = 0
         batches[-1].append(key)

@@ -100,21 +100,19 @@ class SgfcfModel:
     """Immutable scoring state produced by :func:`fit`."""
 
     spectrum: TruncatedSpectrum
-    profile: IgfProfile | None
     norm: NormalizedMatrix
     config: SgfcfConfig
     train_csr: sp.csr_matrix
     # (user_factors[u] * user_weights) . item_factors[i] is the factor score
     # (see _factor_weights): shared filter, the spectrum's own P and Q with
     # the row g(sigma)^2; individualized, P and Q weighted by per-node
-    # filter values with a row of ones
+    # filter values with a row of ones. max(user_weights) bounds every
+    # factor score.
     user_factors: np.ndarray
     item_factors: np.ndarray
     user_weights: np.ndarray
     duplicate_items: np.ndarray  # items whose train column equals a lower id's
     duplicate_sources: np.ndarray  # the lowest id sharing each one's column
-    factor_bound: float  # bounds every factor score (see _factor_weights)
-    homophily: HomophilyScores | None = None
     fit_seconds: float = 0.0
 
     @property
@@ -142,10 +140,10 @@ def _factor_weights(
     spectrum: TruncatedSpectrum,
     config: SgfcfConfig,
     profile: IgfProfile | None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The user factors, item factors and the length-K row of user weights,
-    whose weighted row products are the factor scores, and a bound on every
-    factor score.
+    whose weighted row products are the factor scores; the row's largest
+    entry bounds every factor score.
 
     Shared path (no profile): every node has the config's shared filter
     g, so the score sums P[u,k] g(sigma_k)^2 Q[i,k]. The factors are the
@@ -153,27 +151,27 @@ def _factor_weights(
     scoring multiplies into each scored user's rows of P. By Cauchy-Schwarz
     (rows of P and Q have norm at most 1) max g^2 bounds every factor
     score; ConfigError, naming the filter, when it is not finite.
-    Individualized path: user u gets sigma^beta_u, item i gets
+    Individualized path: ``profile`` holds the per-node exponents, which
+    are used here and not kept. User u gets sigma^beta_u, item i gets
     sigma^beta_i, so the score picks up sigma^(beta_u + beta_i); each side
     is its (n, K) weight multiplied by P or Q in place, and the row is
     ones. sigma_normalized lies in (0, 1] with sigma_1 = 1 and every beta
     is at least beta1 >= 0, so every weight lies in [0, 1], each node's
-    first is 1, and the bound is 1.
+    first is 1, and the row's 1 bounds every factor score.
     """
     sigma = spectrum.sigma_normalized
     if profile is None:
         g = eval_filter(config.shared_filter, sigma)
         with np.errstate(over="ignore"):
             weights = g * g
-        bound = weights.max()
-        if not np.isfinite(bound):
+        if not np.isfinite(weights.max()):
             raise ConfigError(f"{config.shared_filter} gives filter weights whose factor scores are not finite")
-        return spectrum.P, spectrum.Q, weights, float(bound)
+        return spectrum.P, spectrum.Q, weights
     user_w = np.power(sigma[None, :], profile.user_beta[:, None])
     item_w = np.power(sigma[None, :], profile.item_beta[:, None])
     user_w *= spectrum.P
     item_w *= spectrum.Q
-    return user_w, item_w, np.ones(len(sigma)), 1.0
+    return user_w, item_w, np.ones(len(sigma))
 
 
 def factor_bytes(config: SgfcfConfig, n_users: int, n_items: int) -> int:
@@ -184,13 +182,15 @@ def factor_bytes(config: SgfcfConfig, n_users: int, n_items: int) -> int:
     return 0 if config.shared_filter is not None else 8 * config.K * (n_users + n_items)
 
 
-def check_score_bound(factor_bound: float, gamma: float, norm: NormalizedMatrix) -> None:
-    """Raise ConfigError unless factor_bound + gamma * b^3 is finite, with
-    b = sqrt(gram_bound(W)) >= sigma_1(W). Every entry of W W^T W is at
-    most sigma_1^3 in magnitude, so the sum bounds every score at this
-    gamma."""
+def check_score_bound(user_weights: np.ndarray, gamma: float, norm: NormalizedMatrix) -> None:
+    """Raise ConfigError unless max(user_weights) + gamma * b^3 is finite,
+    with ``user_weights`` a fitted model's row, whose largest entry bounds
+    every factor score (see _factor_weights), and b = sqrt(gram_bound(W))
+    >= sigma_1(W). Every entry of W W^T W is at most sigma_1^3 in
+    magnitude, so the sum bounds every score at this gamma."""
     if gamma == 0:
         return
+    factor_bound = float(user_weights.max())
     b = np.sqrt(gram_bound(norm.values))
     with np.errstate(over="ignore"):
         bound = factor_bound + gamma * b**3
@@ -216,13 +216,13 @@ def fit(
     ConfigError. A passed spectrum must hold at least K triplets and is
     cut to K. Anything omitted is derived from the dataset. Homophily
     runs before the SVD, so a config it rejects fails before the costly
-    stage. Homophily and the exponent profile are built only for an
-    individualized config; a shared one (``config.shared_filter``, which
-    covers beta1 == beta2) keeps the spectrum's P and Q as its factors and
-    its filter row, squared, as ``model.user_weights`` (see
-    _factor_weights), so it allocates no n x K array; it leaves
-    ``model.profile`` None and keeps whatever scores were passed in as
-    ``model.homophily``.
+    stage. Homophily and the exponent profile are built, or the passed
+    scores read, only for an individualized config, and only to weight its
+    factors (see _factor_weights); the model keeps neither. A shared config
+    (``config.shared_filter``, which covers beta1 == beta2) keeps the
+    spectrum's P and Q as its factors and its filter row, squared, as
+    ``model.user_weights``, so it allocates no n x K array and uses no
+    homophily scores.
     """
     start = time.perf_counter()
     shape = (dataset.n_users, dataset.n_items)
@@ -264,13 +264,12 @@ def fit(
     else:
         spectrum = spectrum.truncate(config.K)
 
-    user_factors, item_factors, user_weights, factor_bound = _factor_weights(spectrum, config, profile)
-    check_score_bound(factor_bound, config.gamma, norm)
+    user_factors, item_factors, user_weights = _factor_weights(spectrum, config, profile)
+    check_score_bound(user_weights, config.gamma, norm)
     sources = duplicate_item_sources(graph)
     copies = np.flatnonzero(sources != np.arange(graph.n_items))
     return SgfcfModel(
         spectrum=spectrum,
-        profile=profile,
         norm=norm,
         config=config,
         train_csr=graph.row_major,
@@ -279,8 +278,6 @@ def fit(
         user_weights=user_weights,
         duplicate_items=copies,
         duplicate_sources=sources[copies],
-        factor_bound=factor_bound,
-        homophily=homophily,
         fit_seconds=time.perf_counter() - start,
     )
 

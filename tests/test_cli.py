@@ -604,18 +604,18 @@ class TestFitStages:
         return calls
 
     @pytest.mark.parametrize(
-        "flags, cli_calls, fit_calls",
+        "flags, igf",
         [
-            # individualized: fit builds both, so fit_seconds covers them
-            (["--beta1", "1.0", "--beta2", "1.4"], 0, 1),
-            # shared beta: fit skips homophily, the CLI computes it for homophily.csv
-            ([], 1, 0),
-            # an explicit family reports no homophily at all
-            (["--filter", "markov"], 0, 0),
+            # --filter igf, individualized or at a shared beta: the CLI builds
+            # both and hands them in, so fit_seconds covers neither
+            (["--beta1", "1.0", "--beta2", "1.4"], True),
+            ([], True),
+            # an explicit family: fit builds the graph, and no homophily runs
+            (["--filter", "markov"], False),
         ],
     )
-    def test_fit_builds_the_graph_and_homophily_it_uses(
-        self, data_file, tmp_path, monkeypatch, flags, cli_calls, fit_calls
+    def test_the_cli_builds_the_graph_and_homophily_of_every_igf_fit(
+        self, data_file, tmp_path, monkeypatch, flags, igf
     ):
         from sgfcf import filters, graph, model
 
@@ -625,10 +625,10 @@ class TestFitStages:
         fit_homophily = self._counting(monkeypatch, model, "homophilic_ratio_all")
         out = str(tmp_path / "runs")
         assert run_command(["fit", "--data", data_file, "--K", "4", "--out", out, *flags]) == 0
-        assert (len(cli_graph), len(cli_homophily)) == (cli_calls, cli_calls)
-        assert (len(fit_graph), len(fit_homophily)) == (1 - cli_calls, fit_calls)
+        assert (len(cli_graph), len(cli_homophily)) == (igf, igf)
+        assert (len(fit_graph), len(fit_homophily)) == (1 - igf, 0)
         run_dir = _only_run_dir(out)
-        assert os.path.exists(os.path.join(run_dir, "homophily.csv")) == (flags[:1] != ["--filter"])
+        assert os.path.exists(os.path.join(run_dir, "homophily.csv")) == igf
 
     def test_fit_delta_four_above_the_exact_cap_fails_with_a_beta_range(self, tmp_path, capsys):
         lines = [f"user{u}\titem{(7 * u + 13 * j) % 120}" for u in range(150) for j in range(12)]

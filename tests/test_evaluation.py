@@ -732,6 +732,30 @@ class TestGridSearch:
         with pytest.raises(KTooLarge):
             grid_search(dataset, GridSpec(axes={"K": [20, 24, 40]}), k=5)
 
+    @pytest.mark.parametrize(
+        "base", [SgfcfConfig(K=4), SgfcfConfig(K=4, igf=IgfConfig(beta=1.2, beta1=1.0, beta2=1.4))], ids=["shared", "igf"]
+    )
+    def test_a_K_above_the_rank_validates_at_the_spectrums_length(self, base):
+        # users 6-11 copy the train rows of users 0-5, so W has rank 6 and a
+        # spectrum at K = 12 holds 6 triplets; the K=12 row once raised
+        # KTooLarge from fit's truncate, after the first group's SVD
+        rng = np.random.default_rng(13)
+        rows = [sorted({*range(5 * u, 5 * u + 5), *rng.choice(30, 3).tolist()}) for u in range(6)]
+        train = [(u + copy, i) for copy in (0, 6) for u in range(6) for i in rows[u]]
+        unseen = [[i for i in rng.permutation(30).tolist() if i not in rows[u % 6]] for u in range(12)]
+        dataset = dataset_from_pairs(
+            train, val=[(u, unseen[u][0]) for u in range(12)], test=[(u, unseen[u][1]) for u in range(12)],
+            n_users=12, n_items=30,
+        )
+        assert len(fit(dataset, replace(base, K=12)).spectrum) == 6
+        result = grid_search(dataset, GridSpec(axes={"K": [4, 12], "gamma": [0.0, 0.2]}), k=5, base=base)
+        assert [row["K"] for row in result.table] == [4, 4, 12, 12]
+        for row in result.table:
+            config = replace(base, K=row["K"], gamma=row["gamma"])
+            want = evaluate(fit(dataset, config), dataset, k=5, split="val")
+            assert (row["val_recall"], row["val_ndcg"]) == (want.recall_at_k, want.ndcg_at_k)
+        assert result.test_result == evaluate(fit(dataset, result.best_config), dataset, k=5)
+
     def test_overflowing_gamma_raises_before_any_scoring(self, monkeypatch):
         # the grid fits its factor sets at gamma 0, so its validation pass
         # checks the axis's gammas; at epsilon 0, W is the 0/1 train matrix
@@ -857,7 +881,9 @@ class TestGridSearch:
 
     def test_one_factor_set_per_pass_equals_the_per_combo_reference(self, monkeypatch):
         # the group pass test's grid with a factor budget below one set, so
-        # each (K, beta, beta1, beta2) is fitted and validated in its own pass
+        # each individualized (K, beta, beta1, beta2) is fitted and validated
+        # in its own pass, and the shared set (beta1 = beta = 1.2) joins the
+        # pass before it, as it owns no factor bytes
         dataset = _grid_dataset(np.random.default_rng(12))
         axes = {"alpha": [0.0, 2.0], "K": [3, 5], "beta": [1.2, 1.6], "beta1": [1.0, 1.2], "gamma": [0.0, 0.1, 0.3]}
         base = SgfcfConfig(K=4, seed=5)
@@ -872,9 +898,10 @@ class TestGridSearch:
         monkeypatch.setattr(evaluation, "GRID_FACTOR_BYTES", 1)
         result = grid_search(dataset, GridSpec(axes=axes), k=5, base=base, threads=2)
         table, best_config, best_validation, test_result = grid_reference(dataset, axes, k=5, base=base)
-        # 2 groups of 8 factor sets (K x beta x beta1), then the winner's
-        # test evaluate
-        assert passes == [1] * 17
+        # 2 groups of 8 factor sets (K x beta x beta1), in the order
+        # (beta, beta1) = (1.2, 1.0), (1.2, 1.2) shared, (1.6, 1.0), (1.6, 1.2)
+        # per K, then the winner's test evaluate
+        assert passes == [2, 1, 1, 2, 1, 1] * 2 + [1]
         assert result.table == table
         assert result.best_config == best_config
         assert result.best_validation == best_validation

@@ -22,6 +22,8 @@ from sgfcf import (
     eval_filter,
     fit,
     g2n_normalize,
+    homophilic_ratio_all,
+    map_homo_to_beta,
     recommend,
     score_user,
     score_users,
@@ -55,13 +57,14 @@ class TestFit:
         dataset = small_dataset(rng)
         config = SgfcfConfig(K=1, gamma=0.0, igf=IgfConfig(beta=1.0, beta1=0.5, beta2=1.5))
         model = fit(dataset, config)
-        assert model.profile is not None
+        homophily = homophilic_ratio_all(build_graph(dataset), delta=config.delta, mode=config.homo_mode)
+        profile = map_homo_to_beta(homophily, config.igf, scope=config.homo_scope)
         sigma1 = model.spectrum.sigma_normalized[0]  # == 1 by construction
         u = 0
         expected = (
             model.spectrum.P[u, 0]
             * model.spectrum.Q[:, 0]
-            * sigma1 ** (model.profile.user_beta[u] + model.profile.item_beta)
+            * sigma1 ** (profile.user_beta[u] + profile.item_beta)
         )
         assert np.allclose(score_user(model, u), expected)
 
@@ -124,12 +127,15 @@ class TestFit:
         with pytest.raises(ConfigError, match=field.removeprefix("svd_")):
             SgfcfConfig(K=8, **{field: value})
 
-    def test_shared_filter_skips_homophily(self):
+    def test_shared_filter_skips_homophily(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("homophily or exponents built for an explicit filter")
+
+        monkeypatch.setattr(model_module, "homophilic_ratio_all", forbidden)
+        monkeypatch.setattr(model_module, "map_homo_to_beta", forbidden)
         rng = np.random.default_rng(3)
         dataset = small_dataset(rng)
-        model = fit(dataset, SgfcfConfig(K=3, filter=MonomialFilter(beta=1.0)))
-        assert model.profile is None
-        assert model.homophily is None
+        fit(dataset, SgfcfConfig(K=3, filter=MonomialFilter(beta=1.0)))
 
     def test_shared_beta_skips_homophily_bit_identically(self, monkeypatch):
         import sgfcf.model
@@ -145,11 +151,8 @@ class TestFit:
 
         monkeypatch.setattr(sgfcf.model, "homophilic_ratio_all", forbidden)
         skipped = fit(dataset, config)
-        assert skipped.homophily is None
         for name in ("user_factors", "item_factors", "user_weights"):
             assert np.array_equal(getattr(skipped, name), getattr(with_homophily, name))
-        assert skipped.profile is None
-        assert with_homophily.profile is None
 
     def test_shared_beta_maps_no_exponents(self, monkeypatch):
         import sgfcf.model
@@ -161,7 +164,7 @@ class TestFit:
         monkeypatch.setattr(sgfcf.model, "map_homo_to_beta", forbidden)
         dataset = small_dataset(np.random.default_rng(31), 20, 16)
         model = fit(dataset, SgfcfConfig(K=5, igf=IgfConfig(beta=1.4, beta1=1.4, beta2=1.4)))
-        assert model.profile is None and model.homophily is None
+        assert model.user_factors is model.spectrum.P and model.item_factors is model.spectrum.Q
 
     @pytest.mark.parametrize("beta", [0.5, 1.6, 2.0])
     def test_shared_beta_is_the_monomial_filter_bit_for_bit(self, beta):
@@ -289,7 +292,6 @@ class TestSharedFold:
         # sigma^beta is 1 only at beta = 0 on this spectrum
         assert len(spectrum) == 16 and spectrum.sigma_normalized[-1] < 1.0
         model = fit(dataset, SgfcfConfig(K=12, filter=MonomialFilter(0.0)), spectrum=spectrum)
-        assert model.factor_bound == 1.0
         assert np.array_equal(model.user_factors, spectrum.P[:, :12])
         assert np.array_equal(model.item_factors, spectrum.Q[:, :12])
         assert np.array_equal(model.user_weights, np.ones(12))
@@ -342,8 +344,10 @@ class TestSharedFold:
 
     def test_individualized_factors_are_the_weighted_spectrum_bit_for_bit(self):
         dataset = _shaped_dataset(30, 60)
-        model = fit(dataset, SgfcfConfig(K=12, igf=IgfConfig(beta=1.6, beta1=1.2, beta2=2.0)))
-        spec, profile = model.spectrum, model.profile
+        config = SgfcfConfig(K=12, igf=IgfConfig(beta=1.6, beta1=1.2, beta2=2.0))
+        model = fit(dataset, config)
+        spec = model.spectrum
+        profile = map_homo_to_beta(homophilic_ratio_all(build_graph(dataset)), config.igf, scope=config.homo_scope)
         sigma = spec.sigma_normalized[None, :]
         assert np.array_equal(model.user_factors, spec.P * np.power(sigma, profile.user_beta[:, None]))
         assert np.array_equal(model.item_factors, spec.Q * np.power(sigma, profile.item_beta[:, None]))
@@ -358,7 +362,7 @@ class TestSharedFold:
         # [0, 1] and its first is 1, however large the exponents
         dataset = _shaped_dataset(30, 60)
         model = fit(dataset, SgfcfConfig(K=12, igf=IgfConfig(beta=beta, beta1=beta1, beta2=beta2)))
-        assert model.factor_bound == 1.0
+        assert np.array_equal(model.user_weights, np.ones(12))
         for factors, own in ((model.user_factors, model.spectrum.P), (model.item_factors, model.spectrum.Q)):
             assert np.array_equal(factors[:, 0], own[:, 0])
         assert np.isfinite(score_users(model, np.arange(30))).all()

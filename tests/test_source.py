@@ -1,5 +1,6 @@
 import ast
 import builtins
+import dataclasses
 import importlib
 import re
 from pathlib import Path
@@ -108,6 +109,45 @@ def test_every_private_module_name_is_read():
         "a.py": "_x = 1\n_y = 2\n__all__ = []\ndef f():\n    _z = 1",
         "b.py": "from .a import _x\nimport a\nprint(_x, a._y)",
     }) == []
+
+
+def _unread_fields(fields, sources: dict) -> list[str]:
+    """Names in ``fields`` that no source in ``sources`` (file name ->
+    text) reads as an attribute (``obj.name`` in a load); a store, a
+    keyword argument, a bare name or a string does not count."""
+    read = set()
+    for source in sources.values():
+        read.update(
+            node.attr
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        )
+    return [name for name in fields if name not in read]
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "class M:\n    x: int",
+        "m.x = 1",
+        "del m.x",
+        "M(x=1)",
+        "x = 1\nprint(x)",
+        "getattr(m, 'x')",
+        "print('m.x')",
+    ],
+)
+def test_unread_field_finder_sees_each_form(source):
+    assert _unread_fields(["x"], {"a.py": source}) == ["x"]
+
+
+@pytest.mark.parametrize("cls", [sgfcf.SgfcfModel, sgfcf.TruncatedSpectrum], ids=lambda cls: cls.__name__)
+def test_every_field_of_a_fitted_model_is_read(cls):
+    # a field no module reads is state a model carries for no caller
+    sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
+    assert _unread_fields([field.name for field in dataclasses.fields(cls)], sources) == []
+    # a read in any module counts, also inside an expression
+    assert _unread_fields(["x", "y"], {"a.py": "m.x + 1", "b.py": "f(m.y)"}) == []
 
 
 def _unresolved_names(markdown: str) -> list[str]:
